@@ -16,7 +16,9 @@ Two regimes are guarded, recorded to ``BENCH_engine.json`` with
   nonzero cross-client hits.
 
 Marked ``fast``: this is the cheap guard tier, run in the default
-(tier-1) selection even though it lives in ``benchmarks/``.
+(tier-1) selection even though it lives in ``benchmarks/``.  The
+process-pool ratio is the exception: tier-1 checks its counts and
+payloads, and the ratio itself is a ``slow`` test run by perf-smoke.
 """
 
 import json
@@ -70,60 +72,77 @@ PROCESS_BENCH_WORKLOADS = ("binarysearch", "nbody", "fdct", "fibcall",
                            "matmult_float")
 
 
-def test_process_pool_farm_search_regime_at_least_2x(tmp_path):
-    """Process-pool evaluation of new candidates over farm-known code:
-    >= 2x over the pre-farm end-to-end process behaviour."""
+def _process_search_regime(farm_dir):
+    """Evaluate SEARCH_CANDIDATES with a 2-worker process pool twice:
+    end to end without a farm, then composed through a farm warmed by
+    one client's history of SEQUENCES (not part of the measured regime
+    on either side).  Returns both row lists, both timings and the
+    farm's cross-process aggregate stats."""
     workloads = [workload for workload in load_suite("beebs")
                  if workload.name in PROCESS_BENCH_WORKLOADS]
     points = [(workload, sequence) for workload in workloads
               for sequence in SEARCH_CANDIDATES]
+    primer = EvaluationEngine(Platform("riscv", measurement_seed=2),
+                              farm_dir=farm_dir)
+    primer.evaluate_batch([(workload, sequence)
+                           for workload in workloads
+                           for sequence in SEQUENCES])
 
-    threshold = 1.5 if os.environ.get("CI") else 2.0
-    for attempt in range(3):
-        # A fresh farm per attempt, warmed by one client's history of
-        # SEQUENCES (not part of the measured regime on either side) —
-        # so every attempt measures the search-regime composition, not
-        # a previous attempt's warm sequence keys.
-        farm_dir = str(tmp_path / f"farm-{attempt}")
-        primer = EvaluationEngine(Platform("riscv", measurement_seed=2),
-                                  farm_dir=farm_dir)
-        primer.evaluate_batch([(workload, sequence)
-                               for workload in workloads
-                               for sequence in SEQUENCES])
+    baseline = EvaluationEngine(
+        Platform("riscv", measurement_seed=2), mode="process",
+        workers=2)
+    started = time.perf_counter()
+    end_to_end = baseline.evaluate_batch(points)
+    baseline_seconds = time.perf_counter() - started
 
-        baseline = EvaluationEngine(
-            Platform("riscv", measurement_seed=2), mode="process",
-            workers=2)
-        started = time.perf_counter()
-        end_to_end = baseline.evaluate_batch(points)
-        baseline_seconds = time.perf_counter() - started
+    farmed = EvaluationEngine(
+        Platform("riscv", measurement_seed=2), mode="process",
+        workers=2, farm_dir=farm_dir)
+    started = time.perf_counter()
+    composed = farmed.evaluate_batch(points)
+    farm_seconds = time.perf_counter() - started
+    return (end_to_end, composed, baseline_seconds, farm_seconds,
+            farmed.cache.store.aggregate_stats())
 
-        farmed = EvaluationEngine(
-            Platform("riscv", measurement_seed=2), mode="process",
-            workers=2, farm_dir=farm_dir)
-        started = time.perf_counter()
-        composed = farmed.evaluate_batch(points)
-        farm_seconds = time.perf_counter() - started
-        speedup = baseline_seconds / max(farm_seconds, 1e-9)
-        if speedup >= threshold:
-            break
 
-    # Differential guarantee: farm-composed process payloads are
-    # bit-identical to end-to-end process payloads.
-    for fresh, farm in zip(end_to_end, composed):
+def test_process_pool_farm_search_regime_composes_every_point(tmp_path):
+    """Every new candidate is served from the farm by a pool worker, and
+    each composed payload is bit-identical to its end-to-end payload.
+    Counts and payloads only: the speed ratio is the slow test below."""
+    end_to_end, composed, _, _, aggregate = _process_search_regime(
+        str(tmp_path / "farm"))
+    assert len(composed) == \
+        len(PROCESS_BENCH_WORKLOADS) * len(SEARCH_CANDIDATES) == 48
+    for fresh, farm in zip(end_to_end, composed, strict=True):
         assert fresh.metrics() == farm.metrics()
         assert list(fresh.features) == list(farm.features)
         assert fresh.result_fingerprint == farm.result_fingerprint
         assert fresh.output == farm.output
-    aggregate = farmed.cache.store.aggregate_stats()
-    assert aggregate["cross_hits"] > 0, aggregate
+    assert aggregate["cross_hits"] == len(composed), aggregate
+
+
+@pytest.mark.slow
+def test_process_pool_farm_search_regime_speedup_at_least_2x(tmp_path):
+    """Process-pool evaluation of new candidates over farm-known code:
+    >= 2x over the pre-farm end-to-end process behaviour.  A wall-clock
+    ratio, so it runs in the perf-smoke job, not in tier-1."""
+    threshold = 1.5 if os.environ.get("CI") else 2.0
+    for attempt in range(3):
+        # A fresh farm per attempt, so every attempt measures the
+        # search-regime composition, not a previous attempt's warm
+        # sequence keys.
+        _, composed, baseline_seconds, farm_seconds, aggregate = \
+            _process_search_regime(str(tmp_path / f"farm-{attempt}"))
+        speedup = baseline_seconds / max(farm_seconds, 1e-9)
+        if speedup >= threshold:
+            break
     print(f"\n[farm-bench] process search-regime: end-to-end "
           f"{baseline_seconds:.2f}s, farm-composed {farm_seconds:.2f}s "
           f"-> {speedup:.2f}x (cross-process hits "
           f"{aggregate['cross_hits']})")
     _record({
         "benchmark": "process_pool_farm_search_regime",
-        "points": len(points),
+        "points": len(composed),
         "end_to_end_seconds": round(baseline_seconds, 4),
         "farm_seconds": round(farm_seconds, 4),
         "speedup": round(speedup, 2),

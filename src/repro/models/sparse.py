@@ -14,29 +14,32 @@ def _coordinate_descent(Xs, ys, l1, l2, max_iterations=300, tol=1e-6):
     coef = np.zeros(d)
     col_norms = (Xs ** 2).sum(axis=0)
     residual = ys.copy()
+    threshold = l1 * n
+    # (column index, column view, squared norm, update denominator) for
+    # every column that can move; zero-norm columns stay at 0.
+    columns = [(j, Xs[:, j], col_norms[j], col_norms[j] + l2 * n)
+               for j in range(d) if not col_norms[j] <= 1e-12]
     for _ in range(max_iterations):
         max_delta = 0.0
-        for j in range(d):
-            if col_norms[j] <= 1e-12:
-                continue
-            rho = Xs[:, j] @ residual + coef[j] * col_norms[j]
-            new = _soft_threshold(rho, l1 * n) / (col_norms[j] + l2 * n)
-            delta = new - coef[j]
+        for j, column, norm, denominator in columns:
+            old = coef[j]
+            rho = column @ residual + old * norm
+            # Soft threshold of rho at l1 * n.
+            if rho > threshold:
+                shrunk = rho - threshold
+            elif rho < -threshold:
+                shrunk = rho + threshold
+            else:
+                shrunk = 0.0
+            new = shrunk / denominator
+            delta = new - old
             if delta != 0.0:
-                residual -= delta * Xs[:, j]
+                residual -= delta * column
                 coef[j] = new
                 max_delta = max(max_delta, abs(delta))
         if max_delta < tol:
             break
     return coef
-
-
-def _soft_threshold(value, threshold):
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
 
 
 @register_model("lasso")

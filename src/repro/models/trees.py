@@ -1,19 +1,31 @@
-"""Tree models (Table IV): Decision Tree, Extra Tree, Random Forest."""
+"""Tree models (Table IV): Decision Tree, Extra Tree, Random Forest.
+
+A fitted tree is stored as flat node arrays (``feature``, ``threshold``,
+``left``, ``right``, ``value``) in pre-order, root at index 0.  A leaf
+has ``feature`` 0 and both children pointing at itself, so traversal can
+step every row a fixed number of levels (the tree depth) with array
+indexing: rows that reached a leaf stay there.
+"""
 
 import numpy as np
 
 from repro.models.base import Regressor, register_model, _as_xy
 
 
-class _Node:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
+def _descend(X, feature, threshold, left, right, start, depth):
+    """Leaf indices reached from node(s) ``start`` for every row of X.
 
-    def __init__(self, value=None):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.value = value
+    ``start`` is an int, or a column of roots (one per stacked tree)
+    giving one row of leaf indices per tree.  Each step takes the branch
+    of the scalar walk: left when ``x <= threshold``, otherwise right (so
+    NaN goes right).
+    """
+    rows = np.arange(X.shape[0])
+    index = np.zeros(X.shape[0], dtype=np.intp) + start
+    for _ in range(depth):
+        go_left = X[rows, feature[index]] <= threshold[index]
+        index = np.where(go_left, left[index], right[index])
+    return index
 
 
 class _TreeBase(Regressor):
@@ -27,26 +39,32 @@ class _TreeBase(Regressor):
     def fit(self, X, y):
         X, y = _as_xy(X, y)
         self._rng = np.random.default_rng(self.seed)
-        self.root_ = self._build(X, y, depth=0)
+        nodes = []
+        self.depth_ = self._build(X, y, 0, nodes)
+        self.feature_, self.threshold_, self.left_, self.right_, \
+            self.value_ = (np.array(column) for column in zip(*nodes))
         return self
 
-    def _build(self, X, y, depth):
-        node = _Node(value=float(y.mean()))
+    def _build(self, X, y, depth, nodes):
+        """Append the subtree for (X, y) to ``nodes``; return its depth."""
+        index = len(nodes)
+        nodes.append((0, 0.0, index, index, float(y.mean())))
         if depth >= self.max_depth or len(y) < self.min_samples_split \
                 or np.ptp(y) < 1e-12:
-            return node
+            return 0
         split = self._best_split(X, y)
         if split is None:
-            return node
+            return 0
         feature, threshold = split
         mask = X[:, feature] <= threshold
         if mask.all() or not mask.any():
-            return node
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1)
-        node.right = self._build(X[~mask], y[~mask], depth + 1)
-        return node
+            return 0
+        left = len(nodes)
+        left_depth = self._build(X[mask], y[mask], depth + 1, nodes)
+        right = len(nodes)
+        right_depth = self._build(X[~mask], y[~mask], depth + 1, nodes)
+        nodes[index] = (feature, threshold, left, right, nodes[index][4])
+        return 1 + max(left_depth, right_depth)
 
     def _candidate_features(self, n_features):
         if self.max_features is None:
@@ -59,14 +77,9 @@ class _TreeBase(Regressor):
 
     def predict(self, X):
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self.root_
-            while node.feature is not None:
-                node = node.left if row[node.feature] <= node.threshold \
-                    else node.right
-            out[i] = node.value
-        return out
+        leaves = _descend(X, self.feature_, self.threshold_, self.left_,
+                          self.right_, 0, self.depth_)
+        return self.value_[leaves]
 
 
 @register_model("decision-tree")
@@ -74,32 +87,36 @@ class DecisionTreeRegressor(_TreeBase):
     """CART with exact variance-reduction splits."""
 
     def _best_split(self, X, y):
-        n, _ = X.shape
-        best = None
-        best_score = np.inf
-        for feature in self._candidate_features(X.shape[1]):
-            order = np.argsort(X[:, feature], kind="stable")
-            xs = X[order, feature]
-            ys = y[order]
-            # Prefix sums enable O(n) scan of all split points.
-            csum = np.cumsum(ys)
-            csum_sq = np.cumsum(ys ** 2)
-            total = csum[-1]
-            total_sq = csum_sq[-1]
-            for i in range(1, n):
-                if xs[i] == xs[i - 1]:
-                    continue
-                left_n, right_n = i, n - i
-                left_sum = csum[i - 1]
-                left_sq = csum_sq[i - 1]
-                right_sum = total - left_sum
-                right_sq = total_sq - left_sq
-                score = (left_sq - left_sum ** 2 / left_n) + \
-                        (right_sq - right_sum ** 2 / right_n)
-                if score < best_score:
-                    best_score = score
-                    best = (feature, (xs[i] + xs[i - 1]) / 2.0)
-        return best
+        """Score every split point of every candidate feature at once.
+
+        Column ``k`` of each array is candidate feature ``k`` sorted by
+        value; row ``i`` is the split between sorted positions ``i`` and
+        ``i + 1``.  The first-occurrence argmin over the feature-major
+        layout picks the first feature in candidate order, then the first
+        split point, which is the scalar scan's strict-``<`` tie-break.
+        """
+        n = X.shape[0]
+        features = self._candidate_features(X.shape[1])
+        cols = X[:, features]
+        order = np.argsort(cols, axis=0, kind="stable")
+        xs = np.take_along_axis(cols, order, axis=0)
+        ys = y[order]
+        # Prefix sums give every split point's left/right moments.
+        csum = np.cumsum(ys, axis=0)
+        csum_sq = np.cumsum(ys ** 2, axis=0)
+        left_n = np.arange(1, n)[:, None]
+        right_n = n - left_n
+        left_sum = csum[:-1]
+        left_sq = csum_sq[:-1]
+        right_sum = csum[-1] - left_sum
+        right_sq = csum_sq[-1] - left_sq
+        score = (left_sq - left_sum ** 2 / left_n) + \
+                (right_sq - right_sum ** 2 / right_n)
+        score[(xs[1:] == xs[:-1]) | np.isnan(score)] = np.inf
+        k, i = divmod(int(np.argmin(score.T)), n - 1)
+        if not score[i, k] < np.inf:
+            return None
+        return features[k], (xs[i + 1, k] + xs[i, k]) / 2.0
 
 
 @register_model("extra-tree")
@@ -151,8 +168,25 @@ class RandomForestRegressor(Regressor):
                 seed=self.seed + 7919 * t + 1)
             tree.fit(X[idx], y[idx])
             self.trees_.append(tree)
+        # Every tree's nodes in one set of arrays, child links shifted by
+        # the tree's offset, so predict descends all trees together.
+        offsets = np.cumsum([0] + [len(tree.value_)
+                                   for tree in self.trees_[:-1]])
+        self.roots_ = offsets[:, None]
+        self.feature_, self.threshold_, self.value_ = (
+            np.concatenate([getattr(tree, name) for tree in self.trees_])
+            for name in ("feature_", "threshold_", "value_"))
+        self.left_, self.right_ = (
+            np.concatenate([getattr(tree, name) + offset
+                            for tree, offset in zip(self.trees_, offsets)])
+            for name in ("left_", "right_"))
+        self.depth_ = max(tree.depth_ for tree in self.trees_)
         return self
 
     def predict(self, X):
-        predictions = np.stack([t.predict(X) for t in self.trees_])
-        return predictions.mean(axis=0)
+        X = np.asarray(X, dtype=float)
+        leaves = _descend(X, self.feature_, self.threshold_, self.left_,
+                          self.right_, self.roots_, self.depth_)
+        # Row t holds tree t's predictions: the same array, reduced in the
+        # same order, as stacking per-tree predict() results.
+        return self.value_[leaves].mean(axis=0)

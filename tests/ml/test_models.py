@@ -132,7 +132,7 @@ def test_models_deterministic_with_seed():
         b = create_model(name, seed=5)
         a.fit(Xtr, ytr)
         b.fit(Xtr, ytr)
-        assert np.allclose(a.predict(Xte), b.predict(Xte)), name
+        assert np.array_equal(a.predict(Xte), b.predict(Xte)), name
 
 
 # -- metrics ------------------------------------------------------------------

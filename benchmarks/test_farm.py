@@ -7,8 +7,8 @@ Two regimes are guarded, recorded to ``BENCH_engine.json`` with
   orderings that converge to farm-known code must be >= 2x faster with
   the shared store than the pre-farm end-to-end behaviour (process
   workers used to re-compile, re-extract and re-simulate every miss;
-  now they compose through the cross-process result index, approaching
-  the thread-pool composed numbers in ``BENCH_passmanager.json``).
+  now they compose through the cross-process result index, the same
+  ``compose_point`` path serial batches take in-process).
 - **many-client throughput**: >= 8 concurrent clients over overlapping
   point sets through one shared farm + scheduler must achieve >= 3x
   the aggregate throughput of isolated per-client engines (the

@@ -244,10 +244,10 @@ def build_parser():
     p.add_argument("--cache-dir", default=None,
                    help="persist evaluations to this directory")
     p.add_argument("--eval-mode", default="serial",
-                   choices=("serial", "thread", "process"),
+                   choices=("serial", "process"),
                    help="executor for cold evaluations")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker count for thread/process modes")
+                   help="worker count for the process mode")
     p.add_argument("--farm-dir", default=None,
                    help="join the shared compile farm at this "
                         "directory (cross-process result store; "
@@ -264,7 +264,7 @@ def build_parser():
                    help="bounded retries for transient failures "
                         "(timeouts, crashed workers, store I/O)")
     p.add_argument("--no-degrade", action="store_true",
-                   help="never step down process->thread->serial when "
+                   help="never step down process->serial when "
                         "the worker pool breaks repeatedly")
     p.set_defaults(func=cmd_mlcomp)
     return parser

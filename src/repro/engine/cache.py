@@ -9,9 +9,7 @@ the stored result instead of re-running the compiler and simulator.
 The cache is a bounded LRU with hit/miss/eviction counters and an
 optional on-disk tier that survives across processes: a
 :class:`repro.engine.store.ShardedStore` (the compile farm's sharded
-append-only segment store), which replaced the original
-one-JSON-file-per-entry layout — legacy ``<key>.json`` entries remain
-readable.
+append-only segment store).
 """
 
 import hashlib

@@ -28,9 +28,10 @@ Two kinds of decisions, both reproducible run-to-run:
 The injector is plain picklable state: the evaluator embeds it in
 worker specs, so process-pool workers apply the same plan the parent
 computed.  A crash inside a real pool worker is a hard ``os._exit``
-(the ``BrokenProcessPool``/OOM-killer shape); in-process (serial or
-thread tiers) it raises :class:`InjectedCrash` instead, which the
-fault taxonomy classifies as transient.
+(the ``BrokenProcessPool``/OOM-killer shape); in-process (the serial
+tier, or the scheduler's dispatcher threads) it raises
+:class:`InjectedCrash` instead, which the fault taxonomy classifies as
+a crash and retries.
 """
 
 import multiprocessing

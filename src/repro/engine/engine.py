@@ -6,7 +6,8 @@ Every MLComp step (Fig. 2) needs the answer to one of two questions:
 1. "What does program P optimized with sequence S measure like on
    platform T?"  — :meth:`EvaluationEngine.evaluate` /
    :meth:`evaluate_batch` / :meth:`profile_module` (content-addressed
-   cache over full compile->simulate runs, optionally parallel).
+   cache over full compile->simulate runs, optionally on a process
+   pool).
 2. "What does the PE predict for module M?" —
    :meth:`predicted_objectives` / :meth:`score_sequences` (in-memory
    cache over feature extraction + estimator inference, batched into
@@ -19,9 +20,7 @@ all route through here, so repeated points are paid for once.
 import hashlib
 import os
 import threading
-import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,9 +29,8 @@ from repro.engine.cache import EvaluationCache, cache_key
 from repro.engine.evaluator import (
     PointEvaluator,
     WorkerError,
+    compose_point,
     evaluate_point,
-    optimize_point,
-    point_measurement_seed,
     profile_optimized,
 )
 from repro.engine.faults import (
@@ -128,15 +126,16 @@ class EvaluationEngine:
         if farm_dir is not None and store_dir is None:
             store_dir = farm_dir
         #: Function-granular second-level cache consumer: on a
-        #: sequence-key miss, serial evaluations run the (cheap) pass
-        #: pipeline locally and look the *optimized* module's
+        #: sequence-key miss, in-process evaluations run the (cheap)
+        #: pass pipeline and look the *optimized* module's
         #: per-function content up in the result index, skipping
         #: feature extraction, codegen and simulation when any earlier
         #: point (or PSS deployment check) produced the same code.
         self.compose = compose
         self.compose_stats = {"hits": 0, "misses": 0}
-        # _evaluate_miss runs on the thread pool too; counter updates
-        # are read-modify-write and must not interleave.
+        # The scheduler's dispatcher threads run _evaluate_miss
+        # concurrently; counter updates are read-modify-write and must
+        # not interleave.
         self._compose_lock = threading.Lock()
         if cache is False:
             self.cache = None
@@ -238,53 +237,23 @@ class EvaluationEngine:
             "fuel": fuel or self.fuel,
             "sim_engine": self.platform.sim_engine,
             # Process-pool workers compose through the shared farm; the
-            # serial/thread paths compose in-process via _evaluate_miss
-            # (whose cache already fronts the same store).
+            # serial path composes in-process via _evaluate_miss (whose
+            # cache already fronts the same store).
             "farm_dir": self.farm_dir
             if self.evaluator.mode == "process" else None,
         }
 
     # -- profiled evaluations --------------------------------------------
-    def _evaluate_miss(self, spec, fuel):
-        """One fresh point, with the function-granular result index.
-
-        Runs the pass pipeline in-process (sharing the warm transform
-        caches), content-addresses the optimized module by its composed
-        per-function fingerprints, and only extracts features + profiles
-        when that code was never measured before; the profile is stored
-        under both the sequence key (by the caller) and the result key
-        (here), so later sequences reaching the same code compose
-        instead of re-simulating.
-        """
+    def _evaluate_miss(self, spec):
+        """One fresh point, composed in-process through the cache's
+        result index (:func:`~repro.engine.evaluator.compose_point`,
+        sharing the warm transform caches); the caller stores the
+        payload under the sequence key."""
         if self.cache is None or not self.compose:
             return evaluate_point(spec)
-        module, fingerprint, result_fingerprint, function_fingerprints \
-            = optimize_point(spec)
-        result_key = self.result_key_for(result_fingerprint, fuel)
-        stored = self.cache.get(result_key)
-        if stored is not None:
-            with self._compose_lock:
-                self.compose_stats["hits"] += 1
-            payload = dict(stored)
-            payload.update({
-                "fingerprint": fingerprint,
-                "result_fingerprint": result_fingerprint,
-                "function_fingerprints": function_fingerprints,
-                "sequence": list(spec["sequence"]),
-                "measurement_seed": spec["measurement_seed"],
-            })
-            return payload
+        payload, hit = compose_point(spec, self.cache)
         with self._compose_lock:
-            self.compose_stats["misses"] += 1
-        payload = profile_optimized(spec, module, fingerprint,
-                                    result_fingerprint,
-                                    function_fingerprints)
-        index_entry = dict(payload)
-        index_entry.update({
-            "fingerprint": result_fingerprint,
-            "sequence": [],
-        })
-        self.cache.put(result_key, index_entry)
+            self.compose_stats["hits" if hit else "misses"] += 1
         return payload
 
     def evaluate(self, workload, sequence, fuel=None):
@@ -302,8 +271,7 @@ class EvaluationEngine:
             if payload is not None:
                 return EvalResult(payload, key, cached=True)
         payload, error = run_point_with_recovery(
-            lambda spec: self._evaluate_miss(spec, fuel),
-            self._spec(workload, sequence, fuel),
+            self._evaluate_miss, self._spec(workload, sequence, fuel),
             retry=self.retry_policy, faults=self.fault_stats,
             quarantine=self.quarantine, chaos=self.chaos,
             timeout=self.evaluator.timeout)
@@ -362,15 +330,12 @@ class EvaluationEngine:
                 pending[key] = (self._spec(workload, sequence, fuel),
                                 [index])
         specs = [spec for spec, _ in pending.values()]
-        if self.evaluator.mode in ("serial", "thread") and \
+        if self.evaluator.mode == "serial" and \
                 self.cache is not None and self.compose:
-            # Serial and thread misses go through the in-process
-            # result-index path (identical payloads — thread workers
-            # share the lock-protected cache and the process-global
-            # content memos, exactly like today's thread-mode
-            # evaluate_point calls; the process pool keeps end-to-end
-            # evaluation since it cannot see this process's index).
-            outcomes = self._run_composed(specs, fuel)
+            # Serial misses compose through the in-process result index
+            # (identical payloads; process workers compose through the
+            # farm instead, since they cannot see this process's cache).
+            outcomes = self._run_composed(specs)
         else:
             outcomes = self.evaluator.run(specs)
         for (key, (spec, indices)), (payload, error) in zip(
@@ -393,24 +358,18 @@ class EvaluationEngine:
                                             cached=position > 0)
         return results
 
-    def _run_composed(self, specs, fuel):
-        """Run miss specs through :meth:`_evaluate_miss` — inline for
-        the serial mode, on the thread pool otherwise — returning
-        ``(payload, error)`` pairs in input order (the evaluator-run
-        contract).  Pool dispatch is :meth:`map`'s, so the composed
-        path and ad-hoc batches share one sizing rule.  Each point gets
-        the full in-process recovery stack (quarantine check, chaos
-        hooks, classification, bounded retries)."""
-
-        def guarded(indexed):
-            index, spec = indexed
-            return run_point_with_recovery(
-                lambda decorated: self._evaluate_miss(decorated, fuel),
-                spec, retry=self.retry_policy, faults=self.fault_stats,
-                quarantine=self.quarantine, chaos=self.chaos,
-                timeout=self.evaluator.timeout, point_index=index)
-
-        return self.map(guarded, list(enumerate(specs)))
+    def _run_composed(self, specs):
+        """Run miss specs through :meth:`_evaluate_miss` in order,
+        returning ``(payload, error)`` pairs (the evaluator-run
+        contract).  Each point gets the full in-process recovery stack
+        (quarantine check, chaos hooks, classification, bounded
+        retries)."""
+        return [run_point_with_recovery(
+                    self._evaluate_miss, spec, retry=self.retry_policy,
+                    faults=self.fault_stats, quarantine=self.quarantine,
+                    chaos=self.chaos, timeout=self.evaluator.timeout,
+                    point_index=index)
+                for index, spec in enumerate(specs)]
 
     def profile_module(self, module, fuel=None, am=None):
         """Profile an already-optimized module, content-addressed by its
@@ -420,50 +379,36 @@ class EvaluationEngine:
         if am is None:
             am = AnalysisManager()
         fingerprint = module_fingerprint(module, am)
-        key = cache_key(fingerprint, (), self.platform.target,
-                        self.measurement_seed, fuel or self.fuel)
+        key = self.result_key_for(fingerprint, fuel)
         if self.cache is not None:
             payload = self.cache.get(key)
             if payload is not None:
                 return EvalResult(payload, key, cached=True)
-        from repro.sim import Platform
-        seed = point_measurement_seed(self.measurement_seed, fingerprint)
-        platform = Platform(self.platform.target, measurement_seed=seed,
-                            sim_engine=self.platform.sim_engine)
-        features = self._extract_features(module, platform, am)
-        started = time.perf_counter()
-        measurement = platform.profile(module, fuel=fuel or self.fuel)
-        payload = {
-            "fingerprint": fingerprint,
-            "result_fingerprint": fingerprint,
-            "function_fingerprints": {
-                function.name: am.fingerprint(function)
-                for function in module.defined_functions()},
-            "sequence": [],
-            "target": self.platform.target,
-            "measurement_seed": self.measurement_seed,
-            "features": [float(v) for v in features],
-            "metrics": {k: float(v)
-                        for k, v in measurement.metrics().items()},
-            "cycles": float(measurement.cycles),
-            "code_size": int(measurement.code_size),
-            "output": [[kind, value]
-                       for kind, value in measurement.output],
-            "return_value": measurement.return_value,
-            "profile_seconds": time.perf_counter() - started,
-        }
+        spec = {"sequence": [], "target": self.platform.target,
+                "measurement_seed": self.measurement_seed,
+                "fuel": fuel or self.fuel,
+                "sim_engine": self.platform.sim_engine}
+        payload = profile_optimized(
+            spec, module, fingerprint, fingerprint,
+            {function.name: am.fingerprint(function)
+             for function in module.defined_functions()},
+            am=am, partial_cache=self._partials())
         if self.cache is not None:
             self.cache.put(key, payload)
         return EvalResult(payload, key, cached=False)
 
     # -- PE-predicted evaluations ----------------------------------------
-    def _extract_features(self, module, platform, am):
-        """Feature extraction with the engine's per-function partial
-        cache (bounded; dropped wholesale when full)."""
+    def _partials(self):
+        """The per-function feature partial cache (bounded; dropped
+        wholesale when full)."""
         if len(self._feature_partials) > self._feature_partials_cap:
             self._feature_partials.clear()
+        return self._feature_partials
+
+    def _extract_features(self, module, platform, am):
+        """Feature extraction with the engine's per-function partials."""
         return extract_features(module, platform, am=am,
-                                partial_cache=self._feature_partials)
+                                partial_cache=self._partials())
 
     def predicted_objectives(self, module, estimator, fingerprint=None,
                              am=None):
@@ -540,18 +485,6 @@ class EvaluationEngine:
                     for index in indices:
                         results[index] = dict(objectives)
         return results
-
-    # -- generic parallel map --------------------------------------------
-    def map(self, fn, items):
-        """Ordered map through the engine's concurrency (threads; the
-        serial mode stays strictly sequential).  Used by Study batches
-        where the objective is an arbitrary closure."""
-        items = list(items)
-        if self.evaluator.mode == "serial" or len(items) <= 1:
-            return [fn(item) for item in items]
-        workers = self.evaluator.pool_size(len(items))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
 
     # -- reporting --------------------------------------------------------
     def stats(self):

@@ -1,27 +1,27 @@
-"""Deterministic serial/thread/process evaluation of compile->profile
-points, under fault supervision.
+"""Deterministic serial/process evaluation of compile->profile points,
+under fault supervision.
 
 A *point* is one ``(program source, pass sequence)`` pair on one
 platform.  :func:`evaluate_point` is a pure function of its spec dict —
 it compiles the source, runs the sequence, extracts features and
 profiles the result — so the same spec yields the same payload whether
-it runs inline, on a thread, or in a worker process, and *whether or
-not it had to be retried*: fault recovery can never change a result,
-only whether one exists.
+it runs inline or in a worker process, and *whether or not it had to be
+retried*: fault recovery can never change a result, only whether one
+exists.
 
 Measurement noise is derived from the *final* module fingerprint (see
 :func:`point_measurement_seed`), so identical programs measure
 identically regardless of evaluation order or worker count.  That is
-what makes ``serial``/``thread``/``process`` modes bit-for-bit
-equivalent and cached results indistinguishable from fresh ones.
+what makes the ``serial`` and ``process`` modes bit-for-bit equivalent
+and cached results indistinguishable from fresh ones.
 
-Supervision (PR 8): :class:`PointEvaluator` no longer trusts its pools.
+Supervision: :class:`PointEvaluator` does not trust its pool.
 
 - **Per-point deadlines**: every dispatched spec carries the
   configured wall-clock ``timeout``; workers arm a ``SIGALRM`` alarm
   (:func:`repro.engine.faults.deadline`) and the parent keeps a
-  watchdog with a grace factor, killing and respawning a process pool
-  whose worker is hard-hung.
+  watchdog with a grace factor, killing and respawning a pool whose
+  worker is hard-hung.
 - **BrokenProcessPool recovery**: a died worker (OOM kill, injected
   crash) breaks the pool; the supervisor respawns it and re-runs the
   in-flight specs *one at a time* so the poison point identifies
@@ -30,22 +30,18 @@ Supervision (PR 8): :class:`PointEvaluator` no longer trusts its pools.
 - **Classification + bounded retries**: failures come back as
   :class:`repro.engine.faults.FailureInfo` with a kind; only transient
   kinds (timeout/crash/I-O) are retried, with deterministic backoff.
-- **Graceful degradation**: when the pool infrastructure breaks
-  repeatedly (``degrade_after``), the evaluator steps down
-  process -> thread -> serial for the remainder of the batch (and
-  stays there for subsequent batches — a broken environment rarely
-  heals itself mid-run).  Results stay bit-identical by construction.
+- **Graceful degradation**: when the pool breaks
+  :data:`DEGRADE_AFTER` times in one batch, the evaluator steps down
+  process -> serial for the remainder of the batch (and stays there
+  for subsequent batches — a broken environment rarely heals itself
+  mid-run).  Results stay bit-identical by construction.
 """
 
 import hashlib
 import os
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 
@@ -64,16 +60,16 @@ from repro.engine.faults import (
     run_point_with_recovery,
 )
 
-EXECUTION_MODES = ("serial", "thread", "process")
+EXECUTION_MODES = ("serial", "process")
 
 #: Parent-side watchdog budget: the worker's own alarm should fire
 #: first (factor x the deadline), the parent only steps in for hard
 #: hangs the alarm cannot interrupt.
 PROCESS_WATCHDOG_FACTOR = 2.0
 PROCESS_WATCHDOG_SLACK = 0.25
-#: Threads have no worker-side alarm, so the parent deadline is the
-#: only enforcement — no grace factor beyond scheduling slack.
-THREAD_WATCHDOG_SLACK = 0.05
+#: Pool breaks (crashes or hard hangs) in one batch before the
+#: evaluator gives up on the pool and finishes serially.
+DEGRADE_AFTER = 3
 
 #: Per-process handles on shared farm stores, keyed by directory — one
 #: store instance per (process, farm) so pool workers open each farm
@@ -147,9 +143,11 @@ def optimize_point(spec):
 
 
 def profile_optimized(spec, module, fingerprint, result_fingerprint,
-                      function_fingerprints):
+                      function_fingerprints, am=None, partial_cache=None):
     """Feature-extract and profile an already-optimized module; returns
-    the JSON-serializable cache payload."""
+    the JSON-serializable cache payload.  ``am``/``partial_cache`` let
+    feature extraction reuse per-function static partials (see
+    :func:`repro.features.extract_features`)."""
     from repro.features import extract_features
     from repro.sim import Platform
 
@@ -157,7 +155,8 @@ def profile_optimized(spec, module, fingerprint, result_fingerprint,
                                   result_fingerprint)
     platform = Platform(spec["target"], measurement_seed=seed,
                         sim_engine=spec.get("sim_engine"))
-    features = extract_features(module, platform)
+    features = extract_features(module, platform, am=am,
+                                partial_cache=partial_cache)
     started = time.perf_counter()
     measurement = platform.profile(module,
                                    fuel=spec.get("fuel") or 20_000_000)
@@ -192,13 +191,13 @@ def evaluate_point(spec):
     after running the (cheap) pass pipeline, the optimized module's
     content address is looked up in the cross-process result index, and
     feature extraction + codegen + simulation only run when no worker
-    or client anywhere has measured that code before — the same
-    function-granular composition the in-process engine applies, made
-    visible to process pools.
+    or client anywhere has measured that code before (see
+    :func:`compose_point`).
     """
     farm_dir = spec.get("farm_dir")
     if farm_dir:
-        return _evaluate_point_farm(spec, process_store(farm_dir))
+        payload, _ = compose_point(spec, process_store(farm_dir))
+        return payload
     module, fingerprint, result_fingerprint, function_fingerprints = \
         optimize_point(spec)
     return profile_optimized(spec, module, fingerprint,
@@ -206,7 +205,7 @@ def evaluate_point(spec):
 
 
 def farm_result_key(spec, result_fingerprint):
-    """The farm result-index key of an optimized module's content —
+    """The result-index key of an optimized module's content —
     identical to ``EvaluationEngine.result_key_for`` for the same
     platform/seed/fuel, so workers and clients feed one index."""
     from repro.engine.cache import cache_key
@@ -216,7 +215,18 @@ def farm_result_key(spec, result_fingerprint):
                      spec.get("fuel") or 20_000_000)
 
 
-def _evaluate_point_farm(spec, store):
+def compose_point(spec, store):
+    """Evaluate a point through the function-granular result index.
+
+    Runs the (cheap) pass pipeline, content-addresses the optimized
+    module by its composed per-function fingerprints, and only extracts
+    features + profiles when ``store`` (anything with ``get``/``put``:
+    the engine's :class:`~repro.engine.cache.EvaluationCache` or a
+    farm :class:`~repro.engine.store.ShardedStore`) holds no
+    measurement of that code; a fresh profile is indexed under the
+    result key so later sequences reaching the same code compose
+    instead of re-simulating.  Returns ``(payload, hit)``.
+    """
     module, fingerprint, result_fingerprint, function_fingerprints = \
         optimize_point(spec)
     result_key = farm_result_key(spec, result_fingerprint)
@@ -230,7 +240,7 @@ def _evaluate_point_farm(spec, store):
             "sequence": list(spec["sequence"]),
             "measurement_seed": spec["measurement_seed"],
         })
-        return payload
+        return payload, True
     payload = profile_optimized(spec, module, fingerprint,
                                 result_fingerprint,
                                 function_fingerprints)
@@ -240,7 +250,7 @@ def _evaluate_point_farm(spec, store):
         "sequence": [],
     })
     store.put(result_key, index_entry)
-    return payload
+    return payload, False
 
 
 def _guarded_evaluate(spec):
@@ -272,18 +282,17 @@ class _PointState:
 class PointEvaluator:
     """Evaluates batches of specs in input order, under supervision.
 
-    ``mode='serial'`` is the deterministic reference; ``thread`` keeps a
-    shared in-process cache warm while overlapping point evaluations;
-    ``process`` sidesteps the GIL for CPU-bound simulation at the cost
-    of per-worker interpreter startup.  All three share one failure
-    contract: :meth:`run` returns ``(payload, FailureInfo | None)``
-    pairs in input order, and never lets a raw exception, a hung
-    worker, or a broken pool escape or wedge the batch.
+    ``mode='serial'`` is the deterministic reference; ``process``
+    sidesteps the GIL for CPU-bound simulation at the cost of
+    per-worker interpreter startup.  Both share one failure contract:
+    :meth:`run` returns ``(payload, FailureInfo | None)`` pairs in
+    input order, and never lets a raw exception, a hung worker, or a
+    broken pool escape or wedge the batch.
     """
 
     def __init__(self, mode="serial", workers=None, timeout=None,
-                 retry=None, quarantine=None, degrade=True,
-                 degrade_after=3, chaos=None, stats=None):
+                 retry=None, quarantine=None, degrade=True, chaos=None,
+                 stats=None):
         if mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; choose from {EXECUTION_MODES}")
@@ -293,18 +302,11 @@ class PointEvaluator:
         self.retry = retry if retry is not None else RetryPolicy()
         self.quarantine = quarantine
         self.degrade = degrade
-        self.degrade_after = max(1, int(degrade_after))
         self.chaos = chaos
         self.faults = stats if stats is not None else FaultStats()
-        #: Sticky degraded tier: once the pool infrastructure proved
-        #: broken, later batches start at the degraded tier too.
+        #: Sticky degraded tier: once the pool proved broken, later
+        #: batches run serially too.
         self.degraded_mode = None
-
-    def pool_size(self, n_items):
-        """Worker count for a batch of ``n_items`` (configured width,
-        else capped at 8) — the one sizing rule every pool that stands
-        in for this evaluator must share."""
-        return self.workers or min(8, n_items)
 
     # -- batch entry ------------------------------------------------------
     def run(self, specs):
@@ -322,18 +324,13 @@ class PointEvaluator:
                 results[index] = (None, blocked)
             else:
                 states.append(_PointState(index, spec))
-        tier = self.degraded_mode or self.mode
-        if len(states) <= 1:
-            tier = "serial"
-        while states:
-            if tier == "serial":
-                self._run_serial(states, results)
-                states = []
-            else:
-                states = self._run_pooled(tier, states, results)
-                if states:
-                    tier = self._degrade_to(
-                        "thread" if tier == "process" else "serial")
+        if self.mode == "process" and self.degraded_mode is None \
+                and len(states) > 1:
+            states = self._run_pooled(states, results)
+            if states:
+                self.degraded_mode = "serial"
+                self.faults.bump("degradations")
+        self._run_serial(states, results)
         self.faults.flush()
         return results
 
@@ -361,14 +358,12 @@ class PointEvaluator:
                 first_attempt=state.attempt)
             results[state.index] = (payload, failure)
 
-    # -- pooled tiers -----------------------------------------------------
-    def _run_pooled(self, tier, states, results):
-        """Supervised pool execution; returns the states still owed a
-        result when the tier must be abandoned (degradation), else
-        ``[]``."""
-        executor_cls = (ThreadPoolExecutor if tier == "thread"
-                        else ProcessPoolExecutor)
-        width = self.pool_size(len(states))
+    # -- process tier -----------------------------------------------------
+    def _run_pooled(self, states, results):
+        """Supervised process-pool execution; returns the states still
+        owed a result when the pool must be abandoned (degradation),
+        else ``[]``."""
+        width = self.workers or min(8, len(states))
         # With a deadline, in-flight submissions are capped at the pool
         # width so a spec's watchdog clock starts when a worker can
         # actually start it (queued-behind-a-hang must not read as
@@ -376,7 +371,7 @@ class PointEvaluator:
         # during the parent's harvest/refill round-trip.
         cap = width if self.timeout else width * 2
         try:
-            pool = executor_cls(max_workers=width)
+            pool = ProcessPoolExecutor(max_workers=width)
         except Exception:  # noqa: BLE001 - cannot build the pool: degrade
             return states
         pending = deque(states)
@@ -392,15 +387,15 @@ class PointEvaluator:
                 if isolate:
                     if not inflight and isolate[0].ready_at <= now:
                         state = isolate.popleft()
-                        if not self._try_submit(pool, tier, state,
-                                                inflight, deadlines):
+                        if not self._try_submit(pool, state, inflight,
+                                                deadlines):
                             broken.append(state)
                 elif pending:
                     while pending and len(inflight) < cap \
                             and pending[0].ready_at <= now:
                         state = pending.popleft()
-                        if not self._try_submit(pool, tier, state,
-                                                inflight, deadlines):
+                        if not self._try_submit(pool, state, inflight,
+                                                deadlines):
                             broken.append(state)
                             break
                 # -- wait, then settle worker-reported outcomes
@@ -415,23 +410,9 @@ class PointEvaluator:
                 hung = None
                 if self.timeout and not broken:
                     now = time.monotonic()
-                    for future, state in list(inflight.items()):
-                        if deadlines.get(future, now + 1) > now \
-                                or future.done():
-                            continue
-                        if tier == "thread":
-                            # Threads cannot be killed: abandon the
-                            # future, charge the point a timeout.
-                            del inflight[future]
-                            deadlines.pop(future, None)
-                            self._settle(state, None, FailureInfo(
-                                state.spec["name"],
-                                tuple(state.spec["sequence"]),
-                                f"point exceeded {self.timeout}s "
-                                f"deadline (worker abandoned)",
-                                TIMEOUT, state.attempt),
-                                results, pending)
-                        else:
+                    for future, state in inflight.items():
+                        if deadlines.get(future, now + 1) <= now \
+                                and not future.done():
                             hung = state
                             break
                 if hung is not None:
@@ -444,7 +425,7 @@ class PointEvaluator:
                               if s is not hung]
                     inflight.clear()
                     deadlines.clear()
-                    pool = executor_cls(max_workers=width)
+                    pool = ProcessPoolExecutor(max_workers=width)
                     for state in sorted(others, key=lambda s: s.index,
                                         reverse=True):
                         pending.appendleft(state)
@@ -463,7 +444,7 @@ class PointEvaluator:
                         (id(s), s) for s in inflight.values())
                     inflight.clear()
                     deadlines.clear()
-                    pool = executor_cls(max_workers=width)
+                    pool = ProcessPoolExecutor(max_workers=width)
                     ordered = sorted(suspects.values(),
                                      key=lambda s: s.index)
                     if len(ordered) == 1:
@@ -477,7 +458,7 @@ class PointEvaluator:
                         # solo so only the true crasher pays strikes.
                         isolate.extend(ordered)
                 if (hung is not None or broken) and self.degrade \
-                        and breaks >= self.degrade_after:
+                        and breaks >= DEGRADE_AFTER:
                     leftover = sorted(
                         list(pending) + list(isolate)
                         + list(inflight.values()),
@@ -487,7 +468,7 @@ class PointEvaluator:
         finally:
             self._kill_pool(pool)
 
-    def _try_submit(self, pool, tier, state, inflight, deadlines):
+    def _try_submit(self, pool, state, inflight, deadlines):
         try:
             future = pool.submit(_guarded_evaluate,
                                  self._decorated(state))
@@ -496,7 +477,8 @@ class PointEvaluator:
         inflight[future] = state
         if self.timeout:
             deadlines[future] = (time.monotonic()
-                                 + self._parent_budget(tier))
+                                 + self.timeout * PROCESS_WATCHDOG_FACTOR
+                                 + PROCESS_WATCHDOG_SLACK)
         return True
 
     def _harvest(self, inflight, deadlines, results, pending):
@@ -574,17 +556,6 @@ class PointEvaluator:
             spec["chaos"] = self.chaos
             spec["chaos_point"] = state.index
         return spec
-
-    def _parent_budget(self, tier):
-        if tier == "process":
-            return (self.timeout * PROCESS_WATCHDOG_FACTOR
-                    + PROCESS_WATCHDOG_SLACK)
-        return self.timeout + THREAD_WATCHDOG_SLACK
-
-    def _degrade_to(self, tier):
-        self.degraded_mode = tier
-        self.faults.bump("degradations")
-        return tier
 
     @staticmethod
     def _kill_pool(pool):

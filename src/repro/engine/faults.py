@@ -92,9 +92,12 @@ def deadline(seconds):
 
     Uses ``SIGALRM``, so it is only armed on POSIX main threads — which
     covers process-pool workers (work runs on the worker's main thread)
-    and serial evaluation from the CLI.  Elsewhere (thread pools, the
-    scheduler's dispatchers) the parent-side watchdog in the evaluator
-    is the enforcement, and this is a no-op.
+    and serial evaluation from the CLI.  Elsewhere this is a no-op and
+    nothing enforces the deadline: a point that the scheduler's
+    dispatcher threads evaluate in-process (serial mode, or the
+    composed path) runs to completion however long it takes.  Only
+    process-mode points dispatched from those threads stay bounded,
+    by the worker's own alarm and the evaluator's parent-side watchdog.
     """
     if not seconds or os.name != "posix" or \
             threading.current_thread() is not threading.main_thread():

@@ -79,20 +79,16 @@ def _encode_line(key, payload):
 def _decode_line(line):
     """Parse one segment line; returns ``(key, payload, status)`` where
     status is ``"ok"``, ``"corrupt"`` (bad JSON framing) or
-    ``"checksum"`` (framed but fails its own CRC).  Lines without a
-    ``"c"`` field (pre-checksum builds) stay valid."""
+    ``"checksum"`` (framed but fails, or lacks, its own CRC)."""
     try:
         record = json.loads(line)
         key = record["k"]
         payload = record["p"]
     except (ValueError, KeyError, TypeError):
         return None, None, "corrupt"
-    crc = record.get("c")
-    if crc is not None:
-        body = json.dumps({"k": key, "p": payload},
-                          separators=(",", ":"))
-        if zlib.crc32(body.encode("utf-8")) != crc:
-            return None, None, "checksum"
+    body = json.dumps({"k": key, "p": payload}, separators=(",", ":"))
+    if zlib.crc32(body.encode("utf-8")) != record.get("c"):
+        return None, None, "checksum"
     return key, payload, "ok"
 
 
@@ -278,11 +274,8 @@ class ShardedStore:
                 self._refresh(shard)
                 entry = state.index.get(key)
             if entry is None:
-                payload = self._legacy_load(key)
-                self.stats.bump(shard,
-                                "hits" if payload is not None
-                                else "misses")
-                return payload
+                self.stats.bump(shard, "misses")
+                return None
             payload = self._read_entry(shard, entry)
             if payload is None:
                 # Compaction moved the segment under us (or the indexed
@@ -357,16 +350,6 @@ class ShardedStore:
                 offset += len(line)
                 consumed += len(line)
             state.tails[path] = tail + consumed
-
-    def _legacy_load(self, key):
-        """Read the pre-farm one-JSON-file-per-entry layout, so warm
-        directories written by older builds stay usable."""
-        path = os.path.join(self.root, f"{key}.json")
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
 
     # -- compaction -------------------------------------------------------
     def maybe_compact(self, shard):

@@ -78,8 +78,9 @@ class FunctionSnapshot:
         self.result_fingerprint = None      # canonical post-state hash
         self.verified = False               # passed verify_function once
         # Cloning temporarily registers forward-reference uses on the
-        # shell's instructions; concurrent materializations (thread-mode
-        # evaluation) must not interleave those use-list edits.
+        # shell's instructions; concurrent materializations (the batch
+        # scheduler's dispatcher threads) must not interleave those
+        # use-list edits.
         self._lock = threading.Lock()
 
     # -- capture ----------------------------------------------------------

@@ -26,8 +26,8 @@ class MLComp:
 
     Engine knobs: ``cache_size``/``cache_dir`` bound and persist the
     evaluation cache (``cache=False`` disables it), ``eval_mode`` picks
-    the executor (``serial``/``thread``/``process``) and ``workers``
-    its width.  ``farm_dir`` joins the shared compile farm at that
+    the executor (``serial`` or ``process``) and ``workers`` the
+    process pool's width.  ``farm_dir`` joins the shared compile farm at that
     directory (cross-process result store; process-pool workers compose
     through it), and ``scheduler_workers`` puts the async batch
     scheduler in front of the engine so concurrent clients coalesce

@@ -7,7 +7,7 @@ features into a :class:`Dataset`.
 All evaluations route through an :class:`repro.engine.EvaluationEngine`,
 so repeated points (re-extractions, overlapping sequence sets, other
 consumers sharing the engine) are served from the evaluation cache, and
-cold points can run on a thread/process pool.
+cold points can run on a process pool.
 """
 
 import time

@@ -68,17 +68,14 @@ class Study:
         self.trials.append(trial)
 
     def optimize(self, objective, n_trials, callbacks=(),
-                 catch_errors=False, batch_size=1, map_fn=None):
+                 catch_errors=False, batch_size=1):
         """Run the ask-evaluate-tell loop.
 
         ``batch_size > 1`` asks a batch of trials against the same
-        history and evaluates them together through ``map_fn`` (e.g.
-        ``EvaluationEngine.map`` for a thread pool); results are told
-        back in ask order, so the trial log stays deterministic for a
+        history and evaluates them together; results are told back in
+        ask order, so the trial log stays deterministic for a
         deterministic objective.
         """
-        if map_fn is None:
-            map_fn = lambda fn, items: [fn(item) for item in items]
 
         def guarded(trial):
             try:
@@ -91,8 +88,7 @@ class Study:
             batch = [self.ask()
                      for _ in range(min(batch_size, remaining))]
             remaining -= len(batch)
-            outcomes = (map_fn(guarded, batch) if len(batch) > 1
-                        else [guarded(batch[0])])
+            outcomes = [guarded(trial) for trial in batch]
             # Tell every evaluated trial before honoring a stop: the
             # whole batch's objective cost is already paid, and a later
             # trial may hold the best value.

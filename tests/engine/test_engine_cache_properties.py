@@ -258,7 +258,8 @@ def test_composed_payload_identical_to_uncomposed_engine(workload):
 
 def test_profile_module_feeds_sequence_evaluations(workload):
     """Deployment-check profiles land in the same result index, so a
-    later sequence evaluation reaching that code composes from them."""
+    later sequence evaluation reaching that code composes from them —
+    and they carry the same payload a fresh evaluation builds."""
     from repro.passes import AnalysisManager, PassManager
 
     engine = EvaluationEngine(Platform("riscv"))
@@ -268,4 +269,11 @@ def test_profile_module_feeds_sequence_evaluations(workload):
     profiled = engine.profile_module(module, am=am)
     result = engine.evaluate(workload, ("mem2reg", "gvn"))
     assert engine.compose_stats == {"hits": 1, "misses": 0}
-    assert result.metrics() == profiled.metrics()
+    fresh = EvaluationEngine(Platform("riscv"), compose=False).evaluate(
+        workload, ("mem2reg", "gvn"))
+    for other in (result, fresh):
+        assert other.metrics() == profiled.metrics()
+        assert list(other.features) == list(profiled.features)
+        assert other.cycles == profiled.cycles
+        assert other.code_size == profiled.code_size
+        assert other.output == profiled.output

@@ -1,7 +1,7 @@
 """Parallel-vs-serial evaluator equivalence and failure propagation.
 
 The engine derives each point's measurement noise from the final module
-fingerprint, so the three execution modes must produce bit-identical
+fingerprint, so the two execution modes must produce bit-identical
 rows in the same order — on the deterministic RISC-V simulator AND on
 the noisy x86 RAPL platform.
 """
@@ -32,7 +32,7 @@ def _rows(results):
 
 
 @pytest.mark.parametrize("target", ["riscv", "x86"])
-@pytest.mark.parametrize("mode", ["thread", "process"])
+@pytest.mark.parametrize("mode", ["process"])
 def test_parallel_matches_serial(mode, target):
     points = _points()
     serial = EvaluationEngine(Platform(target, measurement_seed=9))
@@ -48,8 +48,8 @@ def test_parallel_matches_serial(mode, target):
 
 def test_results_keep_input_order():
     points = _points()
-    engine = EvaluationEngine(Platform("riscv"), mode="thread",
-                              workers=3)
+    engine = EvaluationEngine(Platform("riscv"), mode="process",
+                              workers=2)
     results = engine.evaluate_batch(points)
     for (workload, sequence), result in zip(points, results):
         assert result.sequence == tuple(sequence)
@@ -68,7 +68,7 @@ def test_mixed_hits_and_misses_preserve_order():
     assert warm[0].metrics() == results[0].metrics()
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+@pytest.mark.parametrize("mode", ["serial", "process"])
 def test_worker_failure_propagates(mode):
     workload = load_suite("beebs")[0]
     engine = EvaluationEngine(Platform("riscv"), mode=mode, workers=2)
@@ -79,7 +79,7 @@ def test_worker_failure_propagates(mode):
     assert "no-such-phase" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread"])
+@pytest.mark.parametrize("mode", ["serial", "process"])
 def test_worker_failure_collect_keeps_good_points(mode):
     workload = load_suite("beebs")[0]
     engine = EvaluationEngine(Platform("riscv"), mode=mode, workers=2)
@@ -107,37 +107,6 @@ def test_duplicate_points_evaluated_once_per_batch():
     assert engine.cache.stats.stores == 2
 
 
-def test_thread_mode_composes_from_result_index():
-    """The function-granular result index serves thread-pool misses
-    too (ROADMAP follow-up): a new sequence reaching already-measured
-    code composes its payload instead of re-simulating, and the rows
-    stay bit-identical to the serial engine's."""
-    workload = load_suite("beebs")[0]
-    serial = EvaluationEngine(Platform("riscv", measurement_seed=7))
-    threaded = EvaluationEngine(Platform("riscv", measurement_seed=7),
-                                mode="thread", workers=3)
-    # Prime both engines with a sequence, then evaluate distinct
-    # orderings that produce identical optimized code.
-    first = ("mem2reg", "instcombine")
-    second = ("mem2reg", "instcombine", "instcombine")
-    for engine in (serial, threaded):
-        engine.evaluate_batch([(workload, first)])
-        results = engine.evaluate_batch([(workload, second)])
-        assert results[0].cached is False
-        assert engine.compose_stats["hits"] == 1, engine
-    assert _rows(serial.evaluate_batch([(workload, second)])) == \
-        _rows(threaded.evaluate_batch([(workload, second)]))
-
-
-def test_thread_mode_composed_batch_matches_serial_rows():
-    points = _points()
-    serial = EvaluationEngine(Platform("x86", measurement_seed=5))
-    threaded = EvaluationEngine(Platform("x86", measurement_seed=5),
-                                mode="thread", workers=4)
-    assert _rows(serial.evaluate_batch(points)) == \
-        _rows(threaded.evaluate_batch(points))
-
-
 def test_fuel_is_part_of_the_cache_key():
     workload = load_suite("beebs")[0]
     engine = EvaluationEngine(Platform("riscv"))
@@ -150,14 +119,7 @@ def test_fuel_is_part_of_the_cache_key():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError):
-        PointEvaluator(mode="gpu")
+    for mode in ("gpu", "thread"):
+        with pytest.raises(ValueError):
+            PointEvaluator(mode=mode)
 
-
-def test_engine_map_is_ordered():
-    engine = EvaluationEngine(Platform("riscv"), mode="thread",
-                              workers=4)
-    assert engine.map(lambda x: x * x, range(17)) == \
-        [x * x for x in range(17)]
-    serial_engine = EvaluationEngine(Platform("riscv"))
-    assert serial_engine.map(lambda x: -x, [3, 1, 2]) == [-3, -1, -2]

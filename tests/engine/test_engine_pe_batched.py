@@ -174,15 +174,12 @@ def test_random_search_with_estimator_validates_top(workload):
 
 def test_study_batch_optimize_matches_trial_count():
     study = create_study(direction="minimize", seed=0)
-    engine = EvaluationEngine(Platform("riscv"), mode="thread",
-                              workers=3)
 
     def objective(trial):
         x = trial.suggest_float("x", -2.0, 2.0)
         return (x - 1.0) ** 2
 
-    study.optimize(objective, n_trials=9, batch_size=3,
-                   map_fn=engine.map)
+    study.optimize(objective, n_trials=9, batch_size=3)
     assert len(study.trials) == 9
     assert len({t.number for t in study.trials}) == 9
     assert study.best_value >= 0.0

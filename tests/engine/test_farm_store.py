@@ -1,10 +1,11 @@
 """The sharded cross-process farm store (ISSUE 7 tentpole, layer 1-2).
 
 Covers: single-store semantics (roundtrip, persistence, sealing,
-compaction, torn-line and corruption tolerance, legacy layout, orphan
-sweep), a multi-process stress suite (N processes hammering one store:
-no corruption, no lost writes), and the farm-composed process-pool
-differential (payloads bit-identical to serial evaluation).
+compaction, torn-line and corruption tolerance, no legacy layout,
+orphan sweep), a multi-process stress suite (N processes hammering one
+store: no corruption, no lost writes), and the farm-composed
+process-pool differential (payloads bit-identical to serial
+evaluation).
 """
 
 import json
@@ -21,6 +22,7 @@ from repro.engine import (
     cache_key,
     evaluate_point,
 )
+from repro.engine.store import _encode_line
 from repro.sim import Platform
 from repro.workloads import load_suite
 
@@ -98,9 +100,9 @@ def test_torn_final_line_and_corrupt_lines_are_skipped(tmp_path):
     shard_dir = tmp_path / "shard-00"
     # A killed writer's segment: one intact line, one torn, one corrupt.
     with open(shard_dir / "seg-99999-deadbeef-000001.jsonl", "w") as f:
-        f.write(json.dumps({"k": KEYS[1], "p": {"v": 1}}) + "\n")
+        f.write(_encode_line(KEYS[1], {"v": 1}).decode())
         f.write("{not json}\n")
-        f.write(json.dumps({"k": KEYS[2], "p": {"v": 2}})[:-4])
+        f.write(_encode_line(KEYS[2], {"v": 2}).decode()[:-4])
     fresh = _store(tmp_path, shards=1)
     assert fresh.get(KEYS[0]) == {"v": 0}
     assert fresh.get(KEYS[1]) == {"v": 1}
@@ -108,11 +110,12 @@ def test_torn_final_line_and_corrupt_lines_are_skipped(tmp_path):
     assert fresh.stats.totals()["corrupt_lines"] == 1
 
 
-def test_legacy_one_file_per_entry_layout_still_readable(tmp_path):
+def test_legacy_one_file_per_entry_layout_is_a_miss(tmp_path):
     with open(tmp_path / f"{KEYS[0]}.json", "w") as handle:
         json.dump({"v": "legacy"}, handle)
     store = _store(tmp_path)
-    assert store.get(KEYS[0]) == {"v": "legacy"}
+    assert store.get(KEYS[0]) is None
+    assert store.stats.totals()["misses"] == 1
 
 
 def test_startup_sweep_removes_orphaned_tmp_files(tmp_path):

@@ -137,7 +137,7 @@ def test_timeout_failure_is_structured(workload):
     assert engine.fault_stats.as_dict()["timeouts"] == 1
 
 
-def test_repeated_pool_breaks_degrade_to_thread(workload):
+def test_repeated_pool_breaks_degrade_to_serial(workload):
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
     chaos = ChaosInjector(seed=0, crash_points={0: 2, 1: 2}, times=1)
     engine = _engine(mode="process", workers=2, chaos=chaos,
@@ -145,12 +145,12 @@ def test_repeated_pool_breaks_degrade_to_thread(workload):
     rows = _rows(engine.evaluate_batch(_points(workload)))
     # The pool broke repeatedly -> stepped down, but every point still
     # produced its bit-identical row.
-    assert engine.evaluator.degraded_mode == "thread"
+    assert engine.evaluator.degraded_mode == "serial"
     assert rows == serial_rows
     counters = engine.fault_stats.as_dict()
     assert counters["degradations"] == 1
     assert counters["pool_respawns"] >= 3
-    assert engine.stats()["faults"]["degraded_to"] == "thread"
+    assert engine.stats()["faults"]["degraded_to"] == "serial"
 
 
 def test_no_degrade_pins_the_mode(workload):
@@ -164,11 +164,10 @@ def test_no_degrade_pins_the_mode(workload):
     assert engine.fault_stats.as_dict()["degradations"] == 0
 
 
-def test_thread_tier_recovers_from_inprocess_crashes(workload):
+def test_serial_tier_recovers_from_inprocess_crashes(workload):
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
     chaos = ChaosInjector(seed=0, crash_points=[0, 2], times=1)
-    engine = _engine(mode="thread", workers=3, chaos=chaos,
-                     compose=False)
+    engine = _engine(chaos=chaos, compose=False)
     rows = _rows(engine.evaluate_batch(_points(workload)))
     assert rows == serial_rows
     counters = engine.fault_stats.as_dict()
@@ -262,7 +261,7 @@ def test_store_checksum_detects_bit_flip(tmp_path):
     assert reader.stats.totals()["corrupt_lines"] == 0
 
 
-def test_store_accepts_legacy_lines_without_checksum(tmp_path):
+def test_store_skips_lines_without_checksum(tmp_path):
     import json
     import os
 
@@ -275,5 +274,5 @@ def test_store_accepts_legacy_lines_without_checksum(tmp_path):
                       separators=(",", ":")) + "\n"
     with open(os.path.join(shard_dir, "seg-1-aaaa.jsonl"), "w") as out:
         out.write(line)
-    assert store.get(key) == {"v": 7}
-    assert store.stats.totals()["checksum_skips"] == 0
+    assert store.get(key) is None
+    assert store.stats.totals()["checksum_skips"] == 1

@@ -10,8 +10,8 @@ Three claims, per the acceptance criteria:
    crash -> respawn + isolated retry, stall -> deadline + retry,
    store I/O error -> miss + re-evaluate, corrupt/truncate ->
    checksum/framing skip, dispatch error -> structured failure.
-3. **Transient faults never change results** — serial, thread, process
-   and farm-composed rows stay bit-identical to a fault-free serial
+3. **Transient faults never change results** — serial, process and
+   farm-composed rows stay bit-identical to a fault-free serial
    run; a batch under injection completes with every point either a
    valid result or a structured ``EvalFailure``.
 """
@@ -72,8 +72,8 @@ def test_same_seed_same_outcomes(seed, workload):
     def run():
         chaos = ChaosInjector(seed=seed, crash_points=[0], times=1,
                               io_error_rate=0.3)
-        engine = _engine(mode="thread", workers=3, chaos=chaos,
-                         compose=False, eval_timeout=60, max_retries=4)
+        engine = _engine(chaos=chaos, compose=False, eval_timeout=60,
+                         max_retries=4)
         results = engine.evaluate_batch(_points(workload),
                                         on_error="collect")
         outcome = [(type(r).__name__, getattr(r, "kind", None))
@@ -217,7 +217,7 @@ def test_all_tiers_bit_identical_under_transient_faults(workload,
 
     configs = [
         dict(chaos=chaos()),
-        dict(mode="thread", workers=3, compose=False, chaos=chaos()),
+        dict(compose=False, chaos=chaos()),
         dict(mode="process", workers=2, chaos=chaos(),
              eval_timeout=60, max_retries=4),
         dict(mode="process", workers=2, chaos=chaos(),

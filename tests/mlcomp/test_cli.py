@@ -76,16 +76,22 @@ def test_cli_mlcomp_engine_knobs_parse(tmp_path):
     args = build_parser().parse_args(
         ["mlcomp", "--target", "riscv", "--cache-size", "64",
          "--cache-dir", str(tmp_path / "cache"),
-         "--eval-mode", "thread", "--workers", "2"])
+         "--eval-mode", "process", "--workers", "2"])
     assert args.cache_size == 64
-    assert args.eval_mode == "thread"
+    assert args.eval_mode == "process"
     assert not args.no_cache
     mlcomp = MLComp(target="riscv", cache_size=args.cache_size,
                     cache_dir=args.cache_dir, eval_mode=args.eval_mode,
                     workers=args.workers)
     assert mlcomp.engine.cache.max_entries == 64
     assert mlcomp.engine.cache.store_dir == str(tmp_path / "cache")
-    assert mlcomp.engine.evaluator.mode == "thread"
+    assert mlcomp.engine.evaluator.mode == "process"
     assert mlcomp.engine.evaluator.workers == 2
     disabled = MLComp(target="riscv", cache=False)
     assert disabled.engine.cache is None
+
+
+def test_cli_rejects_thread_eval_mode(capsys):
+    from repro.cli import build_parser
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["mlcomp", "--eval-mode", "thread"])

@@ -81,7 +81,7 @@ def shared_cache_dir(tmp_path_factory):
 def _extract(target, suite, n_sequences, seed, cache_dir):
     platform = Platform(target)
     workloads = load_suite(suite)
-    engine = EvaluationEngine(platform, store_dir=cache_dir)
+    engine = EvaluationEngine(platform, farm_dir=cache_dir)
     _SESSION_ENGINES.append((f"{suite}/{target}", engine))
     extractor = DataExtractor(platform, workloads, engine=engine)
     dataset = extractor.extract(n_sequences=n_sequences, seed=seed)

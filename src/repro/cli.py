@@ -100,11 +100,9 @@ def cmd_mlcomp(args):
     mlcomp = MLComp(target=args.target,
                     cache=not args.no_cache,
                     cache_size=args.cache_size,
-                    cache_dir=args.cache_dir,
                     eval_mode=args.eval_mode,
                     workers=args.workers,
                     farm_dir=args.farm_dir,
-                    scheduler_workers=args.scheduler_workers,
                     eval_timeout=args.eval_timeout,
                     max_retries=args.max_retries,
                     degrade=not args.no_degrade)
@@ -154,15 +152,6 @@ def cmd_mlcomp(args):
               f"(hit rate {total['hit_rate']:.1%}, "
               f"{total['cross_hits']} cross-process hits, "
               f"{total['stores']} stores)")
-    sched = stats.get("scheduler")
-    if sched is not None:
-        print(f"[scheduler] {sched['requests']} requests: "
-              f"{sched['cache_hits']} cache hits, "
-              f"{sched['coalesced']} coalesced in-flight, "
-              f"{sched['dispatched']} dispatched in "
-              f"{sched['batches']} batches "
-              f"(max batch {sched['max_batch']}, "
-              f"max queue {sched['max_queue']})")
     faults = stats.get("faults")
     if faults is not None:
         counters = faults["aggregate"] or faults["local"]
@@ -241,21 +230,15 @@ def build_parser():
                    help="disable the evaluation cache")
     p.add_argument("--cache-size", type=int, default=4096,
                    help="max in-memory cache entries (LRU beyond this)")
-    p.add_argument("--cache-dir", default=None,
-                   help="persist evaluations to this directory")
     p.add_argument("--eval-mode", default="serial",
                    choices=("serial", "process"),
                    help="executor for cold evaluations")
     p.add_argument("--workers", type=int, default=None,
                    help="worker count for the process mode")
     p.add_argument("--farm-dir", default=None,
-                   help="join the shared compile farm at this "
-                        "directory (cross-process result store; "
-                        "process workers compose through it)")
-    p.add_argument("--scheduler-workers", type=int, default=None,
-                   help="dispatcher threads for the async batch "
-                        "scheduler (coalesces concurrent clients; "
-                        "off when unset)")
+                   help="persist evaluations to the shared compile "
+                        "farm at this directory (cross-process result "
+                        "store; process workers compose through it)")
     # Fault-tolerance knobs.
     p.add_argument("--eval-timeout", type=float, default=None,
                    help="wall-clock deadline (seconds) per evaluation "

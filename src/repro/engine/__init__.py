@@ -34,11 +34,9 @@ from repro.engine.faults import (
     classify_exception,
     point_fingerprint,
 )
-from repro.engine.scheduler import BatchScheduler
 from repro.engine.store import ShardedStore, StoreStats
 
 __all__ = [
-    "BatchScheduler",
     "CacheStats",
     "ChaosInjector",
     "EXECUTION_MODES",

@@ -3,11 +3,11 @@ harness).
 
 Recovery code that is never executed is broken code waiting for
 production traffic.  This module provides a *seeded* injector that is
-threaded through the evaluator (worker crash / simulation stall), the
-sharded store (I/O errors, corrupted and truncated segment lines) and
-the batch scheduler (dispatch failures), so every recovery path in
-:mod:`repro.engine.faults` and :mod:`repro.engine.evaluator` is
-exercised by tests instead of trusted.
+threaded through the evaluator (worker crash / simulation stall) and
+the sharded store (I/O errors, corrupted and truncated segment lines),
+so every recovery path in :mod:`repro.engine.faults` and
+:mod:`repro.engine.evaluator` is exercised by tests instead of
+trusted.
 
 Determinism model
 -----------------
@@ -29,9 +29,8 @@ The injector is plain picklable state: the evaluator embeds it in
 worker specs, so process-pool workers apply the same plan the parent
 computed.  A crash inside a real pool worker is a hard ``os._exit``
 (the ``BrokenProcessPool``/OOM-killer shape); in-process (the serial
-tier, or the scheduler's dispatcher threads) it raises
-:class:`InjectedCrash` instead, which the fault taxonomy classifies as
-a crash and retries.
+tier and the composed path) it raises :class:`InjectedCrash` instead,
+which the fault taxonomy classifies as a crash and retries.
 """
 
 import multiprocessing
@@ -81,7 +80,7 @@ def _normalize_plan(points, times):
 
 
 class ChaosInjector:
-    """Seeded, deterministic fault plan for evaluator/store/scheduler.
+    """Seeded, deterministic fault plan for the evaluator and store.
 
     Parameters
     ----------
@@ -98,14 +97,12 @@ class ChaosInjector:
         Per-key probabilities of store get/put I/O errors, of a written
         segment line having a byte flipped, and of a written line being
         truncated (torn-write shape).
-    dispatch_errors:
-        Fail this many scheduler batch dispatches outright.
     """
 
     def __init__(self, seed=0, crash_points=None, stall_points=None,
                  hang_points=None, times=1, stall_seconds=0.3,
                  io_error_rate=0.0, corrupt_rate=0.0,
-                 truncate_rate=0.0, dispatch_errors=0):
+                 truncate_rate=0.0):
         self.seed = seed
         self.crash_points = _normalize_plan(crash_points, times)
         self.stall_points = _normalize_plan(stall_points, times)
@@ -114,13 +111,10 @@ class ChaosInjector:
         self.io_error_rate = io_error_rate
         self.corrupt_rate = corrupt_rate
         self.truncate_rate = truncate_rate
-        self.dispatch_errors = int(dispatch_errors)
-        self._dispatches_failed = 0
         #: Parent-side injection counters (worker-process injections
         #: surface through recovery outcomes, not through this dict).
         self.injected = {"crashes": 0, "stalls": 0, "io_errors": 0,
-                         "corrupted": 0, "truncated": 0,
-                         "dispatch_errors": 0}
+                         "corrupted": 0, "truncated": 0}
 
     # -- point faults (evaluator hook) -----------------------------------
     def _selected(self, plan, spec):
@@ -194,16 +188,6 @@ class ChaosInjector:
                     + bytes([data[position] ^ 0x5A])
                     + data[position + 1:])
         return data
-
-    # -- scheduler fault (BatchScheduler hook) ---------------------------
-    def on_dispatch(self, keys):
-        """Scheduler hook: fail whole batch dispatches while the
-        configured budget lasts."""
-        if self._dispatches_failed < self.dispatch_errors:
-            self._dispatches_failed += 1
-            self.injected["dispatch_errors"] += 1
-            raise InjectedFault(
-                f"injected dispatch failure ({len(keys)} keys)")
 
 
 def maybe_fail_point(spec):

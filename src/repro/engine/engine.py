@@ -86,8 +86,7 @@ class EvalFailure:
     ``kind`` is the failure taxonomy bucket (see
     :mod:`repro.engine.faults`): ``deterministic`` failures are the
     point's own fault, ``timeout``/``crash``/``transient`` exhausted
-    their retries, ``quarantined`` points are poison, and
-    ``rejected``/``cancelled`` mark scheduler-level outcomes.
+    their retries, and ``quarantined`` points are poison.
     ``attempts`` counts how many runs the point got before giving up.
     """
 
@@ -110,11 +109,10 @@ class EvaluationEngine:
     """Cached (and optionally parallel) evaluation for one platform."""
 
     def __init__(self, platform, cache=None, cache_size=4096,
-                 store_dir=None, mode="serial", workers=None,
-                 fuel=20_000_000, compose=True, farm_dir=None,
-                 scheduler_workers=None, scheduler_pending=256,
-                 eval_timeout=None, max_retries=2, degrade=True,
-                 quarantine_strikes=3, chaos=None):
+                 mode="serial", workers=None, fuel=20_000_000,
+                 compose=True, farm_dir=None, eval_timeout=None,
+                 max_retries=2, degrade=True, quarantine_strikes=3,
+                 chaos=None):
         self.platform = platform
         #: Compile-farm directory: a cross-process
         #: :class:`~repro.engine.store.ShardedStore` shared by every
@@ -123,8 +121,6 @@ class EvaluationEngine:
         #: process-pool specs so workers compose per-function results
         #: through it instead of re-simulating farm-known code.
         self.farm_dir = farm_dir
-        if farm_dir is not None and store_dir is None:
-            store_dir = farm_dir
         #: Function-granular second-level cache consumer: on a
         #: sequence-key miss, in-process evaluations run the (cheap)
         #: pass pipeline and look the *optimized* module's
@@ -133,24 +129,23 @@ class EvaluationEngine:
         #: point (or PSS deployment check) produced the same code.
         self.compose = compose
         self.compose_stats = {"hits": 0, "misses": 0}
-        # The scheduler's dispatcher threads run _evaluate_miss
-        # concurrently; counter updates are read-modify-write and must
-        # not interleave.
+        # Counter updates are read-modify-write; the lock keeps the
+        # engine safe to share across threads.
         self._compose_lock = threading.Lock()
         if cache is False:
             self.cache = None
         else:
             self.cache = cache if cache is not None else \
                 EvaluationCache(max_entries=cache_size,
-                                store_dir=store_dir)
+                                store_dir=farm_dir)
         # PE scores are keyed by a per-process estimator token, so they
         # live in a memory-only tier (never the disk store).
         self.pe_cache = EvaluationCache(max_entries=cache_size)
         #: Fault-tolerance layer (PR 8): telemetry, retry policy and the
-        #: poison-point ledger are engine-level so the evaluator, the
-        #: composed path and the scheduler all share one view.  With a
-        #: farm the quarantine ledger and fault counters persist under
-        #: the farm directory so every client benefits.
+        #: poison-point ledger are engine-level so the evaluator and the
+        #: composed path share one view.  With a farm the quarantine
+        #: ledger and fault counters persist under the farm directory
+        #: so every client benefits.
         self.chaos = chaos
         self.fault_stats = FaultStats(farm_dir)
         self.quarantine = Quarantine(
@@ -173,16 +168,6 @@ class EvaluationEngine:
         self._workload_fingerprints = {}
         self._estimator_tokens = weakref.WeakKeyDictionary()
         self._token_counter = 0
-        #: Optional async batch front-end (the compile-farm service
-        #: shape): concurrent clients calling evaluate/evaluate_batch
-        #: are coalesced, batched and backpressured through it.
-        if scheduler_workers:
-            from repro.engine.scheduler import BatchScheduler
-            self.scheduler = BatchScheduler(
-                self, workers=scheduler_workers,
-                max_pending=scheduler_pending)
-        else:
-            self.scheduler = None
 
     # -- identity ---------------------------------------------------------
     @property
@@ -257,14 +242,7 @@ class EvaluationEngine:
         return payload
 
     def evaluate(self, workload, sequence, fuel=None):
-        """Evaluate one (workload, sequence) point, cache-first.
-
-        With a scheduler attached, the request joins the shared batch
-        queue: duplicate in-flight points (this client's or any
-        other's) are coalesced into one evaluation.
-        """
-        if self.scheduler is not None:
-            return self.scheduler.evaluate(workload, sequence, fuel)
+        """Evaluate one (workload, sequence) point, cache-first."""
         key = self.key_for(workload, sequence, fuel)
         if self.cache is not None:
             payload = self.cache.get(key)
@@ -289,31 +267,7 @@ class EvaluationEngine:
         executor.  ``on_error='collect'`` replaces failed points with
         :class:`EvalFailure` entries instead of raising
         :class:`WorkerError` on the first failure.
-
-        With a scheduler attached, the batch is submitted through the
-        shared front-end so it coalesces with other clients' in-flight
-        work (results stay in input order).
         """
-        if self.scheduler is not None:
-            return self._evaluate_batch_scheduled(points, fuel,
-                                                  on_error)
-        return self._evaluate_batch_direct(points, fuel, on_error)
-
-    def _evaluate_batch_scheduled(self, points, fuel, on_error):
-        futures = [self.scheduler.submit(workload, sequence, fuel)
-                   for workload, sequence in points]
-        results = [future.result() for future in futures]
-        if on_error == "raise":
-            for result in results:
-                if result.failed:
-                    raise WorkerError(result.name, result.sequence,
-                                      result.error,
-                                      kind=getattr(result, "kind",
-                                                   None))
-        return results
-
-    def _evaluate_batch_direct(self, points, fuel=None,
-                               on_error="raise"):
         points = list(points)
         results = [None] * len(points)
         pending = {}  # key -> (spec, [indices]) — dedup within a batch
@@ -490,7 +444,7 @@ class EvaluationEngine:
     def stats(self):
         """Hit/miss statistics for every tier: the LRU caches, the
         shared farm store (local per-shard counters plus the
-        farm-wide cross-process aggregate), and the scheduler."""
+        farm-wide cross-process aggregate), and the fault layer."""
         from repro.sim import tape_cache_stats
 
         out = {"pe": self.pe_cache.stats.as_dict(),
@@ -505,8 +459,6 @@ class EvaluationEngine:
             "local": store.stats.as_dict(),
             "aggregate": store.aggregate_stats(),
         }
-        out["scheduler"] = (self.scheduler.as_dict()
-                            if self.scheduler is not None else None)
         out["faults"] = {
             "local": self.fault_stats.as_dict(),
             "aggregate": self.fault_stats.aggregate(),

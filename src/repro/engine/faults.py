@@ -43,11 +43,10 @@ TRANSIENT = "transient"
 TIMEOUT = "timeout"
 CRASH = "crash"
 QUARANTINED = "quarantined"
-REJECTED = "rejected"
-CANCELLED = "cancelled"
 
 #: Kinds worth re-running: everything except a deterministic failure
-#: (and the terminal bookkeeping kinds, which never reach the policy).
+#: (and the terminal ``quarantined`` kind, which never reaches the
+#: policy).
 RETRYABLE_KINDS = (TRANSIENT, TIMEOUT, CRASH)
 
 _KIND_COUNTERS = {DETERMINISTIC: "deterministic", TRANSIENT: "transient",
@@ -90,14 +89,13 @@ def counter_for_kind(kind):
 def deadline(seconds):
     """Raise :class:`EvalTimeout` after ``seconds`` of wall clock.
 
-    Uses ``SIGALRM``, so it is only armed on POSIX main threads — which
-    covers process-pool workers (work runs on the worker's main thread)
-    and serial evaluation from the CLI.  Elsewhere this is a no-op and
-    nothing enforces the deadline: a point that the scheduler's
-    dispatcher threads evaluate in-process (serial mode, or the
-    composed path) runs to completion however long it takes.  Only
-    process-mode points dispatched from those threads stay bounded,
-    by the worker's own alarm and the evaluator's parent-side watchdog.
+    Uses ``SIGALRM``, so it is only armed on POSIX main threads.
+    Process-pool workers run their work on the worker's main thread,
+    and in-process points (serial mode and the composed path) run on
+    the caller's thread, so a caller on the main thread gets the alarm
+    for every point.  Called from another thread this is a no-op, and
+    only process-mode points stay bounded there, by the worker's own
+    alarm and the evaluator's parent-side watchdog.
     """
     if not seconds or os.name != "posix" or \
             threading.current_thread() is not threading.main_thread():
@@ -273,8 +271,7 @@ class Quarantine:
 
 _FAULT_COUNTERS = ("retries", "timeouts", "crashes", "transient",
                    "deterministic", "pool_respawns", "degradations",
-                   "quarantined", "quarantine_blocks", "rejected",
-                   "cancelled")
+                   "quarantined", "quarantine_blocks")
 
 
 class FaultStats:

@@ -78,8 +78,8 @@ class FunctionSnapshot:
         self.result_fingerprint = None      # canonical post-state hash
         self.verified = False               # passed verify_function once
         # Cloning temporarily registers forward-reference uses on the
-        # shell's instructions; concurrent materializations (the batch
-        # scheduler's dispatcher threads) must not interleave those
+        # shell's instructions; concurrent materializations (threads
+        # sharing one transform cache) must not interleave those
         # use-list edits.
         self._lock = threading.Lock()
 

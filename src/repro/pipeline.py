@@ -11,7 +11,7 @@ same workload under the same sequence, revisited module states during
 RL) are computed once and the extraction loop can run on a worker pool.
 """
 
-from repro.engine import EvaluationEngine, EvaluationCache
+from repro.engine import EvaluationEngine
 from repro.passes import available_phases
 from repro.pe import PerformanceEstimator
 from repro.profiling import DataExtractor
@@ -24,23 +24,22 @@ from repro.workloads import default_suite_for, load_suite
 class MLComp:
     """End-to-end MLComp for one (platform, application domain) pair.
 
-    Engine knobs: ``cache_size``/``cache_dir`` bound and persist the
-    evaluation cache (``cache=False`` disables it), ``eval_mode`` picks
-    the executor (``serial`` or ``process``) and ``workers`` the
-    process pool's width.  ``farm_dir`` joins the shared compile farm at that
-    directory (cross-process result store; process-pool workers compose
-    through it), and ``scheduler_workers`` puts the async batch
-    scheduler in front of the engine so concurrent clients coalesce
-    and batch their requests.  ``eval_timeout`` puts a wall-clock
-    deadline on every point, ``max_retries`` bounds transient-failure
-    retries, and ``degrade=False`` pins the engine to its configured
-    mode instead of stepping down when pools break repeatedly.
+    Engine knobs: ``cache_size`` bounds the in-memory evaluation cache
+    (``cache=False`` disables it), ``eval_mode`` picks the executor
+    (``serial`` or ``process``) and ``workers`` the process pool's
+    width.  ``farm_dir`` is the only on-disk directory: it persists the
+    evaluation cache and joins the shared compile farm there, a
+    cross-process result store that other clients (processes pointed
+    at the same directory) and process-pool workers reuse.
+    ``eval_timeout`` puts a wall-clock deadline on every point,
+    ``max_retries`` bounds transient-failure retries, and
+    ``degrade=False`` pins the engine to its configured mode instead of
+    stepping down when pools break repeatedly.
     """
 
     def __init__(self, target="x86", suite=None, phases=None,
                  measurement_seed=0, cache=True, cache_size=4096,
-                 cache_dir=None, eval_mode="serial", workers=None,
-                 farm_dir=None, scheduler_workers=None,
+                 eval_mode="serial", workers=None, farm_dir=None,
                  eval_timeout=None, max_retries=2, degrade=True):
         self.platform = Platform(target, measurement_seed)
         suite = suite or default_suite_for(target)
@@ -48,14 +47,10 @@ class MLComp:
         self.suite = suite
         self.phases = list(phases or available_phases())
         self.engine = EvaluationEngine(
-            self.platform,
-            cache=(EvaluationCache(max_entries=cache_size,
-                                   store_dir=cache_dir or farm_dir)
-                   if cache else False),
-            mode=eval_mode, workers=workers, farm_dir=farm_dir,
-            scheduler_workers=scheduler_workers,
-            eval_timeout=eval_timeout, max_retries=max_retries,
-            degrade=degrade)
+            self.platform, cache=None if cache else False,
+            cache_size=cache_size, mode=eval_mode, workers=workers,
+            farm_dir=farm_dir, eval_timeout=eval_timeout,
+            max_retries=max_retries, degrade=degrade)
         self.dataset = None
         self.estimator = None
         self.trainer = None

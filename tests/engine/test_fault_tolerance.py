@@ -1,18 +1,14 @@
 """Fault-tolerance layer (ISSUE 8 tentpole): failure taxonomy, retry
 policy, poison-point quarantine, worker supervision, graceful
-degradation, and the scheduler's structured close/reject semantics.
+degradation, and store checksums.
 
 Companion suite: ``test_faults.py`` covers the chaos harness itself
 (seeded reproducibility and the injected-fault -> recovery matrix).
 """
 
-import threading
-import time
-
 import pytest
 
 from repro.engine import (
-    BatchScheduler,
     ChaosInjector,
     EvalFailure,
     EvalTimeout,
@@ -172,68 +168,6 @@ def test_serial_tier_recovers_from_inprocess_crashes(workload):
     assert rows == serial_rows
     counters = engine.fault_stats.as_dict()
     assert counters["crashes"] == 2 and counters["retries"] == 2
-
-
-# -- scheduler close / reject ---------------------------------------------
-
-def test_close_under_load_settles_every_future(workload):
-    # Every dispatched batch stalls 0.3s, so closing after 50ms is
-    # guaranteed to catch futures mid-queue.
-    chaos = ChaosInjector(seed=0, stall_points=[0], times=99,
-                          stall_seconds=0.3)
-    engine = EvaluationEngine(Platform("riscv", measurement_seed=4),
-                              chaos=chaos)
-    scheduler = BatchScheduler(engine, workers=1, max_pending=2,
-                               max_batch=1)
-    futures = []
-
-    def producer():
-        for n in range(8):
-            try:
-                futures.append(scheduler.submit(
-                    workload, ("mem2reg",) * (n % 4)))
-            except RuntimeError:
-                return  # closed while we were producing: fine
-
-    thread = threading.Thread(target=producer)
-    thread.start()
-    time.sleep(0.05)
-    scheduler.close()
-    scheduler.close()  # idempotent
-    thread.join(timeout=30)
-    assert not thread.is_alive()
-    # Every accepted future settles: a result or a structured
-    # cancellation — no caller left blocked, no raw exception.
-    outcomes = [future.result(timeout=30) for future in futures]
-    for outcome in outcomes:
-        assert (not outcome.failed) or outcome.kind == "cancelled"
-    assert any(o.failed for o in outcomes)
-    assert scheduler.as_dict()["cancelled"] >= 1
-    with pytest.raises(RuntimeError):
-        scheduler.submit(workload, ())
-
-
-def test_degraded_saturated_scheduler_rejects(workload):
-    chaos = ChaosInjector(seed=0, stall_points=[0], times=99,
-                          stall_seconds=1.0)
-    engine = EvaluationEngine(Platform("riscv", measurement_seed=4),
-                              chaos=chaos)
-    engine.evaluator.degraded_mode = "serial"  # as after repeated breaks
-    scheduler = BatchScheduler(engine, workers=1, max_pending=1,
-                               max_batch=1)
-    try:
-        stuck = scheduler.submit(workload, ("dce",))  # stalls dispatcher
-        time.sleep(0.05)
-        queued = scheduler.submit(workload, ("mem2reg",))
-        rejected = scheduler.submit(workload, ("simplifycfg",))
-        outcome = rejected.result(timeout=5)
-        assert outcome.failed and outcome.kind == "rejected"
-        assert outcome.attempts == 0
-        assert scheduler.as_dict()["rejected"] == 1
-        assert not stuck.result(timeout=30).failed
-        assert not queued.result(timeout=30).failed
-    finally:
-        scheduler.close()
 
 
 # -- store checksums ------------------------------------------------------

@@ -75,16 +75,17 @@ def test_cli_mlcomp_engine_knobs_parse(tmp_path):
     from repro.pipeline import MLComp
     args = build_parser().parse_args(
         ["mlcomp", "--target", "riscv", "--cache-size", "64",
-         "--cache-dir", str(tmp_path / "cache"),
+         "--farm-dir", str(tmp_path / "farm"),
          "--eval-mode", "process", "--workers", "2"])
     assert args.cache_size == 64
     assert args.eval_mode == "process"
     assert not args.no_cache
     mlcomp = MLComp(target="riscv", cache_size=args.cache_size,
-                    cache_dir=args.cache_dir, eval_mode=args.eval_mode,
+                    farm_dir=args.farm_dir, eval_mode=args.eval_mode,
                     workers=args.workers)
     assert mlcomp.engine.cache.max_entries == 64
-    assert mlcomp.engine.cache.store_dir == str(tmp_path / "cache")
+    assert mlcomp.engine.farm_dir == str(tmp_path / "farm")
+    assert mlcomp.engine.cache.store_dir == mlcomp.engine.farm_dir
     assert mlcomp.engine.evaluator.mode == "process"
     assert mlcomp.engine.evaluator.workers == 2
     disabled = MLComp(target="riscv", cache=False)
@@ -95,3 +96,12 @@ def test_cli_rejects_thread_eval_mode(capsys):
     from repro.cli import build_parser
     with pytest.raises(SystemExit):
         build_parser().parse_args(["mlcomp", "--eval-mode", "thread"])
+
+
+@pytest.mark.parametrize("flag", [["--scheduler-workers", "2"],
+                                  ["--cache-dir", "d"]],
+                         ids=["scheduler-workers", "cache-dir"])
+def test_cli_rejects_removed_engine_flags(capsys, flag):
+    from repro.cli import build_parser
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["mlcomp", *flag])

@@ -1,42 +1,35 @@
-"""Benchmark guard for the tape-compiled simulator (ISSUE 6 tentpole).
+"""Benchmark guard for the pre-decoded tape interpreter (cold profiling).
 
-Profiles the tier-1 workload corpus (BEEBS + PARSEC kernels plus the
-call-graph-rich ``multi`` suite) on both targets with the full
-``PipelineModel`` attached, comparing the tape engine (programs
-compiled once into flat superinstruction tapes, content-addressed and
-cached) against the seed decode-per-instruction simulator.
+Profiles the workload corpus (BEEBS, PARSEC, the call-graph-rich
+``multi`` suite and ``earlyexit``; -O0 and -O2; both targets) with the
+full ``PipelineModel`` attached, the way a cold evaluation meets it:
+every program is decoded and run from scratch, once, so decode time
+counts against the interpreter.  The seed decode-per-instruction
+simulator is the baseline.
 
-Guarded: warm-tape profiling must be >= 3x faster than the seed
-simulator while staying bit-identical in observables, instruction
-counts, cycle counts, and histogram order (the equivalence corpus is
-``tests/sim/test_tape.py``; this file re-checks observables inline so a
-speedup can never be bought with a semantics drift).  Measured at
-introduction: ~7x timed, ~8x untimed.
+Guarded: the median of three cold passes over the corpus must be at
+least 3x faster than the seed's median, with identical observables,
+instruction counts and cycles (re-checked inline, so a speedup can never
+be bought with a semantics drift; the full-state equivalence corpus is
+``tests/sim/test_tape.py``).  Measured at introduction on a 2-vCPU
+host: 4.03x (seed 11.60 s, interpreter 2.88 s, decode 0.16 s of it).
 
+Slow tier: a wall-clock ratio never gates the tier-1 selection.
 Running with ``REPRO_BENCH_RECORD=1`` appends the numbers to
 ``BENCH_sim.json`` at the repo root.
-
-Marked ``fast``: this is the cheap guard tier, run in the default
-(tier-1) selection even though it lives in ``benchmarks/``.
 """
 
 import json
 import os
+import statistics
 import time
 
-import pytest
-
 from repro.backend import compile_module, get_isa
-from repro.sim import (
-    PipelineModel,
-    Simulator,
-    TapeSimulator,
-    clear_tape_cache,
-    tape_cache_stats,
-)
+from repro.baselines import STANDARD_LEVELS
+from repro.passes import PassManager
+from repro.sim import PipelineModel, Simulator, TapeSimulator, \
+    tape_cache_stats
 from repro.workloads import load_suite
-
-pytestmark = pytest.mark.fast
 
 BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_sim.json")
@@ -44,12 +37,14 @@ BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
 
 def _corpus():
     programs = []
-    for suite in ("beebs", "parsec", "multi"):
+    for suite in ("beebs", "parsec", "multi", "earlyexit"):
         for workload in load_suite(suite):
-            for target in ("x86", "riscv"):
-                isa = get_isa(target)
-                programs.append(
-                    (compile_module(workload.compile(), isa), isa))
+            for level in ("-O0", "-O2"):
+                module = workload.compile()
+                PassManager().run(module, STANDARD_LEVELS[level])
+                for target in ("x86", "riscv"):
+                    isa = get_isa(target)
+                    programs.append((compile_module(module, isa), isa))
     return programs
 
 
@@ -67,60 +62,44 @@ def _record(entry):
         handle.write("\n")
 
 
-def test_tape_profile_hot_path_at_least_3x():
-    """Warm-tape timed simulation >= 3x the seed simulator over the
-    full corpus, bit-identical along the way."""
-    programs = _corpus()
-    clear_tape_cache()
-
-    # Warm the tape cache (the profile hot path always runs warm:
-    # a search profiles each compiled artifact exactly once but the
-    # engine's content-addressing makes repeats free).
-    reference = []
+def _profile_all(programs, engine):
+    """One cold pass: construct (decode) and run every program."""
+    started = time.perf_counter()
+    outcomes = []
     for program, isa in programs:
         timing = PipelineModel(isa)
-        result = TapeSimulator(program, isa, timing).run()
-        reference.append((result.output, result.return_value,
-                          result.instructions_executed, timing.cycles()))
-    compile_stats = tape_cache_stats()
+        result = engine(program, isa, timing).run()
+        outcomes.append((result.output, result.return_value,
+                         result.instructions_executed, timing.cycles()))
+    return time.perf_counter() - started, outcomes
 
-    def run_all(factory):
-        best = float("inf")
-        for _ in range(3):
-            started = time.perf_counter()
-            outcomes = []
-            for program, isa in programs:
-                timing = PipelineModel(isa)
-                result = factory(program, isa, timing).run()
-                outcomes.append((result.output, result.return_value,
-                                 result.instructions_executed,
-                                 timing.cycles()))
-            best = min(best, time.perf_counter() - started)
-        return best, outcomes
 
-    seed_seconds, seed_outcomes = run_all(Simulator)
-    tape_seconds, tape_outcomes = run_all(TapeSimulator)
-    assert tape_outcomes == seed_outcomes == reference
-
-    stats = tape_cache_stats()
+def test_cold_profile_at_least_3x_seed():
+    """Cold decode + run >= 3x the seed simulator over the corpus,
+    bit-identical along the way."""
+    programs = _corpus()
+    seed_times, tape_times = [], []
+    decode_before = tape_cache_stats()["decode_seconds"]
+    for _ in range(3):
+        seconds, seed_outcomes = _profile_all(programs, Simulator)
+        seed_times.append(seconds)
+        seconds, tape_outcomes = _profile_all(programs, TapeSimulator)
+        tape_times.append(seconds)
+        assert tape_outcomes == seed_outcomes
+    decode_seconds = (tape_cache_stats()["decode_seconds"]
+                      - decode_before) / 3
+    seed_seconds = statistics.median(seed_times)
+    tape_seconds = statistics.median(tape_times)
     speedup = seed_seconds / max(tape_seconds, 1e-9)
-    print(f"\n[sim-tape-bench] {len(programs)} programs: seed "
-          f"{seed_seconds:.2f}s, tape {tape_seconds:.2f}s -> "
-          f"{speedup:.2f}x (tape cache hit rate "
-          f"{stats['hit_rate']:.3f}, compile "
-          f"{compile_stats['compile_seconds']:.2f}s)")
+    print(f"\n[sim-tape-bench] {len(programs)} cold programs: seed "
+          f"{seed_seconds:.2f}s, interpreter {tape_seconds:.2f}s "
+          f"(decode {decode_seconds:.2f}s) -> {speedup:.2f}x")
     _record({
-        "benchmark": "tape_vs_seed_profile",
+        "benchmark": "cold_interpreter_vs_seed_profile",
         "programs": len(programs),
         "seed_seconds": round(seed_seconds, 4),
         "tape_seconds": round(tape_seconds, 4),
+        "decode_seconds": round(decode_seconds, 4),
         "speedup": round(speedup, 2),
-        "tape_compile_seconds":
-            round(compile_stats["compile_seconds"], 4),
-        "tape_cache_hit_rate": round(stats["hit_rate"], 4),
     })
-    # Warm runs re-use every tape.
-    assert stats["misses"] == compile_stats["misses"]
-    assert stats["hit_rate"] > 0.5
-    # Measured ~7x; asserted with a cushion for shared-machine jitter.
-    assert speedup >= 3.0, (seed_seconds, tape_seconds)
+    assert speedup >= 3.0, (seed_times, tape_times)

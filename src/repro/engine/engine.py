@@ -444,7 +444,9 @@ class EvaluationEngine:
     def stats(self):
         """Hit/miss statistics for every tier: the LRU caches, the
         shared farm store (local per-shard counters plus the
-        farm-wide cross-process aggregate), and the fault layer."""
+        farm-wide cross-process aggregate), and the fault layer.
+        ``tape`` counts the simulator's per-process program decodes
+        (``misses``, ``decode_seconds``); ``hits`` is always 0."""
         from repro.sim import tape_cache_stats
 
         out = {"pe": self.pe_cache.stats.as_dict(),

@@ -1,7 +1,7 @@
 """Exact 64-bit arithmetic — the IR's evaluation semantics, defined once.
 
 Every engine that evaluates IR-level values (the reference interpreter,
-the seed machine simulator, the tape-compiled simulator, constant
+the seed machine simulator, the tape interpreter, constant
 folding in ``passes/utils.py``, and the frontend's constant-expression
 evaluator) imports its integer and float semantics from this module,
 LLVM-APInt-style.  There is deliberately no second definition anywhere:

@@ -9,12 +9,7 @@ from repro.sim.platform import (
     Platform,
     default_platforms,
 )
-from repro.sim.tape import (
-    TapeSimulator,
-    clear_tape_cache,
-    program_fingerprint,
-    tape_cache_stats,
-)
+from repro.sim.tape import TapeSimulator, tape_cache_stats
 
 __all__ = [
     "Simulator", "MachineResult", "TapeSimulator",
@@ -22,5 +17,5 @@ __all__ = [
     "EnergyModel", "RaplCounter",
     "Platform", "Measurement", "default_platforms",
     "DEFAULT_SIM_ENGINE",
-    "program_fingerprint", "tape_cache_stats", "clear_tape_cache",
+    "tape_cache_stats",
 ]

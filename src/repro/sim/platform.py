@@ -2,8 +2,6 @@
 that the profiling layer (paper Fig. 2 box 1) runs programs on.
 """
 
-import os
-
 from repro.backend.codegen import compile_module
 from repro.backend.isa import get_isa
 from repro.sim.energy import EnergyModel, RaplCounter
@@ -11,11 +9,11 @@ from repro.sim.machine import Simulator
 from repro.sim.pipeline import PipelineModel
 from repro.sim.tape import TapeSimulator
 
-#: Which simulator backs ``Platform.execute``: ``"tape"`` (compiled,
-#: cached — the default) or ``"seed"`` (the reference interpreter-style
-#: simulator, kept as the differential baseline).  Overridable per
-#: process via ``REPRO_SIM_ENGINE`` for A/B debugging.
-DEFAULT_SIM_ENGINE = os.environ.get("REPRO_SIM_ENGINE", "tape")
+#: Which simulator backs ``Platform.execute``: ``"tape"`` (the
+#: pre-decoded interpreter, the default) or ``"seed"`` (the reference
+#: simulator, kept as the differential oracle; select it per platform
+#: with ``Platform(..., sim_engine="seed")``).
+DEFAULT_SIM_ENGINE = "tape"
 
 _SIM_ENGINES = {"tape": TapeSimulator, "seed": Simulator}
 

@@ -1,473 +1,234 @@
-"""Tape-compiled machine simulator: the profile hot path.
+"""Pre-decoded table interpreter for machine programs: the profile hot path.
 
 The seed :class:`~repro.sim.machine.Simulator` re-decodes every
-instruction on every execution — isinstance-chains over operand
-classes, dict lookups for registers, and one Python-level
-``PipelineModel`` hook call per instruction.  This module compiles a
-:class:`MachineProgram` **once** into a flat register-machine tape:
+instruction on every execution: isinstance chains over operand classes,
+dict lookups for registers, and one Python-level ``PipelineModel`` hook
+call per instruction.  :class:`TapeSimulator` decodes a
+:class:`MachineProgram` once, in ``__init__``, into a flat table and
+interprets that table in ``run``:
 
-- Operands are pre-resolved to dense register-file indices, frame-slot
-  offsets, and literal constants, so executing an instruction is a few
-  list subscripts instead of an isinstance chain.
 - Each basic block is split at control transfers (``bcc``/``fbcc``/
-  ``call``/``jmp``/``ret``) into *segments* — straight-line runs in
-  which every instruction executes exactly once.  A segment becomes one
-  generated Python function (a superinstruction): fuel accounting and
-  the dynamic histogram are batched per segment, and the pipeline
-  model's scoreboard update is inlined per instruction with
-  compile-time constants (latencies, issue width, icache set/tag).
-- I-cache accesses are coalesced per cache line *run* (consecutive
-  instructions on one line hit by construction), the 2-bit branch
-  predictor is inlined per branch site, and D-cache accesses go through
-  the real :class:`~repro.sim.pipeline.Cache` object so its LRU state
-  stays bit-identical with the seed simulator.
+  ``call``/``jmp``/``ret``) into *segments*: straight-line runs in which
+  every instruction executes exactly once.  Fuel and the dynamic
+  histogram are charged once per segment, in first-occurrence order,
+  which reproduces the seed's per-instruction insertion order.
+- Every instruction becomes one tuple: op code, operand indices, the
+  registers its timing waits on and marks ready, its latency, and its
+  I-cache set and tag.  Immediates, global addresses and float
+  constants sit in constant slots appended to the register file, so an
+  operand read is one list subscript; loads and stores with a stack-slot
+  base have their own op codes (``fb + k``).
+- One dispatch loop runs the whole program.  The pipeline state (issue
+  time, stalls, I-cache counters, mispredicts) lives in locals and calls
+  use an explicit stack.  The scoreboard, the 2-bit predictor and the
+  I-cache are inlined with the seed's exact arithmetic; D-cache
+  accesses go through the real :class:`~repro.sim.pipeline.Cache`.
+  An untimed run drives the same loop against a private
+  ``PipelineModel`` and drops it.
+
+Nothing is generated, compiled or cached: decoding costs about a
+millisecond per program, so every ``TapeSimulator`` decodes afresh and
+``tape_cache_stats()`` only counts decodes.  Over the cold corpus (164
+programs, each decoded and run once; 2-vCPU host) decode plus run was
+measured 2.35x faster than building and running generated Python per
+program, and 3.97x faster than the seed simulator;
+``benchmarks/test_sim_tape.py`` guards the ratio to the seed.
 
 Timing replication is exact, quirks included: ``operand_ready`` takes
 the destination register into account, branches and stores mark their
 *first source* operand ready (seed marks ``operands[0]``), and block
-ops touch the D-cache at the instruction's *code* address.  The energy
-model sums the dynamic histogram in insertion order, so segments update
-the histogram in first-occurrence order, which reproduces the seed's
-per-instruction insertion order.
+ops touch the D-cache at the instruction's *code* address.  All value
+semantics come from :mod:`repro.ir.arith`.
 
-Compiled tapes are content-addressed by a program fingerprint and kept
-in a module-level LRU cache (one entry per (program, ISA, timed) —
-the same memo discipline as the pass-pipeline and evaluation caches),
-so a module profiled by any client never re-decodes.
-
-All value semantics come from :mod:`repro.ir.arith` — the tape engine
-is generated against the same exact 64-bit arithmetic the interpreter
-and the seed simulator execute.
-
-Divergence on *failing* runs only: fuel exhaustion and traps are
-checked per segment, so a run that raises ``SimulationError`` may stop
-with slightly different partial counters than the seed.  Successful
-runs are bit-identical in observables, instruction counts, cycles,
-cache/predictor state, and histogram order (the differential tests in
-``tests/sim/test_tape.py`` check exactly this).
+Divergence on *failing* runs only: fuel is charged per segment, so a run
+that raises ``SimulationError`` may stop with different partial counters
+than the seed, but with the same error text.  Successful runs are
+bit-identical in observables, instruction counts, cycles, cache and
+predictor state, and histogram order (``tests/sim/test_tape.py``).
 """
 
-import hashlib
-import threading
+import operator
 import time
-from types import SimpleNamespace
 
 from repro.backend.mir import FImm, GlobalRef, Imm, PhysReg, StackSlot
 from repro.errors import SimulationError
 from repro.ir import arith
 from repro.ir.intrinsics import evaluate_float_intrinsic
 from repro.sim.machine import _STACK_BASE, MachineResult
+from repro.sim.pipeline import PipelineModel
 
 _SPLIT = frozenset({"bcc", "fbcc", "call", "jmp", "ret"})
+_MIN64, _MAX64 = -(1 << 63), (1 << 63) - 1
 
-_ICMP_PY = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=",
-            "sgt": ">", "sge": ">="}
-_FCMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=",
-            "ogt": ">", "oge": ">="}
-
-_INT_OPS = {"add": "+", "sub": "-", "mul": "*", "and": "&",
-            "or": "|", "xor": "^"}
-_FLOAT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
-_FLOAT_UNARY = {"fsqrt": "sqrt", "fexp": "exp", "flog": "log",
-                "fsin": "sin", "fcos": "cos", "fabs": "fabs"}
-
-_MASK_LIT = "0xffffffffffffffff"
-_HALF_LIT = "0x8000000000000000"
-_TWO64_LIT = "0x10000000000000000"
+# Op codes of the dispatch loop.  Codes from ``LD`` up need a step
+# after the scoreboard update (a trap check, the predictor, a call).
+(MOV, FRAME, LEA, INT2, FN2, FN1, CMP, CMOV, PRINT, JMP, RAISE,
+ LD, LDS, ST, STS, BR, CALL, RET, MEMSET, MEMCPY, VOP) = range(21)
 
 
-# -- content addressing ------------------------------------------------------
-
-def _operand_key(operand):
-    if isinstance(operand, str):
-        return f"s:{operand}"
-    return repr(operand)
+def _intrinsic(name):
+    return lambda *args: evaluate_float_intrinsic(name, args)
 
 
-def _instr_key(instr):
-    key = (f"{instr.opcode}|{instr.pred or ''}|{instr.address}|"
-           + ",".join(_operand_key(o) for o in instr.operands))
-    if instr.lanes:
-        key += "|" + ";".join(f"{d.name}:{a.name}:{b.name}"
-                              for d, a, b in instr.lanes)
-    return key
+def _compare(opcode, pred):
+    """``arith.icmp``/``arith.fcmp`` of ``pred`` as one callable."""
+    if opcode in ("bcc", "setcc"):
+        return arith.ICMP_PREDICATES[pred]
+    if pred == "one":  # ordered: false on NaN, unlike ``!=``
+        return lambda a, b: a == a and b == b and a != b
+    return arith.FCMP_PREDICATES[pred]  # NaN already compares false
 
 
-def program_fingerprint(program):
-    """Content hash of everything the tape compiler bakes into code."""
-    parts = [program.target_name]
-    for name, (address, cells) in sorted(program.global_layout.items()):
-        parts.append(f"g:{name}:{address}:{cells}")
-    for fname, mfunc in program.functions.items():
-        parts.append(f"f:{fname}:{mfunc.frame_slots}")
-        for block in mfunc.blocks:
-            parts.append(f"b:{block.label}")
-            parts.extend(_instr_key(i) for i in block.instructions)
-    digest = hashlib.blake2b("\n".join(parts).encode(), digest_size=16)
-    return digest.hexdigest()
+def _print(kind):
+    if kind == "i":
+        return lambda value: ("i", arith.wrap64(value))
+    return lambda value: ("f", arith.round_float_output(value))
 
 
-# -- tape cache --------------------------------------------------------------
+#: Machine opcode -> (op code, value function).  Every opcode of the
+#: machine IR (``backend/mir.py``) has an entry, and
+#: ``tests/sim/test_tape.py`` executes each against the seed.
+DISPATCH = {
+    "li": (MOV, None), "mv": (MOV, None), "lfi": (MOV, None),
+    "frame_alloc": (FRAME, None), "lea": (LEA, None),
+    "add": (INT2, operator.add), "sub": (INT2, operator.sub),
+    "mul": (INT2, operator.mul), "and": (INT2, operator.and_),
+    "or": (INT2, operator.or_), "xor": (INT2, operator.xor),
+    "shl": (INT2, lambda a, b: a << (b & 63)),
+    "sar": (INT2, lambda a, b: a >> (b & 63)),
+    "shr": (INT2, lambda a, b: (a & arith.MASK64) >> (b & 63)),
+    "div": (FN2, arith.sdiv64), "rem": (FN2, arith.srem64),
+    "fadd": (FN2, operator.add), "fsub": (FN2, operator.sub),
+    "fmul": (FN2, operator.mul), "fdiv": (FN2, arith.fdiv),
+    "fpow": (FN2, _intrinsic("pow")),
+    "fsqrt": (FN1, _intrinsic("sqrt")), "fexp": (FN1, _intrinsic("exp")),
+    "flog": (FN1, _intrinsic("log")), "fsin": (FN1, _intrinsic("sin")),
+    "fcos": (FN1, _intrinsic("cos")), "fabs": (FN1, _intrinsic("fabs")),
+    "cvtsi2sd": (FN1, float), "cvtsd2si": (FN1, arith.fptosi),
+    "fneg": (FN1, operator.neg),
+    "setcc": (CMP, None), "fsetcc": (CMP, None), "cmov": (CMOV, None),
+    "ld": (LD, None), "st": (ST, None), "print": (PRINT, None),
+    "memset": (MEMSET, None), "memcpy": (MEMCPY, None), "vop": (VOP, None),
+    "jmp": (JMP, None), "bcc": (BR, None), "fbcc": (BR, None),
+    "call": (CALL, None), "ret": (RET, None),
+}
 
-_CACHE_LOCK = threading.Lock()
-_TAPE_CACHE = {}       # (fingerprint, isa, timed) -> _CompiledTape
-_CACHE_CAPACITY = 128
-_STATS = {"hits": 0, "misses": 0, "compile_seconds": 0.0}
+_DECODE_STATS = {"decodes": 0, "decode_seconds": 0.0}
 
 
 def tape_cache_stats():
-    """Cache statistics for engine reporting (per-process)."""
-    with _CACHE_LOCK:
-        stats = dict(_STATS)
-        stats["entries"] = len(_TAPE_CACHE)
-        total = stats["hits"] + stats["misses"]
-        stats["hit_rate"] = (  # a cache metric, not an IR value
-            stats["hits"] / total if total else 0.0  # replint: disable=R003
-        )
-    return stats
+    """Decode statistics (per process).  Nothing is cached any more:
+    ``hits`` stays 0 and ``misses`` counts decoded programs."""
+    return {"hits": 0, "misses": _DECODE_STATS["decodes"],
+            "decode_seconds": _DECODE_STATS["decode_seconds"]}
 
 
-def clear_tape_cache():
-    with _CACHE_LOCK:
-        _TAPE_CACHE.clear()
-        _STATS.update(hits=0, misses=0, compile_seconds=0.0)
+# -- decoding ----------------------------------------------------------------
 
+class _Decoder:
+    """Splits a program into segments and decodes each instruction."""
 
-def _get_tape(program, isa, timed):
-    key = (program_fingerprint(program), isa.name, bool(timed))
-    with _CACHE_LOCK:
-        tape = _TAPE_CACHE.get(key)
-        if tape is not None:
-            _STATS["hits"] += 1
-            _TAPE_CACHE[key] = _TAPE_CACHE.pop(key)  # LRU refresh
-            return tape
-    started = time.perf_counter()
-    tape = _TapeCompiler(program, isa, timed).compile()
-    elapsed = time.perf_counter() - started
-    with _CACHE_LOCK:
-        _STATS["misses"] += 1
-        _STATS["compile_seconds"] += elapsed
-        _TAPE_CACHE[key] = tape
-        while len(_TAPE_CACHE) > _CACHE_CAPACITY:
-            _TAPE_CACHE.pop(next(iter(_TAPE_CACHE)))
-    return tape
-
-
-class _CompiledTape:
-    """A compiled program: the ``build`` factory plus dispatch metadata."""
-
-    __slots__ = ("build", "entries", "calls", "consts", "reg_names",
-                 "n_int", "ret_index", "timed", "source")
-
-    def __init__(self, build, entries, calls, consts, reg_names, n_int,
-                 ret_index, timed, source):
-        self.build = build
-        self.entries = entries      # function name -> (entry seg, slots)
-        self.calls = calls          # k -> (callee seg, slots, cont seg)
-        self.consts = consts
-        self.reg_names = reg_names
-        self.n_int = n_int
-        self.ret_index = ret_index
-        self.timed = timed
-        self.source = source
-
-
-# -- compiler ----------------------------------------------------------------
-
-class _TapeCompiler:
-    def __init__(self, program, isa, timed):
+    def __init__(self, program, isa):
         self.program = program
         self.isa = isa
-        self.timed = timed
         regs = isa.int_regs + isa.float_regs
         self.reg_names = tuple(r.name for r in regs)
         self.reg_index = {name: i for i, name in enumerate(self.reg_names)}
         self.n_int = len(isa.int_regs)
+        self.sink = len(regs)   # ready slot of instructions with no dst
         self.consts = []
         self._const_index = {}
-        self.calls = []
-        # Timing constants baked into the generated code.  Cycle costs
-        # are host floats, not simulated IR values.
-        self.INV_W = 1.0 / isa.issue_width  # replint: disable=R003
-        self.ILINE = isa.icache["line_bytes"]
-        self.ISETS = isa.icache["lines"]
-        self.IWAYS = 1 if isa.icache["lines"] < 128 else 2
-        self.ICMISS = isa.icache["miss"]
-        self.MISPRED = isa.branch_mispredict
-        self.CALLOVH = isa.call_overhead
-        ld_lat = isa.latency_table.get("ld", 1)
-        self.LDHIT = isa.dcache["hit"] + ld_lat - 1
-        self.LDMISS = isa.dcache["miss"] + ld_lat - 1
-        self.ST_EXTRA = isa.dcache["miss"] * 0.25
-        self.PER_CELL = 0.5 if isa.issue_width >= 4 else 2.0
-        self.DLINE = isa.dcache["line"]
-        # Per-segment icache line-run state.
-        self._line = None
-        self._tag = None
-        self._run = 0
+        self.iline = isa.icache["line_bytes"]
+        self.isets = isa.icache["lines"]
 
-    # -- operand rendering --------------------------------------------------
-    def _const(self, value):
-        key = (type(value).__name__, repr(value))
+    def _slot(self, operand):
+        """Register-file index of a register or constant operand."""
+        if isinstance(operand, PhysReg):
+            return self.reg_index[operand.name]
+        if isinstance(operand, (Imm, FImm)):
+            value = operand.value
+        elif isinstance(operand, GlobalRef):
+            value = self.program.global_layout[operand.name][0]
+        else:
+            raise SimulationError(f"cannot decode operand {operand!r}")
+        key = (type(value), repr(value))
         index = self._const_index.get(key)
         if index is None:
-            index = len(self.consts)
+            index = self.sink + len(self.consts)
             self.consts.append(value)
             self._const_index[key] = index
         return index
 
-    def _read(self, operand):
-        if isinstance(operand, PhysReg):
-            return f"r[{self.reg_index[operand.name]}]"
-        if isinstance(operand, Imm):
-            return repr(operand.value)
-        if isinstance(operand, FImm):
-            return f"K[{self._const(operand.value)}]"
-        if isinstance(operand, GlobalRef):
-            return repr(self.program.global_layout[operand.name][0])
-        if isinstance(operand, StackSlot):
-            return f"(fb + {operand.index})"
-        raise SimulationError(f"cannot compile operand {operand!r}")
-
-    def _lat(self, opcode):
-        return self.isa.latency_table.get(opcode, 1)
-
-    @staticmethod
-    def _operand_regs(instr, reg_index):
-        seen = []
-        for operand in instr.operands:
-            if isinstance(operand, PhysReg):
-                index = reg_index[operand.name]
-                if index not in seen:
-                    seen.append(index)
+    def _timing(self, instr):
+        """Scoreboard sources, first destination and I-cache set/tag."""
+        regs = [self.reg_index[o.name] for o in instr.operands
+                if isinstance(o, PhysReg)]
+        first = instr.operands[0] if instr.operands else None
+        dst = self.reg_index[first.name] if isinstance(first, PhysReg) \
+            else self.sink
         if instr.lanes:
             for _, a, b in instr.lanes:
-                for lane_reg in (a, b):
-                    index = reg_index[lane_reg.name]
-                    if index not in seen:
-                        seen.append(index)
-        return seen
+                regs += (self.reg_index[a.name], self.reg_index[b.name])
+        line = instr.address // self.iline
+        return (tuple(dict.fromkeys(regs)), dst, line % self.isets,
+                line // self.isets)
 
-    @staticmethod
-    def _dst_regs(instr, reg_index):
-        dsts = []
-        operands = instr.operands
-        if operands and isinstance(operands[0], PhysReg):
-            dsts.append(reg_index[operands[0].name])
-        if instr.lanes:
-            for dst, _, _ in instr.lanes:
-                dsts.append(reg_index[dst.name])
-        return dsts
-
-    # -- timing emission ----------------------------------------------------
-    def _fetch(self, w, instr):
-        """Inline i-cache access, coalescing same-line instruction runs."""
-        if not self.timed:
-            return
-        line = instr.address // self.ILINE
-        if line == self._line:
-            self._run += 1
-            return
-        self._flush_line(w)
-        set_index = line % self.ISETS
-        tag = line // self.ISETS
-        self._line, self._tag, self._run = line, tag, 1
-        w(f"ic_ = icd[{set_index}]")
-        w("ict += 1")
-        w(f"if {tag} in ic_:")
-        w("    ich += 1")
-        w(f"    ic_[{tag}] = ict")
-        w("else:")
-        w("    icm += 1")
-        if self.IWAYS == 1:
-            w("    if ic_:")
-            w("        ic_.clear()")
-        else:
-            w(f"    if len(ic_) >= {self.IWAYS}:")
-            w("        del ic_[min(ic_, key=ic_.get)]")
-        w(f"    ic_[{tag}] = ict")
-        w(f"    issue += {self.ICMISS}")
-
-    def _flush_line(self, w):
-        """Account the hits of the rest of a same-line instruction run."""
-        if self._line is not None and self._run > 1:
-            extra = self._run - 1
-            w(f"ict += {extra}")
-            w(f"ich += {extra}")
-            w(f"ic_[{self._tag}] = ict")
-        self._line, self._tag, self._run = None, None, 0
-
-    def _chain(self, w, instr, latency_expr):
-        """The seed ``_issue_instr`` scoreboard update, inlined."""
-        if not self.timed:
-            return
-        regs = self._operand_regs(instr, self.reg_index)
-        dsts = self._dst_regs(instr, self.reg_index)
-        if regs:
-            w(f"t_ = rd[{regs[0]}]")
-            for index in regs[1:]:
-                w(f"u_ = rd[{index}]")
-                w("if u_ > t_: t_ = u_")
-            w("if issue > t_: t_ = issue")
-            w("stl += t_ - issue")
-            for dst in dsts:
-                w(f"rd[{dst}] = t_ + {latency_expr}")
-            w(f"issue = t_ + {self.INV_W!r}")
-        else:
-            for dst in dsts:
-                w(f"rd[{dst}] = issue + {latency_expr}")
-            w(f"issue += {self.INV_W!r}")
-
-    # -- per-instruction emission -------------------------------------------
-    def _wrap_into(self, w, dst, expr):
-        w(f"v_ = ({expr}) & {_MASK_LIT}")
-        w(f"r[{dst}] = v_ - {_TWO64_LIT} if v_ >= {_HALF_LIT} else v_")
-
-    def _emit_exec(self, w, instr):
-        op = instr.opcode
+    def _decode(self, instr):
+        """One instruction as ``(op, d, a, b, c, srcs, dst, lat, set, tag)``."""
+        opcode = instr.opcode
         ops = instr.operands
-        read = self._read
-        if op in ("li", "mv"):
-            w(f"r[{self.reg_index[ops[0].name]}] = {read(ops[1])}")
-        elif op == "lfi":
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"K[{self._const(ops[1].value)}]")
-        elif op == "frame_alloc":
-            w(f"r[{self.reg_index[ops[0].name]}] = fb + {ops[1].value}")
-        elif op == "lea":
-            w(f"r[{self.reg_index[ops[0].name]}] = {read(ops[1])} + "
-              f"{read(ops[2])} * {ops[3].value}")
-        elif op in _INT_OPS:
-            self._wrap_into(w, self.reg_index[ops[0].name],
-                            f"{read(ops[1])} {_INT_OPS[op]} {read(ops[2])}")
-        elif op == "shl":
-            self._wrap_into(w, self.reg_index[ops[0].name],
-                            f"{read(ops[1])} << ({read(ops[2])} & 63)")
-        elif op == "sar":
-            self._wrap_into(w, self.reg_index[ops[0].name],
-                            f"{read(ops[1])} >> ({read(ops[2])} & 63)")
-        elif op == "shr":
-            self._wrap_into(
-                w, self.reg_index[ops[0].name],
-                f"({read(ops[1])} & {_MASK_LIT}) >> ({read(ops[2])} & 63)")
-        elif op == "div":
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"sdiv({read(ops[1])}, {read(ops[2])})")
-        elif op == "rem":
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"srem({read(ops[1])}, {read(ops[2])})")
-        elif op in _FLOAT_OPS:
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"{read(ops[1])} {_FLOAT_OPS[op]} {read(ops[2])}")
-        elif op == "fdiv":
-            w(f"fb_ = {read(ops[2])}")
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"({read(ops[1])} / fb_) if fb_ else fdv({read(ops[1])}, fb_)")
-        elif op == "setcc":
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"1 if {read(ops[1])} {_ICMP_PY[instr.pred]} {read(ops[2])} "
-              f"else 0")
-        elif op == "fsetcc":
-            w(f"fa_ = {read(ops[1])}")
-            w(f"fb_ = {read(ops[2])}")
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"1 if (fa_ == fa_ and fb_ == fb_ and "
-              f"fa_ {_FCMP_PY[instr.pred]} fb_) else 0")
-        elif op == "cmov":
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"{read(ops[2])} if {read(ops[1])} else {read(ops[3])}")
-        elif op == "ld":
-            w(f"adr_ = {read(ops[1])} + {read(ops[2])}")
-            if self.timed:
-                w("hit_ = dca(adr_)")
-                self._fetch(w, instr)
-                w(f"L_ = {self.LDHIT} if hit_ else {self.LDMISS}")
-                self._chain(w, instr, "L_")
-            w("if adr_ <= 0:")
-            w('    raise err("load from invalid address %d" % adr_)')
-            w(f"r[{self.reg_index[ops[0].name]}] = mg(adr_, 0)")
-            return
-        elif op == "st":
-            w(f"adr_ = {read(ops[1])} + {read(ops[2])}")
-            if self.timed:
-                w("hit_ = dca(adr_)")
-                self._fetch(w, instr)
-                self._chain(w, instr, "1")
-                w(f"if not hit_: issue += {self.ST_EXTRA!r}")
-            w("if adr_ <= 0:")
-            w('    raise err("store to invalid address %d" % adr_)')
-            w(f"m[adr_] = {read(ops[0])}")
-            return
-        elif op in _FLOAT_UNARY:
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"ffi('{_FLOAT_UNARY[op]}', ({read(ops[1])},))")
-        elif op == "fpow":
-            w(f"r[{self.reg_index[ops[0].name]}] = "
-              f"ffi('pow', ({read(ops[1])}, {read(ops[2])}))")
-        elif op == "cvtsi2sd":
-            w(f"r[{self.reg_index[ops[0].name]}] = float({read(ops[1])})")
-        elif op == "cvtsd2si":
-            w(f"r[{self.reg_index[ops[0].name]}] = f2i({read(ops[1])})")
-        elif op == "fneg":
-            w(f"r[{self.reg_index[ops[0].name]}] = -{read(ops[1])}")
-        elif op == "print":
-            if ops[0] == "i":
-                w(f"v_ = {read(ops[1])} & {_MASK_LIT}")
-                w(f"oa(('i', v_ - {_TWO64_LIT} if v_ >= {_HALF_LIT} "
-                  f"else v_))")
+        entry = DISPATCH.get(opcode)
+        if entry is None:
+            return self._raise(f"unknown opcode {opcode!r}")
+        op, fn = entry
+        d = a = b = 0
+        c = fn
+        latency = 1
+        if op in (LD, ST):
+            d = self._slot(ops[0])
+            if isinstance(ops[1], StackSlot) and isinstance(ops[2], Imm):
+                op = LDS if op == LD else STS
+                a = ops[1].index + ops[2].value
             else:
-                w(f"oa(('f', r6({read(ops[1])})))")
-        elif op == "memset":
-            w(f"d_ = {read(ops[0])}")
-            w(f"v_ = {read(ops[1])}")
-            w(f"c_ = int({read(ops[2])})")
-            w("if c_ > 0 and d_ <= 0:")
-            w('    raise err("store to invalid address %d" % d_)')
-            w("for i_ in range(c_):")
-            w("    m[d_ + i_] = v_")
-            self._block_op_timing(w, instr)
-            return
-        elif op == "memcpy":
-            w(f"d_ = {read(ops[0])}")
-            w(f"s_ = {read(ops[1])}")
-            w(f"c_ = int({read(ops[2])})")
-            w("if c_ > 0:")
-            w("    if s_ <= 0:")
-            w('        raise err("load from invalid address %d" % s_)')
-            w("    vs_ = [mg(s_ + i_, 0) for i_ in range(c_)]")
-            w("    if d_ <= 0:")
-            w('        raise err("store to invalid address %d" % d_)')
-            w("    for i_ in range(c_):")
-            w("        m[d_ + i_] = vs_[i_]")
-            self._block_op_timing(w, instr)
-            return
-        elif op == "vop":
-            fn = ops[0]
-            for index, (_, a, b) in enumerate(instr.lanes):
-                w(f"la{index}_ = {read(a)}")
-                w(f"lb{index}_ = {read(b)}")
-            for index, (dst, _, _) in enumerate(instr.lanes):
-                target = self.reg_index[dst.name]
-                if fn == "fdiv":
-                    w(f"r[{target}] = (la{index}_ / lb{index}_) "
-                      f"if lb{index}_ else fdv(la{index}_, lb{index}_)")
-                else:
-                    w(f"r[{target}] = la{index}_ "
-                      f"{_FLOAT_OPS[fn]} lb{index}_")
+                a, b = self._slot(ops[1]), self._slot(ops[2])
+        elif op in (MEMSET, MEMCPY):
+            d, a, b = (self._slot(o) for o in ops)
+            c = instr.address
+        elif op == VOP:
+            c = DISPATCH[ops[0]][1]
+            a = tuple((self.reg_index[dst.name], self._slot(x), self._slot(y))
+                      for dst, x, y in instr.lanes)
+            latency = self.isa.latency(instr)
+        elif op == JMP:
+            a = self.block_entry[ops[0].name]
+        elif op == BR:
+            d = (instr.address >> 1) % 256
+            a, b = self._slot(ops[0]), self._slot(ops[1])
+            c = (_compare(opcode, instr.pred), self.block_entry[ops[2].name])
+        elif op == CALL:
+            c = self.func_entry[ops[0]]
+        elif op == RET:
+            pass
+        elif op == PRINT:
+            a, c = self._slot(ops[1]), _print(ops[0])
         else:
-            w(f"raise err('unknown opcode {op!r}')")
-            return
-        self._fetch(w, instr)
-        self._chain(w, instr, str(self._lat(op)))
-
-    def _block_op_timing(self, w, instr):
-        if not self.timed:
-            return
-        self._fetch(w, instr)
-        self._chain(w, instr, "1")
-        w(f"issue += c_ * {self.PER_CELL!r}")
-        w(f"for i_ in range(0, c_, {self.DLINE}):")
-        w(f"    dca({instr.address} + i_)")
+            d = self._slot(ops[0])
+            latency = self.isa.latency(instr)
+            if op == FRAME:
+                a = ops[1].value
+            elif op == CMP:
+                a, b = self._slot(ops[1]), self._slot(ops[2])
+                c = _compare(opcode, instr.pred)
+            elif op == LEA:
+                a, b, c = self._slot(ops[1]), self._slot(ops[2]), ops[3].value
+            elif op == CMOV:
+                a, b, c = (self._slot(o) for o in ops[1:])
+            else:
+                a = self._slot(ops[1])
+                if len(ops) > 2:
+                    b = self._slot(ops[2])
+        srcs, dst, iset, itag = self._timing(instr)
+        return (op, d, a, b, c, srcs, dst, latency, iset, itag)
 
     # -- segment enumeration -------------------------------------------------
     def _enumerate(self):
@@ -517,155 +278,28 @@ class _TapeCompiler:
             self.records.append({"kind": "falloff", "label": label})
         return index
 
-    # -- code generation -----------------------------------------------------
-    def compile(self):
+    def decode(self):
+        """Segments as ``(instruction count, histogram items, body,
+        fall-through segment or -1)``."""
         self._enumerate()
-        lines = ["def build(rt):"]
-        p = lines.append
-        p("    r = rt.r")
-        p("    m = rt.m")
-        p("    mg = m.get")
-        p("    oa = rt.out.append")
-        p("    hg = rt.hg")
-        p("    hgg = hg.get")
-        p("    K = rt.K")
-        p("    err = rt.err")
-        p("    ffi = rt.ffi")
-        p("    sdiv = rt.sdiv")
-        p("    srem = rt.srem")
-        p("    fdv = rt.fdv")
-        p("    f2i = rt.f2i")
-        p("    r6 = rt.r6")
-        p("    FUEL = rt.fuel")
-        p("    icnt = rt.t_icount")
-        if self.timed:
-            p("    rd = rt.rd")
-            p("    dca = rt.dca")
-            p("    icd = rt.icd")
-            p("    pt = rt.pt")
-            p("    ptg = pt.get")
-            p("    issue = rt.t_issue")
-            p("    stl = rt.t_stall")
-            p("    ict = rt.t_ictick")
-            p("    ich = rt.t_ichits")
-            p("    icm = rt.t_icmiss")
-            p("    msp = rt.t_msp")
-        for index, record in enumerate(self.records):
-            self._emit_segment(lines, index, record)
-        p("    def flush():")
-        if self.timed:
-            p("        return issue, stl, ict, ich, icm, msp, icnt")
-        else:
-            p("        return 0.0, 0.0, 0, 0, 0, 0, icnt")
-        segments = ", ".join(f"s{i}" for i in range(len(self.records)))
-        comma = "," if len(self.records) == 1 else ""
-        p(f"    return ({segments}{comma}), flush")
-        source = "\n".join(lines) + "\n"
-        code = compile(source, f"<tape:{self.program.name}>", "exec")
-        namespace = {}
-        exec(code, namespace)
-        return _CompiledTape(
-            build=namespace["build"],
-            entries=dict(self.func_entry),
-            calls=tuple(self.calls),
-            consts=tuple(self.consts),
-            reg_names=self.reg_names,
-            n_int=self.n_int,
-            ret_index=self.reg_index[self.isa.ret_int.name],
-            timed=self.timed,
-            source=source,
-        )
+        segments = []
+        for record in self.records:
+            if record["kind"] == "falloff":
+                message = f"fell off block {record['label']}"
+                segments.append((0, (), (self._raise(message),), -1))
+                continue
+            instrs = record["instrs"]
+            counts = {}
+            for instr in instrs:
+                counts[instr.opcode] = counts.get(instr.opcode, 0) + 1
+            body = tuple(self._decode(instr) for instr in instrs)
+            nxt = record["next"]
+            segments.append((len(instrs), tuple(counts.items()), body,
+                             -1 if nxt is None else nxt))
+        return segments
 
-    def _emit_segment(self, lines, index, record):
-        p = lines.append
-        p(f"    def s{index}(fb):")
-        if record["kind"] == "falloff":
-            message = f"fell off block {record['label']}"
-            p(f"        raise err({message!r})")
-            return
-
-        def w(line):
-            p("        " + line)
-
-        if self.timed:
-            w("nonlocal issue, stl, ict, ich, icm, msp, icnt")
-        else:
-            w("nonlocal icnt")
-        instrs = record["instrs"]
-        w(f"icnt += {len(instrs)}")
-        w("if icnt > FUEL:")
-        w("    raise err('simulator fuel exhausted')")
-        counts, order = {}, []
-        for instr in instrs:
-            if instr.opcode not in counts:
-                order.append(instr.opcode)
-            counts[instr.opcode] = counts.get(instr.opcode, 0) + 1
-        for opcode in order:
-            w(f"hg[{opcode!r}] = hgg({opcode!r}, 0) + {counts[opcode]}")
-        self._line, self._tag, self._run = None, None, 0
-        for instr in instrs[:-1]:
-            self._emit_exec(w, instr)
-        self._emit_control(w, instrs[-1], record)
-
-    def _emit_control(self, w, instr, record):
-        op = instr.opcode
-        ops = instr.operands
-        read = self._read
-        if op == "jmp":
-            self._fetch(w, instr)
-            if self.timed:
-                w(f"issue += {self.INV_W!r}")
-            self._flush_line(w)
-            w(f"return {self.block_entry[ops[0].name]}")
-        elif op in ("bcc", "fbcc"):
-            if op == "bcc":
-                w(f"tk_ = {read(ops[0])} {_ICMP_PY[instr.pred]} "
-                  f"{read(ops[1])}")
-            else:
-                w(f"fa_ = {read(ops[0])}")
-                w(f"fb_ = {read(ops[1])}")
-                w(f"tk_ = fa_ == fa_ and fb_ == fb_ and "
-                  f"fa_ {_FCMP_PY[instr.pred]} fb_")
-            self._fetch(w, instr)
-            self._chain(w, instr, "1")
-            if self.timed:
-                site = (instr.address >> 1) % 256
-                w(f"c_ = ptg({site}, 2)")
-                w("if tk_:")
-                w(f"    pt[{site}] = c_ + 1 if c_ < 3 else 3")
-                w("    if c_ < 2:")
-                w("        msp += 1")
-                w(f"        issue += {self.MISPRED}")
-                w("else:")
-                w(f"    pt[{site}] = c_ - 1 if c_ > 0 else 0")
-                w("    if c_ >= 2:")
-                w("        msp += 1")
-                w(f"        issue += {self.MISPRED}")
-            self._flush_line(w)
-            taken = self.block_entry[ops[2].name]
-            w(f"return {taken} if tk_ else {record['next']}")
-        elif op == "ret":
-            self._fetch(w, instr)
-            if self.timed:
-                w(f"issue += {self.INV_W!r}")
-            self._flush_line(w)
-            w("return -1")
-        elif op == "call":
-            self._fetch(w, instr)
-            if self.timed:
-                w(f"issue += {self.INV_W!r}")
-                w(f"issue += {self.CALLOVH}")
-            self._flush_line(w)
-            entry, slots = self.func_entry[ops[0]]
-            call_id = len(self.calls)
-            self.calls.append((entry, slots, record["next"]))
-            w(f"return {-(2 + call_id)}")
-        else:
-            # Block ran off the end without a terminator.
-            self._emit_exec(w, instr)
-            self._flush_line(w)
-            message = f"fell off block {record['block'].label}"
-            w(f"raise err({message!r})")
+    def _raise(self, message):
+        return (RAISE, 0, 0, 0, message, (), self.sink, 0, 0, 0)
 
 
 # -- runtime -----------------------------------------------------------------
@@ -680,95 +314,215 @@ class TapeSimulator:
     """
 
     def __init__(self, program, isa, timing=None, fuel=20_000_000):
+        started = time.perf_counter()
         self.program = program
         self.isa = isa
         self.timing = timing
         self.fuel = fuel
         self.instructions_executed = 0
         self.dynamic_histogram = {}
-        self._tape = _get_tape(program, isa, timing is not None)
-        tape = self._tape
-        n_float = len(tape.reg_names) - tape.n_int
-        self._rt = SimpleNamespace(
-            r=[0] * tape.n_int + [0.0] * n_float,
-            rd=[0.0] * len(tape.reg_names),
-            m=dict(program.global_init),
-            out=[],
-            hg=self.dynamic_histogram,
-            K=tape.consts,
-            err=SimulationError,
-            ffi=evaluate_float_intrinsic,
-            sdiv=arith.sdiv64,
-            srem=arith.srem64,
-            fdv=arith.fdiv,
-            f2i=arith.fptosi,
-            r6=arith.round_float_output,
-            fuel=fuel,
-            dca=None, icd=None, pt=None,
-            t_issue=0.0, t_stall=0.0, t_ictick=0, t_ichits=0,
-            t_icmiss=0, t_msp=0, t_icount=0,
-        )
-        if timing is not None:
-            self._rt.dca = timing.dcache.access
-            self._rt.icd = timing.icache.data
-            self._rt.pt = timing.predictor.table
-        self._sp = _STACK_BASE
+        decoder = _Decoder(program, isa)
+        self._segments = decoder.decode()
+        self._entries = decoder.func_entry
+        self._reg_names = decoder.reg_names
+        n_float = len(decoder.reg_names) - decoder.n_int
+        self._regs = [0] * decoder.n_int + [0.0] * n_float + decoder.consts
+        self._ret_index = decoder.reg_index[isa.ret_int.name]
+        self._memory = dict(program.global_init)
+        self._output = []
+        _DECODE_STATS["decodes"] += 1
+        _DECODE_STATS["decode_seconds"] += time.perf_counter() - started
 
     def run(self, function_name="main"):
-        tape = self._tape
-        entry = tape.entries.get(function_name)
+        entry = self._entries.get(function_name)
         if entry is None:
             raise SimulationError(f"no function {function_name!r}")
-        rt = self._rt
-        timing = self.timing
-        rt.t_icount = self.instructions_executed
-        if timing is not None:
-            rt.t_issue = timing.issue
-            rt.t_stall = timing.stall_cycles
-            rt.t_ictick = timing.icache.tick
-            rt.t_ichits = timing.icache.hits
-            rt.t_icmiss = timing.icache.misses
-            rt.t_msp = timing.mispredicts
-        segments, flush = tape.build(rt)
+        isa = self.isa
+        timing = self.timing if self.timing is not None \
+            else PipelineModel(isa)
+        icache = timing.icache
+        names = self._reg_names
+        R = self._regs
+        RD = [timing.ready.get(name, 0.0) for name in names] + [0.0]
+        M = self._memory
+        mg = M.get
+        oa = self._output.append
+        hg = self.dynamic_histogram
+        hgg = hg.get
+        dca = timing.dcache.access
+        icd = icache.data
+        pt = timing.predictor.table
+        ptg = pt.get
+        segments = self._segments
+        fuel = self.fuel
+        # Cycle costs are host floats, not simulated IR values.
+        inv_w = 1.0 / isa.issue_width  # replint: disable=R003
+        iways = icache.ways
+        icmiss = isa.icache["miss"]
+        mispredict = isa.branch_mispredict
+        call_overhead = isa.call_overhead
+        ld_lat = isa.latency_table.get("ld", 1)
+        ld_hit = isa.dcache["hit"] + ld_lat - 1
+        ld_miss = isa.dcache["miss"] + ld_lat - 1
+        st_extra = isa.dcache["miss"] * 0.25
+        per_cell = 0.5 if isa.issue_width >= 4 else 2.0
+        dline = timing.dcache.line
+        issue = timing.issue
+        stl = timing.stall_cycles
+        ict, ich, icm = icache.tick, icache.hits, icache.misses
+        msp = timing.mispredicts
+        icnt = self.instructions_executed
+        pc, slots = entry
+        sp = _STACK_BASE - slots
+        fb = sp
+        stack = []
         try:
-            self._dispatch(segments, tape.calls, entry[0], entry[1], 0)
+            while pc >= 0:
+                count, histogram, body, pc = segments[pc]
+                icnt += count
+                if icnt > fuel:
+                    raise SimulationError("simulator fuel exhausted")
+                for opcode, n in histogram:
+                    hg[opcode] = hgg(opcode, 0) + n
+                for op, d, a, b, c, srcs, dst, lat, iset, itag in body:
+                    # -- values (before the instruction issues) --
+                    if op == MOV:
+                        R[d] = R[a]
+                    elif op == LD:
+                        adr = R[a] + R[b]
+                        lat = ld_hit if dca(adr) else ld_miss
+                    elif op == INT2:
+                        v = c(R[a], R[b])
+                        R[d] = v if _MIN64 <= v <= _MAX64 else arith.wrap64(v)
+                    elif op == LDS:
+                        adr = fb + a
+                        lat = ld_hit if dca(adr) else ld_miss
+                    elif op == JMP:
+                        pc = a
+                    elif op == ST:
+                        adr = R[a] + R[b]
+                        hit = dca(adr)
+                    elif op == BR:
+                        taken = c[0](R[a], R[b])
+                        if taken:
+                            pc = c[1]
+                    elif op == CMP:
+                        R[d] = 1 if c(R[a], R[b]) else 0
+                    elif op == FN2:
+                        R[d] = c(R[a], R[b])
+                    elif op == STS:
+                        adr = fb + a
+                        hit = dca(adr)
+                    elif op == LEA:
+                        R[d] = R[a] + R[b] * c
+                    elif op == CMOV:
+                        R[d] = R[b] if R[a] else R[c]
+                    elif op == FRAME:
+                        R[d] = fb + a
+                    elif op == FN1:
+                        R[d] = c(R[a])
+                    elif op == PRINT:
+                        oa(c(R[a]))
+                    elif op == VOP:
+                        values = [c(R[x], R[y]) for _, x, y in a]
+                        for (lane, _, _), value in zip(a, values):
+                            R[lane] = value
+                    elif op == MEMSET:
+                        start, value, n = R[d], R[a], int(R[b])
+                        if n > 0 and start <= 0:
+                            raise SimulationError(
+                                f"store to invalid address {start}")
+                        for i in range(n):
+                            M[start + i] = value
+                    elif op == MEMCPY:
+                        start, source, n = R[d], R[a], int(R[b])
+                        if n > 0:
+                            if source <= 0:
+                                raise SimulationError(
+                                    f"load from invalid address {source}")
+                            values = [mg(source + i, 0) for i in range(n)]
+                            if start <= 0:
+                                raise SimulationError(
+                                    f"store to invalid address {start}")
+                            for i in range(n):
+                                M[start + i] = values[i]
+                    elif op == RAISE:
+                        raise SimulationError(c)
+                    # -- fetch: one I-cache access --
+                    ict += 1
+                    ways = icd[iset]
+                    if itag in ways:
+                        ich += 1
+                    else:
+                        icm += 1
+                        if len(ways) >= iways:
+                            del ways[min(ways, key=ways.get)]
+                        issue += icmiss
+                    ways[itag] = ict
+                    # -- scoreboard (the seed's ``_issue_instr``) --
+                    t = issue
+                    for s in srcs:
+                        if RD[s] > t:
+                            t = RD[s]
+                    stl += t - issue
+                    RD[dst] = t + lat
+                    issue = t + inv_w
+                    if op < LD:
+                        continue
+                    # -- after issue --
+                    if op == LD or op == LDS:
+                        if adr <= 0:
+                            raise SimulationError(
+                                f"load from invalid address {adr}")
+                        R[d] = mg(adr, 0)
+                    elif op == ST or op == STS:
+                        if not hit:
+                            issue += st_extra
+                        if adr <= 0:
+                            raise SimulationError(
+                                f"store to invalid address {adr}")
+                        M[adr] = R[d]
+                    elif op == BR:
+                        state = ptg(d, 2)
+                        if taken:
+                            pt[d] = state + 1 if state < 3 else 3
+                            if state < 2:
+                                msp += 1
+                                issue += mispredict
+                        else:
+                            pt[d] = state - 1 if state > 0 else 0
+                            if state >= 2:
+                                msp += 1
+                                issue += mispredict
+                    elif op == CALL:
+                        issue += call_overhead
+                        stack.append((pc, fb, sp))
+                        if len(stack) > 400:
+                            raise SimulationError("call stack overflow")
+                        pc, slots = c
+                        sp -= slots
+                        fb = sp
+                    elif op == RET:
+                        if stack:
+                            pc, fb, sp = stack.pop()
+                        else:
+                            pc = -1
+                    elif op == VOP:
+                        for lane, _, _ in a:
+                            RD[lane] = t + lat
+                    else:   # MEMSET, MEMCPY
+                        issue += n * per_cell
+                        for i in range(0, n, dline):
+                            dca(c + i)
         finally:
-            (issue, stall, ic_tick, ic_hits, ic_misses, mispredicts,
-             executed) = flush()
-            self.instructions_executed = executed
-            if timing is not None:
-                timing.issue = issue
-                timing.stall_cycles = stall
-                timing.icache.tick = ic_tick
-                timing.icache.hits = ic_hits
-                timing.icache.misses = ic_misses
-                timing.mispredicts = mispredicts
-                names = tape.reg_names
-                ready = rt.rd
-                timing.ready.update(
-                    {names[i]: ready[i] for i in range(len(ready))
-                     if ready[i] != 0.0})
-        value = rt.r[tape.ret_index]
-        return MachineResult(arith.wrap64(value), rt.out,
+            self.instructions_executed = icnt
+            timing.issue = issue
+            timing.stall_cycles = stl
+            icache.tick, icache.hits, icache.misses = ict, ich, icm
+            timing.mispredicts = msp
+            timing.ready.update({names[i]: RD[i] for i in range(len(names))
+                                 if RD[i] != 0.0})
+        value = R[self._ret_index]
+        return MachineResult(arith.wrap64(value), self._output,
                              self.instructions_executed,
-                             self.dynamic_histogram, timing)
-
-    def _dispatch(self, segments, calls, segment, frame_slots, depth):
-        if depth > 400:
-            raise SimulationError("call stack overflow")
-        self._sp -= frame_slots
-        frame_base = self._sp
-        try:
-            while True:
-                nxt = segments[segment](frame_base)
-                if nxt >= 0:
-                    segment = nxt
-                elif nxt == -1:
-                    return
-                else:
-                    callee, callee_slots, cont = calls[-2 - nxt]
-                    self._dispatch(segments, calls, callee, callee_slots,
-                                   depth + 1)
-                    segment = cont
-        finally:
-            self._sp = frame_base + frame_slots
+                             self.dynamic_histogram, self.timing)

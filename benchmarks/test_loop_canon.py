@@ -27,11 +27,6 @@ import pytest
 
 from repro.ir import run_module
 from repro.passes import PassManager
-from repro.passes.base import VERIFIED_CONTENTS
-from repro.passes.transform_cache import (
-    MODULE_TRANSFORM_CACHE,
-    TRANSFORM_CACHE,
-)
 from repro.sim import Platform
 from repro.workloads import load_suite
 
@@ -103,25 +98,14 @@ def _optimized_cycles(platform):
     return cycles, activity
 
 
-def _clear_content_memos():
-    """The stubbed bail-out run must not leave content-addressed
-    "known inactive" outcomes behind for the real run to replay."""
-    TRANSFORM_CACHE.clear()
-    MODULE_TRANSFORM_CACHE.clear()
-    VERIFIED_CONTENTS.clear()
-
-
 def test_multi_exit_recovery_improves_simulated_cost(monkeypatch):
     platform = Platform("riscv")
 
-    _clear_content_memos()
     with monkeypatch.context() as patch:
         _stub_multi_exit_bails(patch)
         bail_cycles, _bail_activity = _optimized_cycles(platform)
 
-    _clear_content_memos()
     full_cycles, full_activity = _optimized_cycles(platform)
-    _clear_content_memos()
 
     # The loop-pass family must report activity on the corpus (the
     # bails reported none for these loops).

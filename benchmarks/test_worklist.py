@@ -23,7 +23,6 @@ from repro.ir.printer import (
     function_text_fingerprint,
 )
 from repro.passes import AnalysisManager, PassManager, create_pass
-from repro.passes.transform_cache import TRANSFORM_CACHE
 from repro.workloads import load_suite
 
 pytestmark = pytest.mark.fast
@@ -53,23 +52,18 @@ def _record(entry):
 
 def _pass_body_seconds(engine):
     """Total pass-body time of the converted passes under one engine
-    (``worklist`` = enabled manager, ``rescan`` = the legacy bodies),
-    content caches disabled so only the engines differ."""
+    (``worklist`` = enabled manager, ``rescan`` = the legacy bodies)."""
     total = 0.0
-    TRANSFORM_CACHE.enabled = False
-    try:
-        for workload in (load_suite("beebs") + load_suite("parsec")
-                         + load_suite("multi")):
-            module = workload.compile()
-            PassManager().run(module, PRE_PIPELINE)
-            am = AnalysisManager(enabled=(engine == "worklist"))
-            for name in WORKLIST_PASSES:
-                phase = create_pass(name)
-                started = time.perf_counter()
-                phase.run(module, am)
-                total += time.perf_counter() - started
-    finally:
-        TRANSFORM_CACHE.enabled = True
+    for workload in (load_suite("beebs") + load_suite("parsec")
+                     + load_suite("multi")):
+        module = workload.compile()
+        PassManager().run(module, PRE_PIPELINE)
+        am = AnalysisManager(enabled=(engine == "worklist"))
+        for name in WORKLIST_PASSES:
+            phase = create_pass(name)
+            started = time.perf_counter()
+            phase.run(module, am)
+            total += time.perf_counter() - started
     return total
 
 

@@ -231,9 +231,8 @@ class EvaluationEngine:
     # -- profiled evaluations --------------------------------------------
     def _evaluate_miss(self, spec):
         """One fresh point, composed in-process through the cache's
-        result index (:func:`~repro.engine.evaluator.compose_point`,
-        sharing the warm transform caches); the caller stores the
-        payload under the sequence key."""
+        result index (:func:`~repro.engine.evaluator.compose_point`);
+        the caller stores the payload under the sequence key."""
         if self.cache is None or not self.compose:
             return evaluate_point(spec)
         payload, hit = compose_point(spec, self.cache)

@@ -79,9 +79,9 @@ class Function(Value):
         self._invalidate_positions()
 
     def set_blocks(self, new_blocks):
-        """Replace the whole body (transform-cache materialization):
-        every old block is detached with its operand references and
-        maintained edges dropped, then ``new_blocks`` is installed."""
+        """Replace the whole body: every old block is detached with its
+        operand references and maintained edges dropped, then
+        ``new_blocks`` is installed."""
         for block in self.blocks:
             block.clear_instructions()
             block.parent = None

@@ -164,9 +164,6 @@ class AnalysisManager:
         if name == "fingerprint":
             from repro.ir.printer import function_fingerprint
             return function_fingerprint(function)
-        if name == "callsig":
-            from repro.passes.transform_cache import callee_signature
-            return callee_signature(function)
         raise KeyError(f"unknown analysis {name!r}")
 
     def get(self, name, function):
@@ -228,9 +225,6 @@ class AnalysisManager:
     def fingerprint(self, function):
         return self.get("fingerprint", function)
 
-    def callee_signature(self, function):
-        return self.get("callsig", function)
-
     # -- module fingerprint memo ------------------------------------------
     def cached_module_fingerprint(self, module):
         hit = self._module_fps.get(id(module))
@@ -272,14 +266,6 @@ class AnalysisManager:
                 del self._entries[key]
             else:
                 self.invalidate(function, preserved)
-
-    def drop_analysis(self, name):
-        """Drop one analysis for every cached function (used when a
-        pass mutates state that OTHER functions' derived analyses — the
-        callee signature — observe)."""
-        for _, cache in self._entries.values():
-            if cache.pop(name, None) is not None:
-                self.stats.invalidations += 1
 
     def forget(self, function):
         """Drop every cached analysis for ``function``."""

@@ -40,9 +40,6 @@ Comparison semantics per analysis:
     Recompute and compare.  A stale fingerprint on an allegedly
     untouched function convicts a pass of mutating code it never
     reported changing.
-``callsig``
-    Recompute and compare; catches passes that change callee-visible
-    state (attributes) without setting ``mutates_callee_visible_state``.
 """
 
 import os
@@ -185,12 +182,6 @@ def _audit_function(phase, function, cache):
             _fail(phase, function, "fingerprint",
                   "content hash changed without the function being "
                   "reported as modified")
-    if "callsig" in cache:
-        from repro.passes.transform_cache import callee_signature
-        if callee_signature(function) != cache["callsig"]:
-            _fail(phase, function, "callsig",
-                  "callee-visible state changed without "
-                  "mutates_callee_visible_state dropping the signature")
 
 
 def audit_preservation(module, am, phase):

@@ -26,9 +26,9 @@ class VerifiedContents:
 
     The *content-determined* checks (terminators, operand scope, phis,
     dominance) are pure functions of function content, so a content
-    hash that verified once need not re-run them — the same argument
-    that justifies the transform cache's one-time snapshot
-    verification, generalized to every changed function.  Def-use and
+    hash that verified once need not re-run them.  The memo changes
+    which checks run, never a pass's output, so it cannot make a
+    result depend on what the process ran before.  Def-use and
     parent-link bookkeeping is NOT content-determined; memo hits still
     run :func:`repro.ir.verify_function_bookkeeping`.  The legacy mode
     (``analysis_cache=False``) never consults this memo: it re-verifies
@@ -57,8 +57,7 @@ class VerifiedContents:
         self._entries.clear()
 
 
-#: Process-global verification memo (content-addressed, like the
-#: transform cache).
+#: Process-global verification memo (content-addressed).
 VERIFIED_CONTENTS = VerifiedContents()
 
 # name -> factory; populated by @register_pass.
@@ -99,13 +98,6 @@ class Pass:
 
     pass_name = "<abstract>"
     preserved_analyses = PRESERVE_NONE
-    #: True for module passes whose outcomes the module transform cache
-    #: may memoize (content-deterministic, replayable as per-function
-    #: body swaps): inline, ipsccp, globalopt.
-    module_memo = False
-    #: function -> snapshot, for changes that came from a
-    #: transform-cache materialization in the last run.
-    last_materialized = {}
 
     def run(self, module, am=None):
         """Apply the pass; True when the module changed."""
@@ -119,52 +111,10 @@ class Pass:
         Module passes cannot attribute their edits, so a change
         conservatively reports (and invalidates) every defined function;
         entries of functions removed from the module are dropped.
-
-        Passes opting into ``module_memo`` are memoized through the
-        module transform cache: a module state this pass was already
-        observed on either skips the body (known inactive) or replays
-        the recorded per-function bodies — then only the replayed
-        functions are invalidated and reported.
         """
-        from repro.passes.transform_cache import (
-            MODULE_TRANSFORM_CACHE,
-            module_pass_digest,
-        )
-
-        self.last_materialized = {}
-        memo = MODULE_TRANSFORM_CACHE if (
-            self.module_memo and am.enabled
-            and MODULE_TRANSFORM_CACHE.enabled) else None
-        key = pre_fingerprints = pre_meta = last_seen = None
-        if memo is not None:
-            digest, pre_meta = module_pass_digest(module, am)
-            key = memo.key(self.pass_name, (digest, pre_meta))
-            outcome, payload = memo.apply(key, module, am)
-            if outcome is False:
-                return set()
-            if outcome is True:
-                # Replayed: analyses of untouched functions survive
-                # (the no-cache run invalidated them too, but analyses
-                # only affect speed — the warm-vs-fresh contract).
-                am.drop_analysis("callsig")
-                if payload:
-                    return payload
-                return set(module.defined_functions())
-            last_seen = payload
-            pre_fingerprints = {
-                name: (am.fingerprint(function)
-                       if not function.is_declaration() else None)
-                for name, function in module.functions.items()}
-        changed = self.run_on_module(module, am)
-        if not changed:
-            if memo is not None:
-                memo.record(key, module, am, False, pre_fingerprints,
-                            pre_meta, last_seen)
+        if not self.run_on_module(module, am):
             return set()
         am.invalidate_module(module, self.preserved_for(module))
-        if memo is not None:
-            memo.record(key, module, am, True, pre_fingerprints,
-                        pre_meta, last_seen)
         return set(module.defined_functions())
 
     def run_on_module(self, module, am):
@@ -182,59 +132,16 @@ class Pass:
 
 
 class FunctionPass(Pass):
-    """A pass applied independently to each defined function.
-
-    Applications are memoized through the function-granular transform
-    cache: when a function's canonical fingerprint is already cached
-    (the fingerprint-driven evaluation loops keep it warm), a content
-    hit either skips the pass (known inactive) or materializes the
-    cached transformed body instead of re-running the pass algorithm.
-    """
-
-    #: True for passes that change state OTHER functions' analyses can
-    #: observe (today: function attributes, read by callers' callee
-    #: signatures).  Such a change must drop every cached callsig.
-    mutates_callee_visible_state = False
+    """A pass applied independently to each defined function; only the
+    functions whose ``run_on_function`` returned True are invalidated
+    and reported."""
 
     def run_with_changes(self, module, am):
-        from repro.passes.transform_cache import TRANSFORM_CACHE
-
-        cache = TRANSFORM_CACHE if (am.enabled and
-                                    TRANSFORM_CACHE.enabled) else None
         changed = set()
-        self.last_materialized = {}
         for function in module.defined_functions():
-            key = None
-            if cache is not None:
-                fingerprint = am.cached("fingerprint", function)
-                if fingerprint is not None:
-                    key = cache.key(self.pass_name, fingerprint,
-                                    am.callee_signature(function))
-                    outcome, snapshot = cache.apply(key, function)
-                    if outcome is False:
-                        continue  # known inactive: body skipped
-                    if outcome is True:
-                        # Materialized clone: every analysis (block and
-                        # instruction objects included) is new; the
-                        # post-transform fingerprint is already known.
-                        am.invalidate(function, PRESERVE_NONE)
-                        if snapshot.result_fingerprint is not None:
-                            am.put("fingerprint", function,
-                                   snapshot.result_fingerprint)
-                        changed.add(function)
-                        self.last_materialized[function] = snapshot
-                        continue
             if self.run_on_function(function, am):
                 am.invalidate(function, self.preserved_for(function))
                 changed.add(function)
-                if key is not None:
-                    cache.record(key, function, changed=True, am=am)
-            elif key is not None:
-                cache.record(key, function, changed=False, am=am)
-        if changed and self.mutates_callee_visible_state:
-            # Callers' cached callee signatures now misrepresent this
-            # function's attributes; recompute them on next use.
-            am.drop_analysis("callsig")
         return changed
 
     def run_on_function(self, function, am=None):
@@ -364,11 +271,7 @@ class PassManager:
                     # Content-addressed verification: a changed function
                     # whose (post-change) fingerprint verified before —
                     # in this module or any other — is not re-verified.
-                    # Subsumes the materialized-snapshot fast path.
                     for function in changed_functions:
-                        snapshot = phase.last_materialized.get(function)
-                        if snapshot is not None and snapshot.verified:
-                            continue
                         if function.is_declaration() or \
                                 function.module is not module:
                             continue
@@ -384,8 +287,6 @@ class PassManager:
                             verify_function(function, am)
                             verified += 1
                             VERIFIED_CONTENTS.add(content)
-                        if snapshot is not None:
-                            snapshot.verified = True
                 else:
                     verify_module(module)
                     verified = len(module.defined_functions())

@@ -1,9 +1,8 @@
 """Region/function/module cloning with value remapping.
 
 Used by loop-unroll (body copies), loop-unswitch (loop versioning),
-inline (callee body into caller), the transform cache (snapshot capture
-and materialization), and the workload registry (template-clone
-compilation).
+inline (callee body into caller), and the workload registry
+(template-clone compilation).
 
 Every consumer shares one two-phase engine, :func:`clone_blocks_into`:
 block list order is not def-before-use in general (cloned loop bodies
@@ -11,10 +10,9 @@ are appended at the end but referenced earlier, and unreachable regions
 have no safe order at all), so phase one builds clones in list order —
 forward references temporarily keep the origin operand — and phase two
 rebuilds phi incoming lists and rewrites every operand through the
-completed value map.  Callers customize via hooks instead of carrying
-their own copies of the loop (``prepare`` pre-seeds the value map per
-instruction, e.g. to intern constants; ``on_clone`` post-processes each
-clone, e.g. to remap callees or preserve names).
+completed value map.  Callers customize via the ``on_clone`` hook
+(post-processing each clone, e.g. to remap callees or preserve names)
+instead of carrying their own copies of the loop.
 """
 
 from repro.ir import (
@@ -103,14 +101,12 @@ def fix_forward_references(blocks, value_map):
 
 
 def clone_blocks_into(blocks, function, value_map, block_map,
-                      make_block, prepare=None, on_clone=None):
+                      make_block, on_clone=None):
     """Two-phase clone of ``blocks`` into ``function``.
 
     ``make_block(block)`` creates (and registers) the clone of one
-    block; ``prepare(inst)`` runs before each instruction clones (e.g.
-    interning constants into ``value_map``); ``on_clone(inst, clone)``
-    runs on each fresh clone before it is appended (e.g. remapping
-    callees or preserving names).  Branches to blocks outside the
+    block; ``on_clone(inst, clone)`` runs on each fresh clone before it
+    is appended (e.g. remapping callees or preserving names).  Branches to blocks outside the
     region keep their original targets; phi entries from predecessors
     outside the region are preserved as-is.  Returns the new blocks.
     """
@@ -122,8 +118,6 @@ def clone_blocks_into(blocks, function, value_map, block_map,
     for block in blocks:
         target = block_map[id(block)]
         for inst in block.instructions:
-            if prepare is not None:
-                prepare(inst)
             clone = clone_instruction(inst, value_map, block_map,
                                       function)
             if on_clone is not None:

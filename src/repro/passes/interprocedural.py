@@ -45,7 +45,6 @@ class Inliner(Pass):
 
     # Splices callee blocks into callers: CFG analyses do not survive.
     preserved_analyses = PRESERVE_NONE
-    module_memo = True
     THRESHOLD = 45
 
     def run_on_module(self, module, am):
@@ -250,7 +249,6 @@ class GlobalOpt(Pass):
     """Fold globals that are never stored to their initializer value, and
     delete stores to globals that are never read."""
 
-    module_memo = True
     preserved_analyses = PRESERVE_CFG
 
     def run_on_module(self, module, am):

@@ -293,7 +293,6 @@ class IPSCCP(Pass):
     # Unlike function-local SCCP there is no per-function "did a branch
     # fold" tracking at module granularity; claim nothing.
     preserved_analyses = PRESERVE_NONE
-    module_memo = True
 
     def run_on_module(self, module, am):
         functions = module.defined_functions()

@@ -24,7 +24,6 @@ class SLPVectorizer(FunctionPass):
     # Attribute-only change: the IR text and CFG are untouched (the
     # attribute IS part of the fingerprint, which is never preserved).
     preserved_analyses = PRESERVE_CFG | frozenset({"loopivs"})
-    mutates_callee_visible_state = True
 
     def run_on_function(self, function, am=None):
         if SLP_ATTRIBUTE in function.attributes:
@@ -46,7 +45,6 @@ class LoopVectorize(FunctionPass):
 
     # Delegates to LoopUnroll, which restructures the CFG.
     preserved_analyses = PRESERVE_NONE
-    mutates_callee_visible_state = True
 
     def run_on_function(self, function, am=None):
         unroller = LoopUnroll()

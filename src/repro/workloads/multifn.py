@@ -2,8 +2,7 @@
 
 The BEEBS/PARSEC-style kernels average ~1.2 defined functions, which
 leaves the function-granular machinery (per-function analyses,
-fingerprints, transform-cache entries, feature partials, eval-cache
-composition) nothing to bite on: every phase invalidates most of the
+fingerprints, feature partials, eval-cache composition) nothing to bite on: every phase invalidates most of the
 module.  These programs have 6-10 small functions each, so a typical
 phase changes a few functions and leaves the rest untouched —
 exercising exactly the regime the paper's PARSEC applications (and any

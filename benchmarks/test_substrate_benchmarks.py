@@ -46,7 +46,9 @@ def test_bench_static_features(benchmark, canneal_module):
 
 
 def test_bench_full_feature_vector(benchmark, canneal_module, riscv):
-    features = benchmark(extract_features, canneal_module, riscv)
+    features = benchmark(
+        lambda: extract_features(canneal_module,
+                                 riscv.compile(canneal_module)))
     assert len(features) > 63
 
 

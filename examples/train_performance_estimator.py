@@ -22,8 +22,7 @@ def main():
     extractor = DataExtractor(platform, workloads)
     dataset = extractor.extract(n_sequences=10, seed=7)
     print(f"  -> {len(dataset)} data points "
-          f"({extractor.extraction_seconds:.1f}s, of which "
-          f"{extractor.profile_seconds:.1f}s profiling)")
+          f"({extractor.extraction_seconds:.1f}s)")
 
     print("\nPE training: heuristic search over preprocessing x model")
     estimator = PerformanceEstimator().train(

@@ -16,7 +16,7 @@ SIZE_INDEX = FEATURE_NAMES.index("code_size_bytes")
 
 def feature_matrix(modules, platform):
     """Stack full PE feature vectors of many modules into one matrix."""
-    return np.vstack([extract_features(module, platform)
+    return np.vstack([extract_features(module, platform.compile(module))
                       for module in modules])
 
 

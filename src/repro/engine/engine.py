@@ -67,7 +67,6 @@ class EvalResult:
         self.output = tuple((kind, value)
                             for kind, value in payload["output"])
         self.return_value = payload["return_value"]
-        self.profile_seconds = payload.get("profile_seconds", 0.0)
         self._metrics = dict(payload["metrics"])
 
     def metrics(self):
@@ -358,10 +357,11 @@ class EvaluationEngine:
             self._feature_partials.clear()
         return self._feature_partials
 
-    def _extract_features(self, module, platform, am):
-        """Feature extraction with the engine's per-function partials."""
-        return extract_features(module, platform, am=am,
-                                partial_cache=self._partials())
+    def _extract_features(self, module, am):
+        """Feature extraction with the engine's per-function partials,
+        on the module lowered for this engine's platform."""
+        return extract_features(module, self.platform.compile(module),
+                                am=am, partial_cache=self._partials())
 
     def predicted_objectives(self, module, estimator, fingerprint=None,
                              am=None):
@@ -376,7 +376,7 @@ class EvaluationEngine:
         payload = self.pe_cache.get(key)
         if payload is not None:
             return dict(payload)
-        features = self._extract_features(module, self.platform, am)
+        features = self._extract_features(module, am)
         predicted = predict_many(estimator, features)
         objectives = objective_rows(predicted, features)[0]
         self.pe_cache.put(key, objectives)
@@ -424,8 +424,7 @@ class EvaluationEngine:
                     module = workload.compile()
                     am = AnalysisManager()
                     PassManager().run(module, list(sequence), am=am)
-                    rows.append(self._extract_features(
-                        module, self.platform, am))
+                    rows.append(self._extract_features(module, am))
                 except Exception:  # noqa: BLE001 - candidate skipped
                     continue
                 prepared.append((key, indices))

@@ -3,8 +3,9 @@ under fault supervision.
 
 A *point* is one ``(program source, pass sequence)`` pair on one
 platform.  :func:`evaluate_point` is a pure function of its spec dict —
-it compiles the source, runs the sequence, extracts features and
-profiles the result — so the same spec yields the same payload whether
+it clones the program's parsed template, runs the sequence, lowers the
+result once, and extracts features from and profiles that one machine
+program — so the same spec yields the same payload whether
 it runs inline or in a worker process, and *whether or not it had to be
 retried*: fault recovery can never change a result, only whether one
 exists.
@@ -118,18 +119,21 @@ def point_measurement_seed(measurement_seed, result_fingerprint):
 
 
 def optimize_point(spec):
-    """Compile the spec's source and run its sequence; returns
+    """Build the spec's module and run its sequence; returns
     ``(module, fingerprint, result_fingerprint, function_fingerprints)``.
 
-    The two fingerprint values are composed from per-function digests
-    through the shared analysis manager, so the optimized module's
-    content address only pays for the functions the sequence changed.
+    The module is a clone of the program's per-process template
+    (:func:`repro.workloads.module_from_source`), so a worker runs the
+    frontend once per program, not once per point.  The two fingerprint
+    values are composed from per-function digests through the shared
+    analysis manager, so the optimized module's content address only
+    pays for the functions the sequence changed.
     """
     from repro.ir.printer import module_fingerprint
-    from repro.lang import compile_source
     from repro.passes import AnalysisManager, PassManager
+    from repro.workloads import module_from_source
 
-    module = compile_source(spec["source"], module_name=spec["name"])
+    module = module_from_source(spec["name"], spec["source"])
     # One analysis manager spans the whole sequence: passes share
     # dominator trees / loop nests, and the final fingerprint only
     # re-hashes functions the sequence actually changed.
@@ -145,9 +149,15 @@ def optimize_point(spec):
 def profile_optimized(spec, module, fingerprint, result_fingerprint,
                       function_fingerprints, am=None, partial_cache=None):
     """Feature-extract and profile an already-optimized module; returns
-    the JSON-serializable cache payload.  ``am``/``partial_cache`` let
-    feature extraction reuse per-function static partials (see
-    :func:`repro.features.extract_features`)."""
+    the JSON-serializable cache payload.
+
+    The module is lowered exactly once: the one machine program feeds
+    both the platform features and the simulation.  ``am``/
+    ``partial_cache`` let feature extraction reuse per-function static
+    partials (see :func:`repro.features.extract_features`).  The payload
+    holds content only — no wall-clock timing — so a stored row is the
+    same whichever process measured it.
+    """
     from repro.features import extract_features
     from repro.sim import Platform
 
@@ -155,12 +165,11 @@ def profile_optimized(spec, module, fingerprint, result_fingerprint,
                                   result_fingerprint)
     platform = Platform(spec["target"], measurement_seed=seed,
                         sim_engine=spec.get("sim_engine"))
-    features = extract_features(module, platform, am=am,
+    program = platform.compile(module)
+    features = extract_features(module, program, am=am,
                                 partial_cache=partial_cache)
-    started = time.perf_counter()
-    measurement = platform.profile(module,
+    measurement = platform.execute(program,
                                    fuel=spec.get("fuel") or 20_000_000)
-    profile_seconds = time.perf_counter() - started
     return {
         "fingerprint": fingerprint,
         "result_fingerprint": result_fingerprint,
@@ -175,7 +184,6 @@ def profile_optimized(spec, module, fingerprint, result_fingerprint,
         "code_size": int(measurement.code_size),
         "output": [[kind, value] for kind, value in measurement.output],
         "return_value": measurement.return_value,
-        "profile_seconds": profile_seconds,
     }
 
 
@@ -186,6 +194,10 @@ def evaluate_point(spec):
     ``measurement_seed``, ``fuel`` (optional), ``farm_dir`` (optional).
     Returns a JSON-serializable payload dict (the cache entry format).
     Top-level so it is picklable for process pools.
+
+    A fresh point passes through each stage once: the frontend at most
+    once per program per process (:func:`optimize_point` clones a
+    template), codegen exactly once (:func:`profile_optimized`).
 
     With ``farm_dir`` set, the point composes through the shared farm:
     after running the (cheap) pass pipeline, the optimized module's

@@ -47,10 +47,14 @@ def extract_platform_features(program):
     return np.array(values, dtype=float)
 
 
-def extract_features(module, platform=None, am=None, partial_cache=None):
+def extract_features(module, program=None, am=None, partial_cache=None):
     """Full PE input vector: 63 static features, plus platform features
-    and static cost-model estimates when a platform is given (the PE is
-    trained per platform).
+    and static cost-model estimates when ``program`` — the module's
+    compiled :class:`~repro.backend.mir.MachineProgram` for the target
+    platform — is given (the PE is trained per platform).  Never
+    compiles: a caller holding a platform lowers the module itself
+    (``platform.compile(module)``) and can reuse that one program for
+    simulation.
 
     ``am``/``partial_cache`` enable function-granular reuse of the
     static third: per-function partials are cached under canonical
@@ -59,8 +63,7 @@ def extract_features(module, platform=None, am=None, partial_cache=None):
     """
     static = extract_static_features(module, am=am,
                                      partial_cache=partial_cache)
-    if platform is None:
+    if program is None:
         return static
-    program = platform.compile(module)
     return np.concatenate([static, extract_platform_features(program),
                            extract_cost_features(module)])

@@ -15,6 +15,8 @@ completed value map.  Callers customize via the ``on_clone`` hook
 instead of carrying their own copies of the loop.
 """
 
+import copy
+
 from repro.ir import (
     AllocaInst,
     BinaryInst,
@@ -156,12 +158,27 @@ def clone_module(module):
     identically to — and fingerprints equal to — the original.  Used by
     the workload registry to hand out fresh modules from a compiled
     template without re-running the frontend.
+
+    The clone shares no value with the original: every constant operand
+    maps 1:1 to a fresh copy with an empty use-list.  Sharing the
+    original's constants would register each clone's instructions in
+    their use-lists, so a template would keep alive every module ever
+    cloned from it.
     """
     from repro.ir.function import Function, Module
-    from repro.ir.values import GlobalVariable
+    from repro.ir.values import Constant, GlobalVariable
 
     clone = Module(module.name)
     value_map = {}
+    for function in module.functions.values():
+        for block in function.blocks:
+            for inst in block.instructions:
+                for op in inst.operands:
+                    if isinstance(op, Constant) and \
+                            id(op) not in value_map:
+                        fresh = copy.copy(op)
+                        fresh.uses = []
+                        value_map[id(op)] = fresh
     for gv in module.globals.values():
         initializer = gv.initializer
         if isinstance(initializer, list):

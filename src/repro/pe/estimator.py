@@ -104,7 +104,8 @@ class PerformanceEstimator:
         """Predict metrics straight from an IR module (extract features,
         never execute) — this is what makes PSS training fast."""
         from repro.features import extract_features
-        return self.predict(extract_features(module, platform))
+        return self.predict(extract_features(module,
+                                             platform.compile(module)))
 
     def summary(self):
         lines = []

@@ -25,7 +25,6 @@ class DataExtractor:
         self.engine = engine or EvaluationEngine(platform)
         self.failures = []
         self.extraction_seconds = 0.0
-        self.profile_seconds = 0.0
 
     def extract(self, n_sequences=20, seed=0, sequences=None):
         """Build a dataset of ~len(workloads) * n_sequences points.
@@ -45,8 +44,6 @@ class DataExtractor:
                 self.failures.append((workload.name, tuple(sequence),
                                       outcome.error))
                 continue
-            if not outcome.cached:
-                self.profile_seconds += outcome.profile_seconds
             dataset.add(outcome.features, outcome.metrics(),
                         workload.name, sequence,
                         code_size=outcome.code_size)

@@ -5,8 +5,9 @@ from repro.workloads.registry import (
     default_suite_for,
     load_suite,
     load_workload,
+    module_from_source,
     suite_names,
 )
 
 __all__ = ["Workload", "load_suite", "load_workload", "suite_names",
-           "default_suite_for"]
+           "default_suite_for", "module_from_source"]

@@ -9,10 +9,30 @@ from repro.workloads.multifn import MULTIFN_SOURCES
 from repro.workloads.parsec import PARSEC_SOURCES
 
 #: Compiled-module templates keyed by (name, source digest).  The
-#: frontend is deterministic and workloads are compiled thousands of
-#: times per search, so ``Workload.compile`` parses once and hands out
-#: faithful clones (identical names and fingerprints) afterwards.
+#: frontend is deterministic and programs are compiled thousands of
+#: times per search, so :func:`module_from_source` parses once and hands
+#: out faithful clones (identical names and fingerprints) afterwards.
 _TEMPLATES = {}
+
+
+def module_from_source(name, source):
+    """Fresh IR module of a mini-C program.
+
+    The first call for a ``(name, source)`` pair runs the frontend;
+    later calls clone the cached template
+    (``repro.passes.cloning.clone_module``), which is several times
+    cheaper than re-parsing and prints/fingerprints identically.  Each
+    clone owns its values (constants included), so a dropped module is
+    collected and the template never grows.
+    """
+    from repro.passes.cloning import clone_module
+
+    key = (name, hashlib.sha256(source.encode("utf-8")).hexdigest())
+    template = _TEMPLATES.get(key)
+    if template is None:
+        template = compile_source(source, module_name=name)
+        _TEMPLATES[key] = template
+    return clone_module(template)
 
 
 class Workload:
@@ -24,22 +44,9 @@ class Workload:
         self.source = source
 
     def compile(self):
-        """Fresh IR module (workloads are reusable; modules are not).
-
-        The first call compiles the source; later calls clone the
-        cached template (``repro.passes.cloning.clone_module``), which
-        is several times cheaper than re-running the frontend and
-        prints/fingerprints identically.
-        """
-        from repro.passes.cloning import clone_module
-
-        key = (self.name,
-               hashlib.sha256(self.source.encode("utf-8")).hexdigest())
-        template = _TEMPLATES.get(key)
-        if template is None:
-            template = compile_source(self.source, module_name=self.name)
-            _TEMPLATES[key] = template
-        return clone_module(template)
+        """Fresh IR module (workloads are reusable; modules are not);
+        see :func:`module_from_source`."""
+        return module_from_source(self.name, self.source)
 
     def __repr__(self):
         return f"<Workload {self.suite}/{self.name}>"

@@ -47,8 +47,8 @@ def test_features_change_after_optimization(smoke_source):
 
 
 def test_platform_features_target_specific(smoke_module, x86, riscv):
-    fx = extract_features(smoke_module, x86)
-    fr = extract_features(smoke_module, riscv)
+    fx = extract_features(smoke_module, x86.compile(smoke_module))
+    fr = extract_features(smoke_module, riscv.compile(smoke_module))
     assert fx.shape == (len(FEATURE_NAMES),)
     assert fr.shape == (len(FEATURE_NAMES),)
     assert np.allclose(fx[:63], fr[:63])       # static part identical

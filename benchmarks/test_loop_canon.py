@@ -76,8 +76,8 @@ def _stub_multi_exit_bails(monkeypatch):
                         lambda self, function, loop, am: (False, False))
     monkeypatch.setattr(LoopSink, "_sink_multi_exit",
                         lambda self, function, loop, am: False)
-    # The seed's licm predates the worklist body but hoisted from
-    # multi-exit loops too, so it stays untouched.
+    # The seed's licm already hoisted from multi-exit loops, so it
+    # stays untouched.
     assert LICM is not None
 
 

@@ -69,7 +69,7 @@ def extract_static_features(module, am=None, partial_cache=None,
     and a dict hit.  Callers must treat returned vectors as immutable.
     """
     key = None
-    if vector_cache is not None and am is not None and am.enabled:
+    if vector_cache is not None and am is not None:
         from repro.ir.printer import module_fingerprint
         key = module_fingerprint(module, am)
         cached = vector_cache.get(key)

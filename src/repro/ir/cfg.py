@@ -212,8 +212,7 @@ class DominatorTree:
 
 class InstructionPositions:
     """Memoized per-block instruction positions for repeated same-block
-    dominance queries (verifier operand sweeps, gvn leader checks,
-    licm-style worklists).
+    dominance queries (verifier operand sweeps, gvn leader checks).
 
     A block's memo is rebuilt whenever its instruction count changes;
     pure erasures between queries preserve relative order, so cached

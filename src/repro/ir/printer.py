@@ -141,21 +141,21 @@ def function_fingerprint(function):
     must not share a fingerprint.
 
     Computed structurally (:mod:`repro.ir.structhash`) — no text is
-    materialized and the function is not mutated.  The legacy
-    print-then-hash form survives as :func:`function_text_fingerprint`;
-    the two agree collision-wise (tests/ir/test_structhash.py).
+    materialized and the function is not mutated.  The print-then-hash
+    form :func:`function_text_fingerprint` is the reference it is
+    checked against collision-wise (tests/ir/test_structhash.py).
     """
     from repro.ir.structhash import structural_fingerprint
     return structural_fingerprint(function)
 
 
 def function_text_fingerprint(function):
-    """Legacy fingerprint: canonical-rename, print, hash the text.
+    """Reference fingerprint: canonical-rename, print, hash the text.
 
-    Kept as the seed cost model's fingerprint (the benchmark baseline in
-    ``benchmarks/test_passmanager.py``) and as the reference that the
-    structural hash is property-tested against.  Note the side effect:
-    locals are renamed to their canonical names.
+    The structural hash is property-tested against it
+    (tests/ir/test_structhash.py) and the fingerprint-speed guard times
+    against it.  Note the side effect: locals are renamed to their
+    canonical names.
     """
     import hashlib
 
@@ -180,7 +180,7 @@ def module_fingerprint(module, am=None):
     """
     import hashlib
 
-    if am is not None and am.enabled:
+    if am is not None:
         cached = am.cached_module_fingerprint(module)
         if cached is not None:
             return cached
@@ -192,18 +192,6 @@ def module_fingerprint(module, am=None):
             parts.append(function_fingerprint(function))
     digest = hashlib.sha256(
         "\x1f".join(parts).encode("utf-8")).hexdigest()
-    if am is not None and am.enabled:
+    if am is not None:
         am.store_module_fingerprint(module, digest)
     return digest
-
-
-def module_text_fingerprint(module):
-    """Legacy module hash composed from per-function text fingerprints
-    (the seed cost model; see :func:`function_text_fingerprint`)."""
-    import hashlib
-
-    parts = [_globals_text(module)]
-    for function in module.functions.values():
-        parts.append(function_text_fingerprint(function))
-    return hashlib.sha256(
-        "\x1f".join(parts).encode("utf-8")).hexdigest()

@@ -1,10 +1,10 @@
 """Structural function fingerprinting.
 
-The canonical per-function fingerprint used to be computed by renaming
-locals, printing the function to LLVM-flavoured text, and hashing the
-text (``ir/printer.function_text_fingerprint``).  That materializes a
-multi-kilobyte string per function per phase — the single largest
-fixed cost of fingerprint-driven activity detection in the
+The reference per-function fingerprint renames locals, prints the
+function to LLVM-flavoured text, and hashes the text
+(``ir/printer.function_text_fingerprint``).  That materializes a
+multi-kilobyte string per function per phase, which would be the single
+largest fixed cost of fingerprint-driven activity detection in the
 compile→profile loop.
 
 This module computes the same *distinctions* by hashing the structure
@@ -22,8 +22,7 @@ function is never mutated (no ``rename_locals`` side effect).
 
 Collision contract: two functions get equal structural fingerprints
 iff their canonical printed texts are equal (enforced collision-wise
-against the legacy text fingerprint by
-``tests/ir/test_structhash.py``).  Function attributes and purity
+against the text fingerprint by ``tests/ir/test_structhash.py``).  Function attributes and purity
 flags are part of the digest, as before.
 """
 

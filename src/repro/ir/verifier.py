@@ -56,8 +56,8 @@ def verify_function_bookkeeping(function):
     (``passes.base.VERIFIED_CONTENTS``) skips the content-determined
     checks but must still prove its bookkeeping — a
     fingerprint-identical body can carry a stale use list, parent
-    pointer, or predecessor link, and the worklist engines, DCE, and
-    every CFG query trust them."""
+    pointer, or predecessor link, and the dead-code sweeps, the
+    single-use combines and every CFG query trust them."""
     if not function.blocks:
         return
     _check_parent_links(function)

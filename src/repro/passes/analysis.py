@@ -136,13 +136,10 @@ class AnalysisManager:
 
     Entries are keyed by function identity and hold a strong reference
     to the function, so id reuse cannot alias two functions within the
-    manager's lifetime.  ``enabled=False`` turns the manager into a
-    pass-through that recomputes every query (the legacy cost model,
-    used as the benchmark baseline).
+    manager's lifetime.
     """
 
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    def __init__(self):
         self.stats = AnalysisStats()
         self._entries = {}  # id(function) -> (function, {name: value})
         # Composed module digests (printer.module_fingerprint), dropped
@@ -152,6 +149,7 @@ class AnalysisManager:
 
     # -- computation ------------------------------------------------------
     def _compute(self, name, function):
+        self.stats.misses += 1
         if name == "domtree":
             return DominatorTree(function)
         if name == "loops":
@@ -168,8 +166,6 @@ class AnalysisManager:
 
     def get(self, name, function):
         """The (cached) analysis ``name`` for ``function``."""
-        if not self.enabled:
-            return self._compute(name, function)
         entry = self._entries.get(id(function))
         if entry is None:
             entry = (function, {})
@@ -178,7 +174,6 @@ class AnalysisManager:
         if name in cache:
             self.stats.hits += 1
             return cache[name]
-        self.stats.misses += 1
         value = self._compute(name, function)
         cache[name] = value
         return value
@@ -186,8 +181,6 @@ class AnalysisManager:
     def put(self, name, function, value):
         """Seed an analysis computed elsewhere (e.g. the verifier's
         post-change dominator tree)."""
-        if not self.enabled:
-            return
         if name == "fingerprint":
             self._module_fps.clear()
         entry = self._entries.get(id(function))
@@ -231,8 +224,7 @@ class AnalysisManager:
         return hit[1] if hit is not None else None
 
     def store_module_fingerprint(self, module, digest):
-        if self.enabled:
-            self._module_fps[id(module)] = (module, digest)
+        self._module_fps[id(module)] = (module, digest)
 
     # -- invalidation -----------------------------------------------------
     def invalidate(self, function, preserved=PRESERVE_NONE):
@@ -281,4 +273,4 @@ class AnalysisManager:
     def __repr__(self):
         cached = sum(len(e[1]) for e in self._entries.values())
         return (f"<AnalysisManager functions={len(self._entries)} "
-                f"analyses={cached} enabled={self.enabled}>")
+                f"analyses={cached}>")

@@ -12,12 +12,8 @@ import os
 import time
 from collections import OrderedDict
 
-from repro.ir import (
-    verify_function,
-    verify_function_bookkeeping,
-    verify_module,
-)
-from repro.ir.printer import module_fingerprint, module_text_fingerprint
+from repro.ir import verify_function, verify_function_bookkeeping
+from repro.ir.printer import module_fingerprint
 from repro.passes.analysis import AnalysisManager, PRESERVE_NONE
 
 
@@ -30,9 +26,7 @@ class VerifiedContents:
     which checks run, never a pass's output, so it cannot make a
     result depend on what the process ran before.  Def-use and
     parent-link bookkeeping is NOT content-determined; memo hits still
-    run :func:`repro.ir.verify_function_bookkeeping`.  The legacy mode
-    (``analysis_cache=False``) never consults this memo: it re-verifies
-    everything, every phase, as the seed did.
+    run :func:`repro.ir.verify_function_bookkeeping`.
     """
 
     def __init__(self, max_entries=16384):
@@ -205,14 +199,10 @@ class PassManager:
     verified after that phase, so a miscompiling pass is caught at its
     own doorstep.
 
-    ``analysis_cache=True`` (the default) shares one
-    :class:`AnalysisManager` across the sequence: passes reuse cached
+    One :class:`AnalysisManager` is shared across the sequence (the
+    caller's ``am``, or a fresh one per call): passes reuse cached
     dominator trees / loop nests, and verification plus fingerprinting
     run only on the functions each phase actually modified.
-    ``analysis_cache=False`` reproduces the legacy cost model — fresh
-    analyses for every query and whole-module verification and
-    fingerprints after every phase — and exists as the measured baseline
-    for ``benchmarks/test_passmanager.py``.
 
     Per-phase timing, changed/verified function counts, and analysis
     hit/miss/invalidation counters are collected in ``self.stats``.
@@ -227,10 +217,8 @@ class PassManager:
     the whole phase registry.
     """
 
-    def __init__(self, verify=False, analysis_cache=True,
-                 audit_analyses=None):
+    def __init__(self, verify=False, audit_analyses=None):
         self.verify = verify
-        self.analysis_cache = analysis_cache
         if audit_analyses is None:
             audit_analyses = os.environ.get("REPRO_AUDIT_ANALYSES") == "1"
         self.audit_analyses = audit_analyses
@@ -253,11 +241,11 @@ class PassManager:
     # -- shared implementation -------------------------------------------
     def _run(self, module, phase_names, am, fingerprints):
         if am is None:
-            am = AnalysisManager(enabled=self.analysis_cache)
+            am = AnalysisManager()
         activity = []
         fingerprint = None
         if fingerprints:
-            fingerprint = self._fingerprint(module, am)
+            fingerprint = module_fingerprint(module, am)
         for name in phase_names:
             started = time.perf_counter()
             hits0 = am.stats.hits
@@ -267,34 +255,30 @@ class PassManager:
             changed_functions = phase.run_with_changes(module, am)
             verified = 0
             if self.verify:
-                if self.analysis_cache:
-                    # Content-addressed verification: a changed function
-                    # whose (post-change) fingerprint verified before —
-                    # in this module or any other — is not re-verified.
-                    for function in changed_functions:
-                        if function.is_declaration() or \
-                                function.module is not module:
-                            continue
-                        content = am.fingerprint(function)
-                        if content in VERIFIED_CONTENTS:
-                            # The content-determined checks are served
-                            # by the memo; def-use/parent bookkeeping
-                            # is NOT content (a fingerprint-identical
-                            # function can carry corrupt use lists), so
-                            # it is always re-checked.
-                            verify_function_bookkeeping(function)
-                        else:
-                            verify_function(function, am)
-                            verified += 1
-                            VERIFIED_CONTENTS.add(content)
-                else:
-                    verify_module(module)
-                    verified = len(module.defined_functions())
+                # Content-addressed verification: a changed function
+                # whose (post-change) fingerprint verified before — in
+                # this module or any other — is not re-verified.
+                for function in changed_functions:
+                    if function.is_declaration() or \
+                            function.module is not module:
+                        continue
+                    content = am.fingerprint(function)
+                    if content in VERIFIED_CONTENTS:
+                        # The content-determined checks are served by
+                        # the memo; def-use/parent bookkeeping is NOT
+                        # content (a fingerprint-identical function can
+                        # carry corrupt use lists), so it is always
+                        # re-checked.
+                        verify_function_bookkeeping(function)
+                    else:
+                        verify_function(function, am)
+                        verified += 1
+                        VERIFIED_CONTENTS.add(content)
             if self.audit_analyses:
                 from repro.passes.audit import audit_preservation
                 audit_preservation(module, am, name)
             if fingerprints:
-                new_fingerprint = self._fingerprint(module, am)
+                new_fingerprint = module_fingerprint(module, am)
                 activity.append(new_fingerprint != fingerprint)
                 fingerprint = new_fingerprint
             else:
@@ -309,9 +293,3 @@ class PassManager:
                 invalidations=am.stats.invalidations - inval0,
             ))
         return activity
-
-    def _fingerprint(self, module, am):
-        if self.analysis_cache:
-            return module_fingerprint(module, am)
-        # Legacy cost model: the seed's print-then-hash fingerprint.
-        return module_text_fingerprint(module)

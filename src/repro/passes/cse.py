@@ -24,7 +24,6 @@ from repro.passes.utils import (
     replace_and_erase,
     value_number_key,
 )
-from repro.passes.worklist import delete_dead_worklist, use_worklist
 
 
 class _EarlyCSEBase(FunctionPass):
@@ -90,10 +89,7 @@ class _EarlyCSEBase(FunctionPass):
                 walk(function.entry, {}, {})
             finally:
                 sys.setrecursionlimit(limit)
-        if use_worklist(am):
-            self._changed |= delete_dead_worklist(function)
-        else:
-            self._changed |= delete_dead_instructions(function)
+        self._changed |= delete_dead_instructions(function)
         return self._changed
 
     @staticmethod
@@ -162,10 +158,7 @@ class GVN(FunctionPass):
                     if leader is None or leader.parent is None:
                         leaders[key] = inst
         changed |= self._load_forwarding(function, dom)
-        if use_worklist(am):
-            changed |= delete_dead_worklist(function)
-        else:
-            changed |= delete_dead_instructions(function)
+        changed |= delete_dead_instructions(function)
         return changed
 
     @staticmethod

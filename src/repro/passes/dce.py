@@ -30,7 +30,6 @@ from repro.passes.utils import (
     replace_and_erase,
     underlying_object,
 )
-from repro.passes.worklist import delete_dead_worklist, use_worklist
 
 
 @register_pass("dce")
@@ -38,8 +37,6 @@ class DCE(FunctionPass):
     preserved_analyses = PRESERVE_CFG
 
     def run_on_function(self, function, am=None):
-        if use_worklist(am):
-            return delete_dead_worklist(function)
         return delete_dead_instructions(function)
 
 
@@ -113,10 +110,7 @@ class BDCE(FunctionPass):
                 if (mask.value & ~known) == 0 and mask.value >= 0:
                     replace_and_erase(inst, ConstantInt(inst.type, 0))
                     changed = True
-        if use_worklist(am):
-            changed |= delete_dead_worklist(function)
-        else:
-            changed |= delete_dead_instructions(function)
+        changed |= delete_dead_instructions(function)
         return changed
 
     def _known_zero_bits(self, value, depth):

@@ -4,6 +4,12 @@
 constant.  ``instcombine`` additionally rewrites instructions into cheaper
 forms (strength reduction, cast/cmp combining).  ``aggressive-instcombine``
 adds pattern folds over small expression trees (constant chains).
+
+All three share one fixpoint body: rescan the function in program order
+while any rewrite makes progress (at most 8 rounds), then sweep the
+trivially dead instructions once.  On the bundled corpus the loop
+reaches its fixpoint well inside the cap: a second run reports no
+activity (``tests/passes/test_differential.py``).
 """
 
 from repro.ir import (
@@ -12,7 +18,6 @@ from repro.ir import (
     ConstantFloat,
     ConstantInt,
     ICmpInst,
-    Instruction,
     SelectInst,
 )
 from repro.ir.instructions import ICMP_SWAP
@@ -23,11 +28,6 @@ from repro.passes.utils import (
     delete_dead_instructions,
     fold_instruction,
     replace_and_erase,
-)
-from repro.passes.worklist import (
-    InstructionWorklist,
-    delete_dead_worklist,
-    use_worklist,
 )
 
 
@@ -168,48 +168,10 @@ class _CombineBase(FunctionPass):
     create_instructions = True
     # Instruction rewrites only; the CFG is never modified.
     preserved_analyses = PRESERVE_CFG
-    #: Live only during a worklist-driven run; rewrite helpers feed it.
-    _worklist = None
 
     def run_on_function(self, function, am=None):
-        if not use_worklist(am):
-            return self._run_rescan(function)
-        return self._run_worklist(function)
-
-    def _run_worklist(self, function):
-        """Worklist engine: seed the whole function once; after each
-        rewrite re-enqueue only the replacement, the users that now see
-        it, and the operand defs that may have become foldable/dead."""
-        worklist = InstructionWorklist()
-        worklist.seed(function)
-        self._worklist = worklist
-        changed = False
-        try:
-            while True:
-                inst = worklist.pop()
-                if inst is None:
-                    break
-                simplified = simplify_instruction(inst)
-                if simplified is not None:
-                    worklist.add_users(inst)
-                    worklist.add_operand_defs(inst)
-                    replace_and_erase(inst, simplified)
-                    if isinstance(simplified, Instruction):
-                        worklist.add(simplified)
-                    changed = True
-                    continue
-                if self.create_instructions and self._combine(inst):
-                    changed = True
-        finally:
-            self._worklist = None
-        # Dead-code collection stays a separate final phase, as in the
-        # rescan engine (combines must not observe post-DCE use counts).
-        changed |= delete_dead_worklist(function)
-        return changed
-
-    def _run_rescan(self, function):
-        """The seed's fixpoint engine: rescan everything while any
-        rewrite makes progress (legacy cost-model baseline)."""
+        """Rescan the whole function while any rewrite makes progress
+        (at most 8 rounds), then sweep the dead instructions."""
         changed = False
         progress = True
         iterations = 0
@@ -248,31 +210,6 @@ class _CombineBase(FunctionPass):
         new_inst.name = inst.name or block.parent.next_name()
         block.insert(index, new_inst)
         replace_and_erase(inst, new_inst)
-        worklist = self._worklist
-        if worklist is not None:
-            worklist.add(new_inst)
-            worklist.add_users(new_inst)
-            worklist.add_operand_defs(new_inst)
-        return True
-
-    def _erase_replacing(self, inst, value):
-        """``replace_and_erase`` that keeps the worklist current (users
-        of ``inst`` now see ``value``; operand defs may die)."""
-        worklist = self._worklist
-        if worklist is not None:
-            worklist.add_users(inst)
-            worklist.add_operand_defs(inst)
-        replace_and_erase(inst, value)
-        if worklist is not None and isinstance(value, Instruction):
-            worklist.add(value)
-        return True
-
-    def _mutated(self, inst):
-        """Re-enqueue an instruction edited in place plus its users."""
-        worklist = self._worklist
-        if worklist is not None:
-            worklist.add(inst)
-            worklist.add_users(inst)
         return True
 
     def _combine_binary(self, inst):
@@ -282,7 +219,7 @@ class _CombineBase(FunctionPass):
                 and not isinstance(rhs, ConstantInt):
             inst.set_operand(0, rhs)
             inst.set_operand(1, lhs)
-            return self._mutated(inst)
+            return True
         if opcode == "mul" and _is_int_const(rhs):
             value = rhs.value
             if value > 1 and (value & (value - 1)) == 0:
@@ -309,7 +246,8 @@ class _CombineBase(FunctionPass):
             # Double negation: ~(~x) -> x.
             if isinstance(lhs, BinaryInst) and lhs.opcode == "xor" \
                     and _is_int_const(lhs.rhs, -1):
-                return self._erase_replacing(inst, lhs.lhs)
+                replace_and_erase(inst, lhs.lhs)
+                return True
         # (x op C1) op C2 -> x op (C1 op C2) for associative op.
         if opcode in ("add", "mul", "and", "or", "xor") \
                 and _is_int_const(rhs) and isinstance(lhs, BinaryInst) \
@@ -332,7 +270,8 @@ class _CombineBase(FunctionPass):
         if isinstance(lhs, CastInst) and lhs.opcode == "zext" \
                 and lhs.value.type == I1 and _is_int_const(rhs, 0):
             if inst.predicate == "ne":
-                return self._erase_replacing(inst, lhs.value)
+                replace_and_erase(inst, lhs.value)
+                return True
             if inst.predicate == "eq":
                 flipped = ICmpInst("eq", lhs.value, ConstantInt(I1, 0))
                 return self._replace_with(inst, flipped)

@@ -12,15 +12,10 @@ and the dominator tree is only rebuilt after a preheader insertion
 changed the CFG (dominance between in-loop blocks is invariant under
 that edge subdivision, so per-loop rebuilds are unnecessary).
 
-The fixpoint body is worklist-driven (PR-3 infrastructure): instead of
-rescanning the whole loop until quiescence, each hoist re-examines only
-the users it may have enabled — scheduled by original program position
-so the hoist *sequence* (and therefore the preheader layout) is
-bit-identical to the seed's rescan engine, which is preserved under
-``analysis_cache=False`` as the measured legacy baseline.
+The fixpoint body rescans the loop in program order while any
+instruction is hoisted; a hoist can only enable its users, so each round
+hoists what the previous one unblocked.
 """
-
-import heapq
 
 from repro.ir import LoadInst
 from repro.passes.analysis import (
@@ -36,7 +31,6 @@ from repro.passes.loop_utils import (
     loops_of,
 )
 from repro.passes.utils import instruction_may_write, is_pure
-from repro.passes.worklist import use_worklist
 
 
 @register_pass("licm")
@@ -79,15 +73,10 @@ class LICM(FunctionPass):
             self._created_preheader = True
             if am is not None:
                 # Stale mid-run analyses would change hoisting
-                # decisions vs the legacy per-loop rebuilds.
+                # decisions.
                 am.invalidate(function, PRESERVE_NONE)
         dom = domtree_of(function, am)
         latches = loop.latches()
-        if use_worklist(am):
-            return self._hoist_worklist(loop, preheader, dom,
-                                        latches), created
-        # Legacy engine (the seed's rescan fixpoint), kept as the
-        # benchmark baseline under ``analysis_cache=False``.
         changed = False
         progress = True
         while progress:
@@ -108,59 +97,6 @@ class LICM(FunctionPass):
                         self._hoist(inst, preheader)
                         progress = changed = True
         return changed, created
-
-    def _hoist_worklist(self, loop, preheader, dom, latches):
-        """Position-scheduled hoisting, bit-identical to the rescan
-        engine: eligibility is monotone (a hoist can only *enable*
-        users), so processing candidates in program order — re-queueing
-        a hoist's in-loop users ahead of the cursor into the current
-        sweep and the rest into the next one — replays the exact hoist
-        sequence the rescan rounds produce, without the quadratic
-        full-loop rescans."""
-        candidates = [inst for block in loop.ordered_blocks()
-                      for inst in block.instructions]
-        position = {id(inst): i for i, inst in enumerate(candidates)}
-        heap = list(range(len(candidates)))
-        queued = set(heap)
-        deferred = set()
-        changed = False
-        while heap or deferred:
-            if not heap:
-                # Sweep exhausted: deferred enablees (users at positions
-                # the cursor already passed) form the next sweep, in
-                # program order — exactly the rescan engine's next round.
-                heap = sorted(deferred)
-                queued = set(heap)
-                deferred = set()
-            index = heapq.heappop(heap)
-            queued.discard(index)
-            inst = candidates[index]
-            if inst.parent is None or inst.parent not in loop.blocks:
-                continue
-            if not invariant_operands(inst, loop):
-                continue
-            if is_pure(inst) and not isinstance(inst, LoadInst):
-                pass  # speculatively hoistable: pure and cannot trap
-            elif isinstance(inst, LoadInst) and \
-                    self._can_hoist_load(inst, loop, dom, latches):
-                pass
-            else:
-                continue
-            self._hoist(inst, preheader)
-            changed = True
-            for user, _ in inst.uses:
-                user_index = position.get(id(user))
-                if user_index is None or user_index in queued:
-                    continue
-                if user.parent is None or \
-                        user.parent not in loop.blocks:
-                    continue
-                if user_index > index:
-                    heapq.heappush(heap, user_index)
-                    queued.add(user_index)
-                else:
-                    deferred.add(user_index)
-        return changed
 
     @staticmethod
     def _hoist(inst, preheader):

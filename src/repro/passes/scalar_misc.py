@@ -30,7 +30,6 @@ from repro.passes.utils import (
     must_alias,
     replace_and_erase,
 )
-from repro.passes.worklist import delete_dead_worklist, use_worklist
 
 
 @register_pass("reassociate")
@@ -82,10 +81,7 @@ class Reassociate(FunctionPass):
                 if current is not inst:
                     replace_and_erase(inst, current)
                     changed = True
-        if use_worklist(am):
-            changed |= delete_dead_worklist(function)
-        else:
-            changed |= delete_dead_instructions(function)
+        changed |= delete_dead_instructions(function)
         return changed
 
     @staticmethod
@@ -452,10 +448,7 @@ class Float2Int(FunctionPass):
                     user.erase_from_parent()
                 inst.erase_from_parent()
                 changed = True
-        if use_worklist(am):
-            changed |= delete_dead_worklist(function)
-        else:
-            changed |= delete_dead_instructions(function)
+        changed |= delete_dead_instructions(function)
         return changed
 
 

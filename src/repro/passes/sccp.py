@@ -34,7 +34,6 @@ from repro.passes.utils import (
     fold_icmp,
     replace_and_erase,
 )
-from repro.passes.worklist import delete_dead_worklist, use_worklist
 
 _TOP = "top"        # undefined / not yet known
 _BOTTOM = "bottom"  # overdefined
@@ -219,14 +218,12 @@ class _SCCPSolver:
         return _BOTTOM
 
 
-def _apply_lattice(function, lattice, executable_blocks, worklist=True):
+def _apply_lattice(function, lattice, executable_blocks):
     """Rewrite the function according to solved lattice values.
 
     Returns ``(changed, cfg_changed)`` — ``cfg_changed`` is True when a
     branch folded (an edge disappeared), which is the only rewrite here
-    that invalidates dominator/loop analyses.  The trailing dead-code
-    cleanup runs the worklist engine unless the caller runs the legacy
-    (rescan) cost model.
+    that invalidates dominator/loop analyses.
     """
     from repro.ir.values import Constant
 
@@ -253,10 +250,7 @@ def _apply_lattice(function, lattice, executable_blocks, worklist=True):
     for block in function.blocks:
         if constant_fold_terminator(block):
             changed = cfg_changed = True
-    if worklist:
-        changed |= delete_dead_worklist(function)
-    else:
-        changed |= delete_dead_instructions(function)
+    changed |= delete_dead_instructions(function)
     return changed, cfg_changed
 
 
@@ -273,8 +267,7 @@ class SCCP(FunctionPass):
         solver = _SCCPSolver(function)
         lattice = solver.solve()
         changed, self._cfg_changed = _apply_lattice(
-            function, lattice, solver.executable_blocks,
-            worklist=use_worklist(am))
+            function, lattice, solver.executable_blocks)
         return changed
 
     def preserved_for(self, function):
@@ -319,8 +312,7 @@ class IPSCCP(Pass):
                     call_oracle=lambda call, lattice: _BOTTOM)
                 lattice = solver.solve()
                 function_changed, _ = _apply_lattice(
-                    function, lattice, solver.executable_blocks,
-                    worklist=use_worklist(am))
+                    function, lattice, solver.executable_blocks)
                 changed |= function_changed
             return changed
         arg_states = {f.name: {} for f in functions}
@@ -385,7 +377,6 @@ class IPSCCP(Pass):
                                  call_oracle=final_oracle)
             lattice = solver.solve()
             function_changed, _ = _apply_lattice(
-                function, lattice, solver.executable_blocks,
-                worklist=use_worklist(am))
+                function, lattice, solver.executable_blocks)
             changed |= function_changed
         return changed

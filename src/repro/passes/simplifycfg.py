@@ -4,24 +4,13 @@ Folds constant branches, removes unreachable blocks, merges straight-line
 block chains, skips empty forwarding blocks, collapses trivial phis, and
 if-converts small diamonds into selects.
 
-Two execution engines share the per-block rewrite rules:
-
-- the **dirty-block engine** (default): keeps the seed's round
-  structure but each round only visits blocks marked by the previous
-  round's rewrites (the touched block, blocks whose predecessor sets
-  changed, users of collapsed phis);
-- the **rescan engine** (``PassManager(analysis_cache=False)``): the
-  seed's ``while progress: apply every rule to every block`` loop, kept
-  as the measured legacy cost-model baseline.
+One fixpoint body applies every rule to every block, in a fixed
+priority order, while any rule makes progress (the rules interact: a
+merge exposes a diamond, a fold orphans a region).
 
 Every guard query reads the IR-maintained predecessor links
-(``Block.predecessors()`` is O(preds)), so neither engine rebuilds a
-predecessors map after CFG edits — the per-round O(V+E) rebuild this
-pass historically paid is gone with the stale-map hazard it carried.
-
-Both engines apply the same rules in the same order and are
-bit-identical on the differential corpus
-(``tests/passes/test_worklist_vs_rescan.py``).
+(``Block.predecessors()`` is O(preds)), so no rule rebuilds a
+predecessors map after CFG edits.
 """
 
 from repro.ir import (
@@ -36,7 +25,6 @@ from repro.passes.utils import (
     constant_fold_terminator,
     remove_block_from_phis,
 )
-from repro.passes.worklist import CFGWorklist, use_worklist
 
 
 @register_pass("simplifycfg")
@@ -45,101 +33,6 @@ class SimplifyCFG(FunctionPass):
     preserved_analyses = PRESERVE_NONE
 
     def run_on_function(self, function, am=None):
-        if not use_worklist(am):
-            return self._run_rescan(function)
-        return self._run_worklist(function)
-
-    # -- dirty-block engine -----------------------------------------------
-    def _run_worklist(self, function):
-        """The rescan engine's round structure, restricted per round to
-        the blocks the previous round's rewrites could have affected.
-
-        Rule order, intra-rule iteration order, and each rule's
-        fixpoint shape match ``_run_rescan`` exactly; only the clean
-        blocks — where no rule can newly fire — are skipped, so the two
-        engines apply the same rewrites in the same order and converge
-        to bit-identical IR (differential-tested for every pass).
-        """
-        changed = False
-        dirty = None  # marked ids from the previous round; None = all
-        while True:
-            marks = CFGWorklist()
-            if dirty is not None and not dirty:
-                break
-            progress = False
-
-            def is_dirty(block, dirty=dirty, marks=marks):
-                return (dirty is None or id(block) in dirty
-                        or id(block) in marks.ids)
-
-            # 1. Fold constant branches; a removed edge changes the dead
-            #    target's predecessor set (and can orphan a region).
-            folded = False
-            for block in function.blocks:
-                if not is_dirty(block):
-                    continue
-                before = block.successors()
-                if constant_fold_terminator(block):
-                    folded = True
-                    marks.add(block)
-                    after = set(block.successors())
-                    for succ in before:
-                        if succ not in after:
-                            marks.add_pred_change(succ)
-            progress |= folded
-
-            # 2. Remove unreachable blocks (round 1 also clears dead
-            #    blocks left by earlier passes, as the rescan does).
-            if folded or dirty is None:
-                if self._remove_unreachable(function, marks):
-                    progress = True
-
-            # 3. Collapse trivial phis to a cross-block fixpoint.
-            collapsing = True
-            while collapsing:
-                collapsing = False
-                for block in function.blocks:
-                    if not is_dirty(block):
-                        continue
-                    if self._collapse_phis_at(block, marks):
-                        collapsing = True
-                progress |= collapsing
-
-            # 4. Merge chains: first dirty mergeable block in list
-            #    order, restart after each merge (the rescan's shape).
-            merging = True
-            while merging:
-                merging = False
-                for block in list(function.blocks):
-                    if block.parent is None or not is_dirty(block):
-                        continue
-                    if self._merge_chain_at(block, marks):
-                        merging = True
-                        progress = True
-                        break
-
-            # 5. Skip empty forwarding blocks (one sweep per round).
-            for block in list(function.blocks):
-                if block.parent is None or not is_dirty(block):
-                    continue
-                if self._skip_forwarding_at(block, marks):
-                    progress = True
-
-            # 6. If-convert empty diamonds (one sweep per round).
-            for block in list(function.blocks):
-                if block.parent is None or not is_dirty(block):
-                    continue
-                if self._diamond_at(block, marks):
-                    progress = True
-
-            changed |= progress
-            if not progress:
-                break
-            dirty = marks.ids
-        return changed
-
-    # -- rescan engine (legacy cost model) --------------------------------
-    def _run_rescan(self, function):
         changed = False
         progress = True
         while progress:
@@ -161,23 +54,16 @@ class SimplifyCFG(FunctionPass):
         return changed
 
     @staticmethod
-    def _remove_unreachable(function, worklist=None):
+    def _remove_unreachable(function):
         reachable = reachable_blocks(function)
         dead = [b for b in function.blocks if b not in reachable]
         if not dead:
             return False
         dead_set = set(dead)
-        # Ordered dedup: the worklist below seeds from this, and seeding
-        # order must not depend on block object addresses.
-        survivors = []
-        survivor_set = set()
         for block in dead:
             for succ in block.successors():
                 if succ not in dead_set:
                     remove_block_from_phis(block, succ)
-                    if succ not in survivor_set:
-                        survivor_set.add(succ)
-                        survivors.append(succ)
         for block in dead:
             # Break def-use links into the live region first.
             for inst in list(block.instructions):
@@ -185,14 +71,11 @@ class SimplifyCFG(FunctionPass):
                 if not inst.type.is_void() and inst.is_used():
                     inst.replace_all_uses_with(UndefValue(inst.type))
             block.remove_from_parent()
-        if worklist is not None:
-            for succ in survivors:
-                worklist.add_pred_change(succ)
         return True
 
-    # -- per-block rules (shared by both engines) -------------------------
+    # -- per-block rules ----------------------------------------------------
     @staticmethod
-    def _collapse_phis_at(block, worklist=None):
+    def _collapse_phis_at(block):
         """Collapse trivial phis of one block."""
         changed = False
         preds = block.predecessors()
@@ -206,13 +89,6 @@ class SimplifyCFG(FunctionPass):
                     value = values[0]
             if value is None:
                 continue
-            if worklist is not None:
-                worklist.add(block)
-                # A phi user elsewhere may have just become trivial (or
-                # a condbr condition constant).
-                for user in phi.users:
-                    if user.parent is not None:
-                        worklist.add(user.parent)
             phi.replace_all_uses_with(value)
             phi.erase_from_parent()
             changed = True
@@ -230,7 +106,7 @@ class SimplifyCFG(FunctionPass):
         return changed
 
     @staticmethod
-    def _merge_chain_at(block, worklist=None):
+    def _merge_chain_at(block):
         """Merge ``block -> succ`` when block's only successor is succ
         and succ's only predecessor is block."""
         function = block.parent
@@ -258,10 +134,6 @@ class SimplifyCFG(FunctionPass):
             for phi in after.phis():
                 phi.replace_incoming_block(succ, block)
         function.remove_block(succ)
-        if worklist is not None:
-            worklist.add(block)  # may merge again / expose a diamond
-            for after in after_blocks:
-                worklist.add_pred_change(after)
         return True
 
     @staticmethod
@@ -278,7 +150,7 @@ class SimplifyCFG(FunctionPass):
         return changed
 
     @staticmethod
-    def _skip_forwarding_at(block, worklist=None):
+    def _skip_forwarding_at(block):
         """Rewire predecessors around ``block`` when it is an empty
         block that just ``br``'s on."""
         function = block.parent
@@ -310,8 +182,7 @@ class SimplifyCFG(FunctionPass):
         for phi in target.phis():
             # Splice the rewired entries where the forwarded entry sat,
             # so the resulting incoming order does not depend on when
-            # this rule fires (the two engines reach it at different
-            # times; appending would leave order-divergent phis).
+            # this rule fires.
             pairs = []
             for value, incoming in zip(phi.operands,
                                        phi.incoming_blocks):
@@ -324,8 +195,6 @@ class SimplifyCFG(FunctionPass):
             for value, incoming in pairs:
                 phi.add_incoming(value, incoming)
         block.remove_from_parent()
-        if worklist is not None:
-            worklist.add_pred_change(target)
         return True
 
     @staticmethod
@@ -336,7 +205,7 @@ class SimplifyCFG(FunctionPass):
         return changed
 
     @staticmethod
-    def _diamond_at(block, worklist=None):
+    def _diamond_at(block):
         """If-convert a diamond/triangle branching at ``block`` whose
         arms are empty.
 
@@ -413,9 +282,6 @@ class SimplifyCFG(FunctionPass):
         for arm in (arm_true, arm_false):
             if arm is not block:
                 arm.remove_from_parent()
-        if worklist is not None:
-            worklist.add(block)  # now a straight branch: may merge
-            worklist.add_pred_change(join)
         return True
 
     @staticmethod

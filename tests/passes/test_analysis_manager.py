@@ -80,12 +80,6 @@ def test_invalidate_module_drops_removed_functions(module):
     assert am.cached("domtree", _main(module)) is None
 
 
-def test_disabled_manager_recomputes(module):
-    am = AnalysisManager(enabled=False)
-    main = _main(module)
-    assert am.domtree(main) is not am.domtree(main)
-
-
 def test_module_fingerprint_with_manager_matches_plain(module):
     am = AnalysisManager()
     assert module_fingerprint(module, am) == module_fingerprint(module)
@@ -149,23 +143,6 @@ def test_passmanager_records_per_phase_stats(module):
     assert stats["phases"][0]["changed_functions"] > 0
     assert stats["total_seconds"] >= sum(
         p["seconds"] for p in stats["phases"]) * 0.99
-
-
-def test_legacy_mode_matches_new_mode_output():
-    for fingerprints in (False, True):
-        legacy = compile_source(SMOKE_SOURCE)
-        modern = compile_source(SMOKE_SOURCE)
-        sequence = ["mem2reg", "instcombine", "licm", "loop-unroll",
-                    "sccp", "simplifycfg", "dce"]
-        run_legacy = (PassManager(verify=True, analysis_cache=False)
-                      .run_with_fingerprints if fingerprints else
-                      PassManager(verify=True, analysis_cache=False).run)
-        run_modern = (PassManager(verify=True).run_with_fingerprints
-                      if fingerprints else PassManager(verify=True).run)
-        activity_legacy = run_legacy(legacy, sequence)
-        activity_modern = run_modern(modern, sequence)
-        assert activity_legacy == activity_modern
-        assert module_fingerprint(legacy) == module_fingerprint(modern)
 
 
 def test_shared_manager_across_sequences(module):

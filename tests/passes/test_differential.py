@@ -9,9 +9,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import STANDARD_LEVELS
 from repro.ir import run_module, verify_module
 from repro.lang import compile_source
 from repro.passes import PassManager, available_phases
+from repro.passes.cloning import clone_module
+from repro.workloads import load_suite
 from tests.conftest import SMOKE_SOURCE
 
 PHASES = available_phases()
@@ -132,11 +135,34 @@ def test_engine_cached_vs_fresh_compiles_identical(source_index,
     assert run_module(module).observable() == reference(source)
 
 
+#: Mid-pipeline states the idempotence sweep starts from: straight out
+#: of mem2reg, after unrolling, after inlining, and after -O2.
+IDEMPOTENCE_PREFIXES = (
+    ("mem2reg",),
+    ("mem2reg", "simplifycfg", "licm", "loop-unroll"),
+    ("inline", "mem2reg", "sccp", "gvn"),
+    tuple(STANDARD_LEVELS["-O2"]),
+)
+
+
 def test_idempotence_of_cleanup_phases():
-    """Running a cleanup phase twice: the second run reports no change."""
-    for phase in ("dce", "simplifycfg", "adce", "dse", "globaldce"):
-        module = compile_source(SMOKE_SOURCE)
-        manager = PassManager()
-        manager.run(module, ["mem2reg", phase])
-        activity = manager.run_with_fingerprints(module, [phase])
-        assert activity == [False], phase
+    """Running a cleanup or fixpoint phase twice: the second run reports
+    no change.  For instcombine and its siblings this pins that the
+    8-round cap never stops the rescan loop short of its fixpoint."""
+    phases = ("dce", "simplifycfg", "adce", "dse", "globaldce",
+              "instcombine", "instsimplify", "aggressive-instcombine",
+              "licm")
+    programs = [("smoke", SMOKE_SOURCE)] + [
+        (workload.name, workload.source)
+        for suite in ("beebs", "parsec", "multi")
+        for workload in load_suite(suite)]
+    for name, source in programs:
+        for prefix in IDEMPOTENCE_PREFIXES:
+            state = compile_source(source)
+            PassManager().run(state, list(prefix))
+            for phase in phases:
+                module = clone_module(state)
+                manager = PassManager()
+                manager.run(module, [phase])
+                activity = manager.run_with_fingerprints(module, [phase])
+                assert activity == [False], (name, prefix, phase)

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.ir import (
+    BinaryInst,
+    ConstantInt,
     LoopInfo,
     check_lcssa,
     run_module,
@@ -519,11 +521,11 @@ def test_warm_vs_fresh_on_multi_exit_corpus(source, phase):
     assert results[True] == results[False], phase
 
 
-def test_licm_worklist_matches_rescan_under_permuted_layout():
-    """The worklist licm must replay the rescan engine's exact hoist
-    sequence even when block layout puts users before their operands'
-    defs (the deferred-refill path — regression for a drain bug where
-    skip-only sweeps abandoned deferred candidates)."""
+def test_licm_hoists_chain_under_permuted_layout():
+    """licm hoists a dependent invariant chain even when block layout
+    puts the user's block before its operand's def (the user is only
+    enabled in a later rescan round), and the program keeps its -O0
+    output."""
     import random
 
     src = """
@@ -532,27 +534,41 @@ def test_licm_worklist_matches_rescan_under_permuted_layout():
       int total = 0;
       for (int i = 0; i < 12; i++) {
         int x = a * b;
-        int y = x + 5;
-        total += y + i;
+        if (i > 3) {
+          int y = x + 5;
+          total += y;
+        } else {
+          total += i;
+        }
       }
       print_int(total);
       return total % 251;
     }
     """
+    expected = run_module(compile_source(src)).observable()
+
+    def constants(inst):
+        return [op.value for op in inst.operands
+                if isinstance(op, ConstantInt)]
+
     for trial in range(10):
-        worklist = compile_source(src)
-        rescan = compile_source(src)
-        PassManager().run(worklist, ["mem2reg"])
-        PassManager().run(rescan, ["mem2reg"])
-        for module in (worklist, rescan):
-            fn = module.get_function("main")
-            body = fn.blocks[1:]
-            random.Random(trial).shuffle(body)
-            fn.blocks[1:] = body
-        PassManager().run(worklist, ["licm"])
-        PassManager(analysis_cache=False).run(rescan, ["licm"])
-        assert module_fingerprint(worklist) == \
-            module_fingerprint(rescan), trial
+        module = compile_source(src)
+        PassManager().run(module, ["mem2reg"])
+        fn = module.get_function("main")
+        body = fn.blocks[1:]
+        random.Random(trial).shuffle(body)
+        fn.blocks[1:] = body
+        fn._invalidate_positions()  # the raw splice bypassed the index
+        PassManager(verify=True).run(module, ["licm"])
+        (loop,) = LoopInfo(fn).loops
+        hoisted = [inst for inst in loop.preheader().instructions
+                   if isinstance(inst, BinaryInst)]
+        products = [inst for inst in hoisted if inst.opcode == "mul"
+                    and sorted(constants(inst)) == [3, 11]]
+        assert len(products) == 1, trial
+        assert any(inst.opcode == "add" and products[0] in inst.operands
+                   and constants(inst) == [5] for inst in hoisted), trial
+        assert run_module(module).observable() == expected, trial
 
 
 def test_warm_loopcanon_memo_does_not_skip_lcssa_after_simplify():

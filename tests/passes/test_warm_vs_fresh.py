@@ -29,6 +29,21 @@ PHASES = available_phases()
 WARMUP = ["mem2reg", "instcombine", "licm"]
 
 
+class FreshAnalyses(AnalysisManager):
+    """A manager that caches nothing: every query recomputes from the
+    IR as it is now, so a run against it is the fresh-analyses oracle
+    for a run against a shared, invalidation-driven manager."""
+
+    def get(self, name, function):
+        return self._compute(name, function)
+
+    def put(self, name, function, value):
+        pass
+
+    def store_module_fingerprint(self, module, digest):
+        pass
+
+
 def _expression_source(expr):
     return f"""
     int main() {{
@@ -108,9 +123,8 @@ def test_warm_vs_fresh_random_sequences(sequence):
         shared, sequence, am=am)
 
     fresh = compile_source(SMOKE_SOURCE)
-    fresh_activity = PassManager(
-        verify=True, analysis_cache=False).run_with_fingerprints(
-        fresh, sequence)
+    fresh_activity = PassManager(verify=True).run_with_fingerprints(
+        fresh, sequence, am=FreshAnalyses())
 
     assert shared_activity == fresh_activity
     assert module_fingerprint(shared) == module_fingerprint(fresh)

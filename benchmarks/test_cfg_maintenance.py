@@ -16,11 +16,15 @@ end-to-end cold-evaluation guard stays in ``test_passmanager.py`` —
 this file isolates the query layer so a bookkeeping regression shows
 up at its own doorstep.
 
-Marked ``fast`` (tier-1 guard).
+Two tests: the identical-answer check is marked ``fast`` and runs in
+tier-1; the >= 1.2x speed ratios are a wall-clock measurement, so they
+run in the slow tier (CI perf-smoke, ``-m slow``) as the median of three
+timed attempts.
 """
 
 import json
 import os
+import statistics
 import time
 
 import pytest
@@ -28,8 +32,6 @@ import pytest
 from repro.ir.cfg import LoopInfo
 from repro.passes import PassManager
 from repro.workloads import load_suite
-
-pytestmark = pytest.mark.fast
 
 BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_passmanager.json")
@@ -131,59 +133,67 @@ def _time_loop_queries(loop_infos, ordered, exits):
     return time.perf_counter() - started, total
 
 
-def test_cfg_queries_beat_the_scan_cost_model():
-    """Maintained predecessor links and block positions must answer
-    the hot CFG queries measurably faster (>= 1.2x) than the seed's
-    per-query scans, with identical answers."""
+@pytest.mark.fast
+def test_cfg_queries_match_the_scan_cost_model():
+    """Maintained predecessor links and block positions give the same
+    answers, in the same order, as the seed's per-query scans."""
     functions = _prepared_functions()
-    loop_infos = [LoopInfo(fn) for fn in functions]
-
-    # Identical answers first (the speed is worthless otherwise).
     for function in functions:
         for block in function.blocks:
             assert [id(b) for b in block.predecessors()] == \
                 [id(b) for b in _legacy_predecessors(block)]
-    for info in loop_infos:
+    for info in (LoopInfo(fn) for fn in functions):
         for loop in info.loops:
             assert [id(b) for b in loop.ordered_blocks()] == \
                 [id(b) for b in _legacy_ordered_blocks(loop)]
             assert [id(b) for b in loop.exit_blocks()] == \
                 [id(b) for b in _legacy_exit_blocks(loop)]
 
-    best_pred = best_loop = 0.0
+
+def test_cfg_queries_median_speedup_at_least_1_2x():
+    """Maintained predecessor links and block positions must answer
+    the hot CFG queries measurably faster (>= 1.2x, median of three
+    attempts) than the seed's per-query scans."""
+    functions = _prepared_functions()
+    loop_infos = [LoopInfo(fn) for fn in functions]
+    times = {"pred_scan": [], "pred_maintained": [],
+             "loop_scan": [], "loop_maintained": []}
     for _attempt in range(3):
-        legacy_pred, checksum_a = _time_pred_queries(
+        seconds, checksum_a = _time_pred_queries(
             functions, _legacy_predecessors)
-        maintained_pred, checksum_b = _time_pred_queries(
+        times["pred_scan"].append(seconds)
+        seconds, checksum_b = _time_pred_queries(
             functions, lambda block: block.predecessors())
+        times["pred_maintained"].append(seconds)
         assert checksum_a == checksum_b
-        legacy_loop, checksum_c = _time_loop_queries(
+        seconds, checksum_c = _time_loop_queries(
             loop_infos, _legacy_ordered_blocks, _legacy_exit_blocks)
-        maintained_loop, checksum_d = _time_loop_queries(
+        times["loop_scan"].append(seconds)
+        seconds, checksum_d = _time_loop_queries(
             loop_infos, lambda lp: lp.ordered_blocks(),
             lambda lp: lp.exit_blocks())
+        times["loop_maintained"].append(seconds)
         assert checksum_c == checksum_d
-        pred_speedup = legacy_pred / max(maintained_pred, 1e-9)
-        loop_speedup = legacy_loop / max(maintained_loop, 1e-9)
-        best_pred = max(best_pred, pred_speedup)
-        best_loop = max(best_loop, loop_speedup)
-        if best_pred >= 1.2 and best_loop >= 1.2:
-            break
-    print(f"\n[cfg-bench] predecessors: scan {legacy_pred * 1e3:.1f}ms, "
-          f"maintained {maintained_pred * 1e3:.1f}ms -> "
+    median = {name: statistics.median(values)
+              for name, values in times.items()}
+    pred_speedup = median["pred_scan"] / max(median["pred_maintained"], 1e-9)
+    loop_speedup = median["loop_scan"] / max(median["loop_maintained"], 1e-9)
+    print(f"\n[cfg-bench] medians of 3: predecessors: scan "
+          f"{median['pred_scan'] * 1e3:.1f}ms, maintained "
+          f"{median['pred_maintained'] * 1e3:.1f}ms -> "
           f"{pred_speedup:.2f}x; loop queries: scan "
-          f"{legacy_loop * 1e3:.1f}ms, maintained "
-          f"{maintained_loop * 1e3:.1f}ms -> {loop_speedup:.2f}x")
+          f"{median['loop_scan'] * 1e3:.1f}ms, maintained "
+          f"{median['loop_maintained'] * 1e3:.1f}ms -> {loop_speedup:.2f}x")
     _record({
         "benchmark": "cfg_maintenance",
         "functions": len(functions),
         "query_rounds": QUERY_ROUNDS,
-        "pred_scan_seconds": round(legacy_pred, 4),
-        "pred_maintained_seconds": round(maintained_pred, 4),
+        "pred_scan_seconds": round(median["pred_scan"], 4),
+        "pred_maintained_seconds": round(median["pred_maintained"], 4),
         "pred_speedup": round(pred_speedup, 2),
-        "loop_scan_seconds": round(legacy_loop, 4),
-        "loop_maintained_seconds": round(maintained_loop, 4),
+        "loop_scan_seconds": round(median["loop_scan"], 4),
+        "loop_maintained_seconds": round(median["loop_maintained"], 4),
         "loop_speedup": round(loop_speedup, 2),
     })
-    assert best_pred >= 1.2, (legacy_pred, maintained_pred)
-    assert best_loop >= 1.2, (legacy_loop, maintained_loop)
+    assert pred_speedup >= 1.2, times
+    assert loop_speedup >= 1.2, times

@@ -16,7 +16,10 @@ host: 4.03x (seed 11.60 s, interpreter 2.88 s, decode 0.16 s of it).
 
 Slow tier: a wall-clock ratio never gates the tier-1 selection.
 Running with ``REPRO_BENCH_RECORD=1`` appends the numbers to
-``BENCH_sim.json`` at the repo root.
+``BENCH_sim.json`` at the repo root, with the absolute run time (tape
+minus decode), the executed instruction count and the nanoseconds per
+executed instruction, so the simulator's own speed is tracked, not only
+its ratio to the seed.
 """
 
 import json
@@ -91,15 +94,23 @@ def test_cold_profile_at_least_3x_seed():
     seed_seconds = statistics.median(seed_times)
     tape_seconds = statistics.median(tape_times)
     speedup = seed_seconds / max(tape_seconds, 1e-9)
+    run_seconds = tape_seconds - decode_seconds
+    instructions = sum(outcome[2] for outcome in tape_outcomes)
+    ns_per_instruction = run_seconds / instructions * 1e9
     print(f"\n[sim-tape-bench] {len(programs)} cold programs: seed "
           f"{seed_seconds:.2f}s, interpreter {tape_seconds:.2f}s "
-          f"(decode {decode_seconds:.2f}s) -> {speedup:.2f}x")
+          f"(decode {decode_seconds:.2f}s, run {run_seconds:.2f}s over "
+          f"{instructions} instructions, {ns_per_instruction:.0f} ns "
+          f"each) -> {speedup:.2f}x")
     _record({
         "benchmark": "cold_interpreter_vs_seed_profile",
         "programs": len(programs),
         "seed_seconds": round(seed_seconds, 4),
         "tape_seconds": round(tape_seconds, 4),
         "decode_seconds": round(decode_seconds, 4),
+        "run_seconds": round(run_seconds, 4),
+        "instructions": instructions,
+        "ns_per_instruction": round(ns_per_instruction, 1),
         "speedup": round(speedup, 2),
     })
     assert speedup >= 3.0, (seed_times, tape_times)

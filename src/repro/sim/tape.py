@@ -9,30 +9,50 @@ interprets that table in ``run``:
 
 - Each basic block is split at control transfers (``bcc``/``fbcc``/
   ``call``/``jmp``/``ret``) into *segments*: straight-line runs in which
-  every instruction executes exactly once.  Fuel and the dynamic
-  histogram are charged once per segment, in first-occurrence order,
-  which reproduces the seed's per-instruction insertion order.
-- Every instruction becomes one tuple: op code, operand indices, the
-  registers its timing waits on and marks ready, its latency, and its
-  I-cache set and tag.  Immediates, global addresses and float
-  constants sit in constant slots appended to the register file, so an
-  operand read is one list subscript; loads and stores with a stack-slot
-  base have their own op codes (``fb + k``).
-- One dispatch loop runs the whole program.  The pipeline state (issue
-  time, stalls, I-cache counters, mispredicts) lives in locals and calls
-  use an explicit stack.  The scoreboard, the 2-bit predictor and the
-  I-cache are inlined with the seed's exact arithmetic; D-cache
-  accesses go through the real :class:`~repro.sim.pipeline.Cache`.
-  An untimed run drives the same loop against a private
-  ``PipelineModel`` and drops it.
+  every instruction executes exactly once.
+- Every instruction becomes one tuple: op code, operand indices, three
+  scoreboard sources (padded with a ready slot that stays 0.0), the
+  register it marks ready, its latency, and its fetch.  Immediates,
+  global addresses, float constants and stack-slot offsets sit in
+  constant slots after the register file and the frame base, so an
+  operand read is one list subscript and a stack access is an ordinary
+  ``ld``/``st`` off the frame-base slot.
+- One dispatch loop runs the whole program, with the pipeline state
+  (issue time, stalls, both caches' counters, mispredicts) in locals and
+  an explicit call stack.  The scoreboard, the 2-bit predictor and both
+  caches are inlined with the seed's exact arithmetic; only block ops
+  call :meth:`~repro.sim.pipeline.Cache.access`, with the counters
+  synced around the call.  An untimed run drives the same loop against
+  a private ``PipelineModel`` and drops it.
+
+What is charged where:
+
+- *Per segment:* fuel and the instruction count, and one execution count
+  keyed by segment index.  ``run`` expands the counts into
+  ``dynamic_histogram`` when it returns, in first-execution order, which
+  is the seed's per-instruction insertion order (the energy model sums
+  in that order).
+- *Per I-cache line run:* the fetch.  Decoding tags the first
+  instruction of each run of instructions of one segment that share an
+  I-cache line with the run's length ``n``; it does one lookup, charges
+  ``n`` ticks and ``n`` hits (or one miss and ``n - 1`` hits) and leaves
+  the run's last tick in the cache.  Nothing else touches the I-cache
+  inside a segment, so this is exactly the seed's ``n`` accesses.  The
+  other instructions do not fetch.
+- *Per instruction:* the value, the D-cache access of a load or store,
+  and the scoreboard over at most three sources; ``cmov`` and ``vop``,
+  which can have more, first fold the rest into one ready slot.
 
 Nothing is generated, compiled or cached: decoding costs about a
 millisecond per program, so every ``TapeSimulator`` decodes afresh and
 ``tape_cache_stats()`` only counts decodes.  Over the cold corpus (164
-programs, each decoded and run once; 2-vCPU host) decode plus run was
-measured 2.35x faster than building and running generated Python per
-program, and 3.97x faster than the seed simulator;
-``benchmarks/test_sim_tape.py`` guards the ratio to the seed.
+programs, each decoded and run once, 2.49 M executed instructions;
+2-vCPU host, three runs) decode took 0.13-0.16 s and the run 1.7-1.9 s,
+680-760 ns per executed instruction; decode plus run was 5.0-5.9x faster
+than the seed simulator, against 4.3-4.7x with one fetch, one
+``Cache.access`` call and one histogram update per instruction.
+``benchmarks/test_sim_tape.py`` guards the ratio to the seed and records
+the run time per executed instruction.
 
 Timing replication is exact, quirks included: ``operand_ready`` takes
 the destination register into account, branches and stores mark their
@@ -40,13 +60,15 @@ the destination register into account, branches and stores mark their
 ops touch the D-cache at the instruction's *code* address.  All value
 semantics come from :mod:`repro.ir.arith`.
 
-Divergence on *failing* runs only: fuel is charged per segment, so a run
-that raises ``SimulationError`` may stop with different partial counters
-than the seed, but with the same error text.  Successful runs are
-bit-identical in observables, instruction counts, cycles, cache and
+Divergence on *failing* runs only: fuel is charged per segment, a fetch
+per line run and a load or store traps before its D-cache access, so a
+run that raises ``SimulationError`` may stop with different partial
+counters than the seed, but with the same error text.  Successful runs
+are bit-identical in observables, instruction counts, cycles, cache and
 predictor state, and histogram order (``tests/sim/test_tape.py``).
 """
 
+import itertools
 import operator
 import time
 
@@ -60,10 +82,10 @@ from repro.sim.pipeline import PipelineModel
 _SPLIT = frozenset({"bcc", "fbcc", "call", "jmp", "ret"})
 _MIN64, _MAX64 = -(1 << 63), (1 << 63) - 1
 
-# Op codes of the dispatch loop.  Codes from ``LD`` up need a step
-# after the scoreboard update (a trap check, the predictor, a call).
-(MOV, FRAME, LEA, INT2, FN2, FN1, CMP, CMOV, PRINT, JMP, RAISE,
- LD, LDS, ST, STS, BR, CALL, RET, MEMSET, MEMCPY, VOP) = range(21)
+# Op codes of the dispatch loop.  Codes from ``ST`` up need a step
+# after the scoreboard update (a store miss, the predictor, a call).
+(MOV, FRAME, LEA, INT2, FN2, FN1, CMP, CMOV, PRINT, JMP, RAISE, LD,
+ ST, BR, CALL, RET, MEMSET, MEMCPY, VOP) = range(19)
 
 
 def _intrinsic(name):
@@ -126,7 +148,16 @@ def tape_cache_stats():
 # -- decoding ----------------------------------------------------------------
 
 class _Decoder:
-    """Splits a program into segments and decodes each instruction."""
+    """Splits a program into segments and decodes each instruction.
+
+    Register-file indices: ``R`` holds the registers, then the frame
+    base (``fb``), then the constants.  ``RD`` (ready times) holds the
+    registers, then three slots of its own: ``sink`` takes the ready
+    time of instructions with no register destination, ``pad`` stays
+    0.0 and fills unused scoreboard sources, and ``wide`` carries the
+    latest ready time of the sources past the first two of a ``cmov`` or
+    ``vop``.
+    """
 
     def __init__(self, program, isa):
         self.program = program
@@ -135,46 +166,56 @@ class _Decoder:
         self.reg_names = tuple(r.name for r in regs)
         self.reg_index = {name: i for i, name in enumerate(self.reg_names)}
         self.n_int = len(isa.int_regs)
-        self.sink = len(regs)   # ready slot of instructions with no dst
+        self.fb = self.sink = len(regs)
+        self.pad, self.wide = self.sink + 1, self.sink + 2
         self.consts = []
         self._const_index = {}
         self.iline = isa.icache["line_bytes"]
         self.isets = isa.icache["lines"]
+
+    def _const(self, value):
+        """Register-file index of a constant."""
+        key = (type(value), repr(value))
+        index = self._const_index.get(key)
+        if index is None:
+            index = self.fb + 1 + len(self.consts)
+            self.consts.append(value)
+            self._const_index[key] = index
+        return index
 
     def _slot(self, operand):
         """Register-file index of a register or constant operand."""
         if isinstance(operand, PhysReg):
             return self.reg_index[operand.name]
         if isinstance(operand, (Imm, FImm)):
-            value = operand.value
-        elif isinstance(operand, GlobalRef):
-            value = self.program.global_layout[operand.name][0]
-        else:
-            raise SimulationError(f"cannot decode operand {operand!r}")
-        key = (type(value), repr(value))
-        index = self._const_index.get(key)
-        if index is None:
-            index = self.sink + len(self.consts)
-            self.consts.append(value)
-            self._const_index[key] = index
-        return index
+            return self._const(operand.value)
+        if isinstance(operand, GlobalRef):
+            return self._const(self.program.global_layout[operand.name][0])
+        raise SimulationError(f"cannot decode operand {operand!r}")
 
-    def _timing(self, instr):
-        """Scoreboard sources, first destination and I-cache set/tag."""
-        regs = [self.reg_index[o.name] for o in instr.operands
-                if isinstance(o, PhysReg)]
-        first = instr.operands[0] if instr.operands else None
-        dst = self.reg_index[first.name] if isinstance(first, PhysReg) \
-            else self.sink
+    def _timing(self, instr, op):
+        """Scoreboard sources ``s0, s1, s2``, the first destination, and
+        the sources past the first two of a ``cmov`` or ``vop``.  A
+        register may repeat: the scoreboard takes a maximum."""
+        index, pad = self.reg_index, self.pad
+        ops = instr.operands
+        srcs = [index[o.name] for o in ops if isinstance(o, PhysReg)]
+        dst = srcs[0] if ops and isinstance(ops[0], PhysReg) else self.sink
         if instr.lanes:
             for _, a, b in instr.lanes:
-                regs += (self.reg_index[a.name], self.reg_index[b.name])
-        line = instr.address // self.iline
-        return (tuple(dict.fromkeys(regs)), dst, line % self.isets,
-                line // self.isets)
+                srcs += (index[a.name], index[b.name])
+        if op == CMOV or op == VOP:
+            srcs += (pad, pad)
+            return srcs[0], srcs[1], self.wide, dst, tuple(srcs[2:])
+        if len(srcs) > 3:
+            raise SimulationError(f"cannot decode {instr.opcode!r} with "
+                                  f"{len(srcs)} register operands")
+        srcs += (pad, pad, pad)
+        return srcs[0], srcs[1], srcs[2], dst, ()
 
-    def _decode(self, instr):
-        """One instruction as ``(op, d, a, b, c, srcs, dst, lat, set, tag)``."""
+    def _decode(self, instr, fetch):
+        """One instruction as ``(op, d, a, b, c, s0, s1, s2, dst, lat,
+        fetch)``."""
         opcode = instr.opcode
         ops = instr.operands
         entry = DISPATCH.get(opcode)
@@ -184,11 +225,11 @@ class _Decoder:
         d = a = b = 0
         c = fn
         latency = 1
+        s0, s1, s2, dst, wide = self._timing(instr, op)
         if op in (LD, ST):
             d = self._slot(ops[0])
             if isinstance(ops[1], StackSlot) and isinstance(ops[2], Imm):
-                op = LDS if op == LD else STS
-                a = ops[1].index + ops[2].value
+                a, b = self.fb, self._const(ops[1].index + ops[2].value)
             else:
                 a, b = self._slot(ops[1]), self._slot(ops[2])
         elif op in (MEMSET, MEMCPY):
@@ -196,8 +237,9 @@ class _Decoder:
             c = instr.address
         elif op == VOP:
             c = DISPATCH[ops[0]][1]
-            a = tuple((self.reg_index[dst.name], self._slot(x), self._slot(y))
-                      for dst, x, y in instr.lanes)
+            a = tuple((self.reg_index[lane.name], self._slot(x), self._slot(y))
+                      for lane, x, y in instr.lanes)
+            b = wide
             latency = self.isa.latency(instr)
         elif op == JMP:
             a = self.block_entry[ops[0].name]
@@ -222,13 +264,24 @@ class _Decoder:
             elif op == LEA:
                 a, b, c = self._slot(ops[1]), self._slot(ops[2]), ops[3].value
             elif op == CMOV:
-                a, b, c = (self._slot(o) for o in ops[1:])
+                a, b = self._slot(ops[1]), self._slot(ops[2])
+                c = (self._slot(ops[3]), wide)
             else:
                 a = self._slot(ops[1])
                 if len(ops) > 2:
                     b = self._slot(ops[2])
-        srcs, dst, iset, itag = self._timing(instr)
-        return (op, d, a, b, c, srcs, dst, latency, iset, itag)
+        return (op, d, a, b, c, s0, s1, s2, dst, latency, fetch)
+
+    def _fetches(self, instrs):
+        """Per instruction, ``(set, tag, n)`` if it leads a run of ``n``
+        instructions in one I-cache line, else ``None``."""
+        fetches = []
+        for line, run in itertools.groupby(
+                instr.address // self.iline for instr in instrs):
+            n = len(list(run))
+            fetches.append((line % self.isets, line // self.isets, n))
+            fetches += [None] * (n - 1)
+        return fetches
 
     # -- segment enumeration -------------------------------------------------
     def _enumerate(self):
@@ -279,27 +332,30 @@ class _Decoder:
         return index
 
     def decode(self):
-        """Segments as ``(instruction count, histogram items, body,
-        fall-through segment or -1)``."""
+        """Segments as ``(instruction count, body, fall-through segment
+        or -1)``, and each segment's histogram items."""
         self._enumerate()
-        segments = []
+        segments, histograms = [], []
         for record in self.records:
             if record["kind"] == "falloff":
                 message = f"fell off block {record['label']}"
-                segments.append((0, (), (self._raise(message),), -1))
+                segments.append((0, (self._raise(message),), -1))
+                histograms.append(())
                 continue
             instrs = record["instrs"]
             counts = {}
             for instr in instrs:
                 counts[instr.opcode] = counts.get(instr.opcode, 0) + 1
-            body = tuple(self._decode(instr) for instr in instrs)
+            body = tuple([self._decode(instr, fetch) for instr, fetch
+                          in zip(instrs, self._fetches(instrs))])
             nxt = record["next"]
-            segments.append((len(instrs), tuple(counts.items()), body,
-                             -1 if nxt is None else nxt))
-        return segments
+            segments.append((len(instrs), body, -1 if nxt is None else nxt))
+            histograms.append(tuple(counts.items()))
+        return segments, histograms
 
     def _raise(self, message):
-        return (RAISE, 0, 0, 0, message, (), self.sink, 0, 0, 0)
+        return (RAISE, 0, 0, 0, message, self.pad, self.pad, self.pad,
+                self.sink, 0, None)
 
 
 # -- runtime -----------------------------------------------------------------
@@ -322,11 +378,13 @@ class TapeSimulator:
         self.instructions_executed = 0
         self.dynamic_histogram = {}
         decoder = _Decoder(program, isa)
-        self._segments = decoder.decode()
+        self._segments, self._histograms = decoder.decode()
         self._entries = decoder.func_entry
         self._reg_names = decoder.reg_names
+        self._fb, self._wide = decoder.fb, decoder.wide
         n_float = len(decoder.reg_names) - decoder.n_int
-        self._regs = [0] * decoder.n_int + [0.0] * n_float + decoder.consts
+        self._regs = [0] * decoder.n_int + [0.0] * n_float + [0] \
+            + decoder.consts
         self._ret_index = decoder.reg_index[isa.ret_int.name]
         self._memory = dict(program.global_init)
         self._output = []
@@ -340,17 +398,18 @@ class TapeSimulator:
         isa = self.isa
         timing = self.timing if self.timing is not None \
             else PipelineModel(isa)
-        icache = timing.icache
+        icache, dcache = timing.icache, timing.dcache
         names = self._reg_names
         R = self._regs
-        RD = [timing.ready.get(name, 0.0) for name in names] + [0.0]
+        # Ready times of the registers, then the sink, pad and wide slots.
+        RD = [timing.ready.get(name, 0.0) for name in names] + [0.0] * 3
+        FB, WIDE = self._fb, self._wide
         M = self._memory
         mg = M.get
         oa = self._output.append
-        hg = self.dynamic_histogram
-        hgg = hg.get
-        dca = timing.dcache.access
-        icd = icache.data
+        executions = {}     # segment index -> times run, first-run order
+        exg = executions.get
+        icd, dcd = icache.data, dcache.data
         pt = timing.predictor.table
         ptg = pt.get
         segments = self._segments
@@ -359,6 +418,7 @@ class TapeSimulator:
         inv_w = 1.0 / isa.issue_width  # replint: disable=R003
         iways = icache.ways
         icmiss = isa.icache["miss"]
+        dline, dsets, dways = dcache.line, dcache.sets, dcache.ways
         mispredict = isa.branch_mispredict
         call_overhead = isa.call_overhead
         ld_lat = isa.latency_table.get("ld", 1)
@@ -366,42 +426,70 @@ class TapeSimulator:
         ld_miss = isa.dcache["miss"] + ld_lat - 1
         st_extra = isa.dcache["miss"] * 0.25
         per_cell = 0.5 if isa.issue_width >= 4 else 2.0
-        dline = timing.dcache.line
         issue = timing.issue
         stl = timing.stall_cycles
         ict, ich, icm = icache.tick, icache.hits, icache.misses
+        dct, dch, dcm = dcache.tick, dcache.hits, dcache.misses
         msp = timing.mispredicts
         icnt = self.instructions_executed
         pc, slots = entry
         sp = _STACK_BASE - slots
-        fb = sp
+        R[FB] = sp
         stack = []
         try:
             while pc >= 0:
-                count, histogram, body, pc = segments[pc]
+                executions[pc] = exg(pc, 0) + 1
+                count, body, pc = segments[pc]
                 icnt += count
                 if icnt > fuel:
                     raise SimulationError("simulator fuel exhausted")
-                for opcode, n in histogram:
-                    hg[opcode] = hgg(opcode, 0) + n
-                for op, d, a, b, c, srcs, dst, lat, iset, itag in body:
+                for op, d, a, b, c, s0, s1, s2, dst, lat, fetch in body:
                     # -- values (before the instruction issues) --
                     if op == MOV:
                         R[d] = R[a]
                     elif op == LD:
                         adr = R[a] + R[b]
-                        lat = ld_hit if dca(adr) else ld_miss
+                        if adr <= 0:
+                            raise SimulationError(
+                                f"load from invalid address {adr}")
+                        R[d] = mg(adr, 0)
+                        # The seed's ``Cache.access``, inlined.
+                        dct += 1
+                        line = adr // dline
+                        ways = dcd[line % dsets]
+                        tag = line // dsets
+                        if tag in ways:
+                            dch += 1
+                            lat = ld_hit
+                        else:
+                            dcm += 1
+                            if len(ways) >= dways:
+                                del ways[min(ways, key=ways.get)]
+                            lat = ld_miss
+                        ways[tag] = dct
                     elif op == INT2:
                         v = c(R[a], R[b])
                         R[d] = v if _MIN64 <= v <= _MAX64 else arith.wrap64(v)
-                    elif op == LDS:
-                        adr = fb + a
-                        lat = ld_hit if dca(adr) else ld_miss
-                    elif op == JMP:
-                        pc = a
                     elif op == ST:
                         adr = R[a] + R[b]
-                        hit = dca(adr)
+                        if adr <= 0:
+                            raise SimulationError(
+                                f"store to invalid address {adr}")
+                        M[adr] = R[d]
+                        dct += 1
+                        line = adr // dline
+                        ways = dcd[line % dsets]
+                        tag = line // dsets
+                        hit = tag in ways
+                        if hit:
+                            dch += 1
+                        else:
+                            dcm += 1
+                            if len(ways) >= dways:
+                                del ways[min(ways, key=ways.get)]
+                        ways[tag] = dct
+                    elif op == JMP:
+                        pc = a
                     elif op == BR:
                         taken = c[0](R[a], R[b])
                         if taken:
@@ -410,15 +498,16 @@ class TapeSimulator:
                         R[d] = 1 if c(R[a], R[b]) else 0
                     elif op == FN2:
                         R[d] = c(R[a], R[b])
-                    elif op == STS:
-                        adr = fb + a
-                        hit = dca(adr)
                     elif op == LEA:
                         R[d] = R[a] + R[b] * c
                     elif op == CMOV:
+                        c, wide = c
                         R[d] = R[b] if R[a] else R[c]
+                        # ``s2`` is the wide slot: fold in the sources
+                        # past the first two.
+                        RD[WIDE] = max(map(RD.__getitem__, wide))
                     elif op == FRAME:
-                        R[d] = fb + a
+                        R[d] = R[FB] + a
                     elif op == FN1:
                         R[d] = c(R[a])
                     elif op == PRINT:
@@ -427,6 +516,7 @@ class TapeSimulator:
                         values = [c(R[x], R[y]) for _, x, y in a]
                         for (lane, _, _), value in zip(a, values):
                             R[lane] = value
+                        RD[WIDE] = max(map(RD.__getitem__, b))
                     elif op == MEMSET:
                         start, value, n = R[d], R[a], int(R[b])
                         if n > 0 and start <= 0:
@@ -448,40 +538,37 @@ class TapeSimulator:
                                 M[start + i] = values[i]
                     elif op == RAISE:
                         raise SimulationError(c)
-                    # -- fetch: one I-cache access --
-                    ict += 1
-                    ways = icd[iset]
-                    if itag in ways:
-                        ich += 1
-                    else:
-                        icm += 1
-                        if len(ways) >= iways:
-                            del ways[min(ways, key=ways.get)]
-                        issue += icmiss
-                    ways[itag] = ict
+                    # -- fetch: one I-cache access per line run --
+                    if fetch:
+                        iset, itag, irun = fetch
+                        ict += irun
+                        ways = icd[iset]
+                        if itag in ways:
+                            ich += irun
+                        else:
+                            icm += 1
+                            ich += irun - 1
+                            if len(ways) >= iways:
+                                del ways[min(ways, key=ways.get)]
+                            issue += icmiss
+                        ways[itag] = ict
                     # -- scoreboard (the seed's ``_issue_instr``) --
                     t = issue
-                    for s in srcs:
-                        if RD[s] > t:
-                            t = RD[s]
+                    if RD[s0] > t:
+                        t = RD[s0]
+                    if RD[s1] > t:
+                        t = RD[s1]
+                    if RD[s2] > t:
+                        t = RD[s2]
                     stl += t - issue
                     RD[dst] = t + lat
                     issue = t + inv_w
-                    if op < LD:
+                    if op < ST:
                         continue
                     # -- after issue --
-                    if op == LD or op == LDS:
-                        if adr <= 0:
-                            raise SimulationError(
-                                f"load from invalid address {adr}")
-                        R[d] = mg(adr, 0)
-                    elif op == ST or op == STS:
+                    if op == ST:
                         if not hit:
                             issue += st_extra
-                        if adr <= 0:
-                            raise SimulationError(
-                                f"store to invalid address {adr}")
-                        M[adr] = R[d]
                     elif op == BR:
                         state = ptg(d, 2)
                         if taken:
@@ -496,32 +583,42 @@ class TapeSimulator:
                                 issue += mispredict
                     elif op == CALL:
                         issue += call_overhead
-                        stack.append((pc, fb, sp))
+                        stack.append((pc, R[FB], sp))
                         if len(stack) > 400:
                             raise SimulationError("call stack overflow")
                         pc, slots = c
                         sp -= slots
-                        fb = sp
+                        R[FB] = sp
                     elif op == RET:
                         if stack:
-                            pc, fb, sp = stack.pop()
+                            pc, R[FB], sp = stack.pop()
                         else:
                             pc = -1
                     elif op == VOP:
                         for lane, _, _ in a:
                             RD[lane] = t + lat
-                    else:   # MEMSET, MEMCPY
+                    else:   # MEMSET, MEMCPY: the real cache, synced
                         issue += n * per_cell
+                        dcache.tick, dcache.hits, dcache.misses = \
+                            dct, dch, dcm
                         for i in range(0, n, dline):
-                            dca(c + i)
+                            dcache.access(c + i)
+                        dct, dch, dcm = \
+                            dcache.tick, dcache.hits, dcache.misses
         finally:
             self.instructions_executed = icnt
             timing.issue = issue
             timing.stall_cycles = stl
             icache.tick, icache.hits, icache.misses = ict, ich, icm
+            dcache.tick, dcache.hits, dcache.misses = dct, dch, dcm
             timing.mispredicts = msp
             timing.ready.update({names[i]: RD[i] for i in range(len(names))
                                  if RD[i] != 0.0})
+            histogram = self.dynamic_histogram
+            histograms = self._histograms
+            for index, times in executions.items():
+                for opcode, n in histograms[index]:
+                    histogram[opcode] = histogram.get(opcode, 0) + n * times
         value = R[self._ret_index]
         return MachineResult(arith.wrap64(value), self._output,
                              self.instructions_executed,

@@ -12,6 +12,8 @@ Failing runs must fail with the seed's error text.
 import pytest
 
 from repro.backend import compile_module, get_isa
+from repro.backend.isa import X86, RiscV
+from repro.backend.mir import GlobalRef
 from repro.baselines import STANDARD_LEVELS
 from repro.engine import EvalFailure, EvaluationEngine
 from repro.errors import SimulationError
@@ -214,6 +216,115 @@ def test_every_dispatch_opcode_matches_seed():
                 result = _assert_equivalent(program, isa, timed)
                 executed.update(result.dynamic_histogram)
     assert executed == set(DISPATCH)
+
+
+class _TinyX86(X86):
+    """x86 with a 2-line I-cache and a 2-set, 1-way D-cache."""
+    icache = {**X86.icache, "lines": 2}
+    dcache = {**X86.dcache, "sets": 2, "ways": 1}
+
+
+class _TinyRiscV(RiscV):
+    """riscv with a 4-line I-cache and a 1-set, 1-way D-cache."""
+    icache = {**RiscV.icache, "lines": 4}
+    dcache = {**RiscV.dcache, "sets": 1, "ways": 1}
+
+
+_STRADDLE_SOURCE = """
+int main() {
+  int acc = 1;
+  for (int i = 0; i < 40; i++) {
+    acc = acc * 3 + i;
+    acc = acc ^ (i << 2);
+    acc = acc - (acc >> 3);
+  }
+  print_int(acc);
+  return acc & 255;
+}
+"""
+
+
+@pytest.mark.parametrize("isa_class", [_TinyX86, _TinyRiscV])
+def test_tape_matches_seed_under_eviction_stress(isa_class):
+    """Caches small enough to evict all the time: the fetch charged once
+    per I-cache line run and the inlined D-cache must take the miss and
+    eviction paths exactly as the seed's ``Cache.access`` does."""
+    isa = isa_class()
+    modules = [workload.compile() for workload in load_suite("beebs")[::3]]
+    for module in modules[:3]:
+        PassManager().run(module, STANDARD_LEVELS["-O2"])
+    programs = [compile_module(module, isa) for module in modules]
+    programs += _opcode_coverage_programs(isa)
+    evicted = {"icache": 0, "dcache": 0}
+    for program in programs:
+        timing = _assert_equivalent(program, isa, timed=True).timing
+        for name in evicted:
+            cache = getattr(timing, name)
+            # More misses than lines means some line was evicted.
+            evicted[name] += cache.misses > cache.sets * cache.ways
+    assert evicted["icache"] == len(programs)
+    assert evicted["dcache"] >= len(programs) // 2
+
+
+@pytest.mark.parametrize("target", ["x86", "riscv"])
+def test_hot_loop_straddling_an_icache_line_matches_seed(target):
+    """A loop body that crosses an I-cache line boundary is fetched as
+    two line runs per iteration."""
+    isa = get_isa(target)
+    program = compile_module(compile_source(_STRADDLE_SOURCE), isa)
+    [body] = [block for block in program.functions["main"].blocks
+              if block.label.endswith("for.body")]
+    assert len({instr.address // isa.icache["line_bytes"]
+                for instr in body.instructions}) > 1
+    result = _assert_equivalent(program, isa, timed=True)
+    # Each of the 40 iterations jumps from the body and from the step.
+    assert result.dynamic_histogram["jmp"] > 80
+
+
+_MID_RUN_TRAP = ("int g[4]; "
+                 "int main() { int k = -5000; int x = g[k]; return x + 1; }")
+
+
+def _trapping_load(program):
+    """``main``'s load of ``g[k]`` (the first ``ld`` after the address
+    of ``g`` is taken) and its neighbours in the same block."""
+    for block in program.functions["main"].blocks:
+        instrs = block.instructions
+        taken = False
+        for index, instr in enumerate(instrs):
+            taken = taken or any(isinstance(o, GlobalRef)
+                                 for o in instr.operands)
+            if taken and instr.opcode == "ld":
+                return instrs[index - 1], instr, instrs[index + 1]
+    raise AssertionError("no load of g")
+
+
+@pytest.mark.parametrize("target", ["x86", "riscv"])
+def test_load_trapping_inside_a_line_run(target):
+    """A load that traps in the middle of an I-cache line run (its
+    neighbours share its line and segment) fails with the seed's text,
+    and the engine stores nothing for it."""
+    isa = get_isa(target)
+    program = compile_module(compile_source(_MID_RUN_TRAP), isa)
+    before, load, after = _trapping_load(program)
+    line = isa.icache["line_bytes"]
+    assert before.address // line == load.address // line \
+        == after.address // line
+    # Nothing between ``before`` and ``after`` ends the segment.
+    assert before.opcode not in ("bcc", "fbcc", "call", "jmp", "ret")
+    with pytest.raises(SimulationError) as seed_error:
+        Simulator(program, isa, PipelineModel(isa)).run()
+    with pytest.raises(SimulationError) as tape_error:
+        TapeSimulator(program, isa, PipelineModel(isa)).run()
+    assert "load from invalid address" in str(seed_error.value)
+    assert str(tape_error.value) == str(seed_error.value)
+    engine = EvaluationEngine(Platform(target))
+    [result] = engine.evaluate_batch(
+        [(Workload("mid_run_trap", "tests", _MID_RUN_TRAP), ())],
+        on_error="collect")
+    assert isinstance(result, EvalFailure)
+    assert str(seed_error.value) in result.error
+    assert engine.cache.stats.stores == 0
 
 
 def test_platform_routes_sim_engine():

@@ -22,7 +22,6 @@ run in the slow tier (CI perf-smoke, ``-m slow``) as the median of three
 timed attempts.
 """
 
-import json
 import os
 import statistics
 import time
@@ -33,6 +32,8 @@ from repro.ir.cfg import LoopInfo
 from repro.passes import PassManager
 from repro.workloads import load_suite
 
+from bench_record import record
+
 BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_passmanager.json")
 
@@ -40,20 +41,6 @@ BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
 PRE_PIPELINE = ["mem2reg", "instcombine", "licm", "simplifycfg"]
 
 QUERY_ROUNDS = 40
-
-
-def _record(entry):
-    if not os.environ.get("REPRO_BENCH_RECORD"):
-        return
-    try:
-        with open(BENCH_PATH) as handle:
-            history = json.load(handle)
-    except (OSError, ValueError):
-        history = []
-    history.append(entry)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
 
 
 # -- the seed's scan-based implementations (legacy cost model) ------------
@@ -184,7 +171,7 @@ def test_cfg_queries_median_speedup_at_least_1_2x():
           f"{pred_speedup:.2f}x; loop queries: scan "
           f"{median['loop_scan'] * 1e3:.1f}ms, maintained "
           f"{median['loop_maintained'] * 1e3:.1f}ms -> {loop_speedup:.2f}x")
-    _record({
+    record(BENCH_PATH, {
         "benchmark": "cfg_maintenance",
         "functions": len(functions),
         "query_rounds": QUERY_ROUNDS,

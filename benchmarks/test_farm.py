@@ -17,7 +17,6 @@ process-pool ratio is the exception: tier-1 checks its counts and
 payloads, and the ratio itself is a ``slow`` test run by perf-smoke.
 """
 
-import json
 import os
 import time
 
@@ -26,6 +25,8 @@ import pytest
 from repro.engine import EvaluationEngine
 from repro.sim import Platform
 from repro.workloads import load_suite
+
+from bench_record import record
 
 pytestmark = pytest.mark.fast
 
@@ -43,20 +44,6 @@ SEQUENCES = (
 #: result index can compose instead of re-simulating.
 SEARCH_CANDIDATES = tuple(seq + (seq[-1],) for seq in SEQUENCES) + \
     tuple(seq + ("dce", seq[-1]) for seq in SEQUENCES)
-
-
-def _record(entry):
-    if not os.environ.get("REPRO_BENCH_RECORD"):
-        return
-    try:
-        with open(BENCH_PATH) as handle:
-            history = json.load(handle)
-    except (OSError, ValueError):
-        history = []
-    history.append(entry)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
 
 
 #: Simulation-dominated BEEBS kernels (profiling is 5-13x the cost of
@@ -135,7 +122,7 @@ def test_process_pool_farm_search_regime_speedup_at_least_2x(tmp_path):
           f"{baseline_seconds:.2f}s, farm-composed {farm_seconds:.2f}s "
           f"-> {speedup:.2f}x (cross-process hits "
           f"{aggregate['cross_hits']})")
-    _record({
+    record(BENCH_PATH, {
         "benchmark": "process_pool_farm_search_regime",
         "points": len(composed),
         "end_to_end_seconds": round(baseline_seconds, 4),

@@ -9,7 +9,6 @@ with ``REPRO_BENCH_RECORD=1`` appends a ``structhash`` entry to
 ``BENCH_passmanager.json``.
 """
 
-import json
 import os
 import time
 
@@ -20,22 +19,10 @@ from repro.ir.printer import (
 from repro.passes import PassManager
 from repro.workloads import load_suite
 
+from bench_record import record
+
 BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_passmanager.json")
-
-
-def _record(entry):
-    if not os.environ.get("REPRO_BENCH_RECORD"):
-        return
-    try:
-        with open(BENCH_PATH) as handle:
-            history = json.load(handle)
-    except (OSError, ValueError):
-        history = []
-    history.append(entry)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
 
 
 def test_structural_fingerprint_faster_than_text():
@@ -66,7 +53,7 @@ def test_structural_fingerprint_faster_than_text():
     print(f"\n[structhash-bench] text {text_seconds * 1e3:.1f}ms, "
           f"struct {struct_seconds * 1e3:.1f}ms -> {speedup:.2f}x "
           f"({len(functions)} functions)")
-    _record({
+    record(BENCH_PATH, {
         "benchmark": "structhash",
         "functions": len(functions),
         "text_seconds": round(text_seconds, 4),

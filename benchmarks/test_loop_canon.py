@@ -20,7 +20,6 @@ land (partial fills memset, IV breaks unroll).  Running with
 Marked ``fast``: cheap guard tier, part of the default selection.
 """
 
-import json
 import os
 
 import pytest
@@ -29,6 +28,8 @@ from repro.ir import run_module
 from repro.passes import PassManager
 from repro.sim import Platform
 from repro.workloads import load_suite
+
+from bench_record import record
 
 pytestmark = pytest.mark.fast
 
@@ -40,20 +41,6 @@ SEQUENCE = ("mem2reg", "instcombine", "loop-rotate", "licm", "indvars",
             "instcombine", "adce", "dce", "simplifycfg")
 
 LOOP_PHASES = ("loop-rotate", "licm", "loop-unroll", "loop-idiom")
-
-
-def _record(entry):
-    if not os.environ.get("REPRO_BENCH_RECORD"):
-        return
-    try:
-        with open(BENCH_PATH) as handle:
-            history = json.load(handle)
-    except (OSError, ValueError):
-        history = []
-    history.append(entry)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
 
 
 def _stub_multi_exit_bails(monkeypatch):
@@ -125,7 +112,7 @@ def test_multi_exit_recovery_improves_simulated_cost(monkeypatch):
           f"x{improvement:.3f} (best shape x{best:.2f})")
     for name in sorted(per_shape):
         print(f"  {name:18s} x{per_shape[name]:.3f}")
-    _record({
+    record(BENCH_PATH, {
         "benchmark": "multi_exit_loop_recovery",
         "workloads": len(full_cycles),
         "bailout_cycles": round(total_bail, 1),

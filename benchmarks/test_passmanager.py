@@ -44,7 +44,6 @@ Marked ``fast``: this is the cheap guard tier, run in the default
 (tier-1) selection even though it lives in ``benchmarks/``.
 """
 
-import json
 import os
 import time
 
@@ -55,6 +54,8 @@ from repro.ir.printer import module_fingerprint
 from repro.passes import AnalysisManager, PassManager
 from repro.passes.base import VERIFIED_CONTENTS
 from repro.workloads import load_suite
+
+from bench_record import record
 
 pytestmark = pytest.mark.fast
 
@@ -161,25 +162,11 @@ def _plain_activity(workload, sequence):
 
 def _check_budget(label, work, budget, seconds, points):
     print(f"\n[passmanager-bench] {label}: {seconds:.2f}s, {work}")
-    _record({"benchmark": label, "points": points,
+    record(BENCH_PATH, {"benchmark": label, "points": points,
              "incremental_seconds": round(seconds, 4), **work})
     over = {name: (work[name], budget[name]) for name in budget
             if work[name] > budget[name]}
     assert not over, f"{label} over its work budget: {over}"
-
-
-def _record(entry):
-    if not os.environ.get("REPRO_BENCH_RECORD"):
-        return
-    try:
-        with open(BENCH_PATH) as handle:
-            history = json.load(handle)
-    except (OSError, ValueError):
-        history = []
-    history.append(entry)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
 
 
 def test_fresh_cold_evaluation_within_work_budget():

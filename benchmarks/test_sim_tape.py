@@ -22,7 +22,6 @@ executed instruction, so the simulator's own speed is tracked, not only
 its ratio to the seed.
 """
 
-import json
 import os
 import statistics
 import time
@@ -33,6 +32,8 @@ from repro.passes import PassManager
 from repro.sim import PipelineModel, Simulator, TapeSimulator, \
     tape_cache_stats
 from repro.workloads import load_suite
+
+from bench_record import record
 
 BENCH_PATH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_sim.json")
@@ -49,20 +50,6 @@ def _corpus():
                     isa = get_isa(target)
                     programs.append((compile_module(module, isa), isa))
     return programs
-
-
-def _record(entry):
-    if not os.environ.get("REPRO_BENCH_RECORD"):
-        return
-    try:
-        with open(BENCH_PATH) as handle:
-            history = json.load(handle)
-    except (OSError, ValueError):
-        history = []
-    history.append(entry)
-    with open(BENCH_PATH, "w") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
 
 
 def _profile_all(programs, engine):
@@ -102,7 +89,7 @@ def test_cold_profile_at_least_3x_seed():
           f"(decode {decode_seconds:.2f}s, run {run_seconds:.2f}s over "
           f"{instructions} instructions, {ns_per_instruction:.0f} ns "
           f"each) -> {speedup:.2f}x")
-    _record({
+    record(BENCH_PATH, {
         "benchmark": "cold_interpreter_vs_seed_profile",
         "programs": len(programs),
         "seed_seconds": round(seed_seconds, 4),

@@ -103,9 +103,7 @@ def cmd_mlcomp(args):
                     eval_mode=args.eval_mode,
                     workers=args.workers,
                     farm_dir=args.farm_dir,
-                    eval_timeout=args.eval_timeout,
-                    max_retries=args.max_retries,
-                    degrade=not args.no_degrade)
+                    eval_timeout=args.eval_timeout)
     if args.max_workloads:
         mlcomp.workloads = mlcomp.workloads[:args.max_workloads]
     print(f"[1/4] data extraction ({len(mlcomp.workloads)} workloads)")
@@ -152,21 +150,16 @@ def cmd_mlcomp(args):
               f"(hit rate {total['hit_rate']:.1%}, "
               f"{total['cross_hits']} cross-process hits, "
               f"{total['stores']} stores)")
-    faults = stats.get("faults")
-    if faults is not None:
-        counters = faults["aggregate"] or faults["local"]
-        failures = (counters["timeouts"] + counters["crashes"]
-                    + counters["transient"] + counters["deterministic"])
-        degraded = faults.get("degraded_to")
-        print(f"[faults] {failures} failures "
-              f"({counters['timeouts']} timeouts, "
-              f"{counters['crashes']} crashes, "
-              f"{counters['transient']} transient, "
-              f"{counters['deterministic']} deterministic), "
-              f"{counters['retries']} retries, "
-              f"{counters['pool_respawns']} pool respawns, "
-              f"{faults['quarantined_points']} quarantined points"
-              + (f", degraded to {degraded}" if degraded else ""))
+    counters = stats["faults"]["local"]
+    failures = (counters["timeouts"] + counters["crashes"]
+                + counters["transient"] + counters["deterministic"])
+    print(f"[faults] {failures} failures "
+          f"({counters['timeouts']} timeouts, "
+          f"{counters['crashes']} crashes, "
+          f"{counters['transient']} transient, "
+          f"{counters['deterministic']} deterministic), "
+          f"{counters['retries']} solo re-runs, "
+          f"{counters['pool_respawns']} pool respawns")
     if args.save:
         mlcomp.selector.save(args.save)
         print(f"saved policy to {args.save}")
@@ -239,16 +232,10 @@ def build_parser():
                    help="persist evaluations to the shared compile "
                         "farm at this directory (cross-process result "
                         "store; process workers compose through it)")
-    # Fault-tolerance knobs.
     p.add_argument("--eval-timeout", type=float, default=None,
                    help="wall-clock deadline (seconds) per evaluation "
-                        "point; hung workers are killed and retried")
-    p.add_argument("--max-retries", type=int, default=2,
-                   help="bounded retries for transient failures "
-                        "(timeouts, crashed workers, store I/O)")
-    p.add_argument("--no-degrade", action="store_true",
-                   help="never step down process->serial when "
-                        "the worker pool breaks repeatedly")
+                        "point; a point past it fails as a timeout, "
+                        "and a hung worker is killed")
     p.set_defaults(func=cmd_mlcomp)
     return parser
 

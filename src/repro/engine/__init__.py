@@ -29,10 +29,7 @@ from repro.engine.faults import (
     EvalTimeout,
     FailureInfo,
     FaultStats,
-    Quarantine,
-    RetryPolicy,
     classify_exception,
-    point_fingerprint,
 )
 from repro.engine.store import ShardedStore, StoreStats
 
@@ -51,8 +48,6 @@ __all__ = [
     "InjectedFault",
     "InjectedIOError",
     "PointEvaluator",
-    "Quarantine",
-    "RetryPolicy",
     "ShardedStore",
     "StoreStats",
     "WorkerError",
@@ -61,7 +56,6 @@ __all__ = [
     "evaluate_point",
     "feature_matrix",
     "objective_rows",
-    "point_fingerprint",
     "point_measurement_seed",
     "predict_many",
     "process_store",

@@ -3,23 +3,23 @@ harness).
 
 Recovery code that is never executed is broken code waiting for
 production traffic.  This module provides a *seeded* injector that is
-threaded through the evaluator (worker crash / simulation stall) and
-the sharded store (I/O errors, corrupted and truncated segment lines),
-so every recovery path in :mod:`repro.engine.faults` and
-:mod:`repro.engine.evaluator` is exercised by tests instead of
-trusted.
+threaded through the evaluator (worker crash, soft stall, hard hang)
+and the sharded store (I/O errors, corrupted and truncated segment
+lines), so the one recovery path in :mod:`repro.engine.evaluator` and
+the store's checksums are exercised by tests instead of trusted.
 
 Determinism model
 -----------------
 
 Two kinds of decisions, both reproducible run-to-run:
 
-- **Point faults** (``crash_points`` / ``stall_points``) select
-  evaluation points either by batch index (int) or by
-  ``(workload name, sequence)`` tuple.  A selected point faults on its
-  first ``times`` *attempts* — the dispatch attempt number travels in
-  the spec — so "transient fault, retry succeeds" and "poison point,
-  quarantine" are both expressible exactly.
+- **Point faults** (``crash_points`` / ``stall_points`` /
+  ``hang_points``) select evaluation points either by batch index
+  (int) or by ``(workload name, sequence)`` tuple.  A selected point
+  faults on its first ``times`` *attempts* — the attempt number travels
+  in the spec — so "a crash the solo re-run gets past" (``times=1``)
+  and "a poison point that crashes every run" (``times=99``) are both
+  expressible exactly.
 - **Store faults** are rate-based with a per-``(seed, site, token)``
   stable hash draw: whether a given key's read errors or a given line
   is corrupted depends only on the seed and the key, never on call
@@ -30,7 +30,7 @@ worker specs, so process-pool workers apply the same plan the parent
 computed.  A crash inside a real pool worker is a hard ``os._exit``
 (the ``BrokenProcessPool``/OOM-killer shape); in-process (the serial
 tier and the composed path) it raises :class:`InjectedCrash` instead,
-which the fault taxonomy classifies as a crash and retries.
+which the fault taxonomy classifies as a final ``crash``.
 """
 
 import multiprocessing
@@ -46,7 +46,7 @@ class InjectedFault(Exception):
 
 
 class InjectedCrash(InjectedFault):
-    """In-process stand-in for a killed worker (classified transient)."""
+    """In-process stand-in for a killed worker (classified crash)."""
 
 
 class InjectedIOError(OSError):
@@ -87,11 +87,14 @@ class ChaosInjector:
     seed:
         Drives every rate-based draw; two injectors with equal
         configuration make identical decisions.
-    crash_points / stall_points:
+    crash_points / stall_points / hang_points:
         Point selectors (see :func:`_normalize_plan`); each selected
-        point crashes/stalls on its first ``times`` attempts.
+        point crashes/stalls/hangs on its first ``times`` attempts.  A
+        stall can be cut short by the point's own deadline alarm; a
+        hang blocks that alarm, so only the parent-side watchdog ends
+        it.
     stall_seconds:
-        How long an injected stall sleeps (choose it past the
+        How long an injected stall or hang sleeps (choose it past the
         evaluator's ``--eval-timeout`` to exercise deadline recovery).
     io_error_rate / corrupt_rate / truncate_rate:
         Per-key probabilities of store get/put I/O errors, of a written

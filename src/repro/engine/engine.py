@@ -18,7 +18,6 @@ all route through here, so repeated points are paid for once.
 """
 
 import hashlib
-import os
 import threading
 import weakref
 
@@ -33,13 +32,7 @@ from repro.engine.evaluator import (
     evaluate_point,
     profile_optimized,
 )
-from repro.engine.faults import (
-    DETERMINISTIC,
-    FaultStats,
-    Quarantine,
-    RetryPolicy,
-    run_point_with_recovery,
-)
+from repro.engine.faults import DETERMINISTIC
 from repro.features import extract_features
 from repro.ir.printer import module_fingerprint
 from repro.passes.analysis import AnalysisManager
@@ -84,9 +77,11 @@ class EvalFailure:
 
     ``kind`` is the failure taxonomy bucket (see
     :mod:`repro.engine.faults`): ``deterministic`` failures are the
-    point's own fault, ``timeout``/``crash``/``transient`` exhausted
-    their retries, and ``quarantined`` points are poison.
-    ``attempts`` counts how many runs the point got before giving up.
+    point's own fault, ``timeout`` points exceeded their deadline,
+    ``crash`` points killed their worker, and ``transient`` points hit
+    an I/O error they could not absorb.  ``attempts`` counts the runs
+    the point got: 1, or 2 after a solo re-run that told a crasher from
+    the innocent points sharing its broken pool.
     """
 
     failed = True
@@ -110,7 +105,6 @@ class EvaluationEngine:
     def __init__(self, platform, cache=None, cache_size=4096,
                  mode="serial", workers=None, fuel=20_000_000,
                  compose=True, farm_dir=None, eval_timeout=None,
-                 max_retries=2, degrade=True, quarantine_strikes=3,
                  chaos=None):
         self.platform = platform
         #: Compile-farm directory: a cross-process
@@ -140,21 +134,11 @@ class EvaluationEngine:
         # PE scores are keyed by a per-process estimator token, so they
         # live in a memory-only tier (never the disk store).
         self.pe_cache = EvaluationCache(max_entries=cache_size)
-        #: Fault-tolerance layer (PR 8): telemetry, retry policy and the
-        #: poison-point ledger are engine-level so the evaluator and the
-        #: composed path share one view.  With a farm the quarantine
-        #: ledger and fault counters persist under the farm directory
-        #: so every client benefits.
-        self.chaos = chaos
-        self.fault_stats = FaultStats(farm_dir)
-        self.quarantine = Quarantine(
-            os.path.join(farm_dir, "_quarantine") if farm_dir else None,
-            threshold=quarantine_strikes)
-        self.retry_policy = RetryPolicy(max_retries=max_retries)
+        #: One supervisor runs every fresh point, in-process or pooled;
+        #: its fault counters are the engine's.
         self.evaluator = PointEvaluator(
-            mode=mode, workers=workers, timeout=eval_timeout,
-            retry=self.retry_policy, quarantine=self.quarantine,
-            degrade=degrade, chaos=chaos, stats=self.fault_stats)
+            mode=mode, workers=workers, timeout=eval_timeout, chaos=chaos)
+        self.fault_stats = self.evaluator.faults
         if chaos is not None and self.cache is not None and \
                 self.cache.store is not None:
             self.cache.store.chaos = chaos
@@ -246,11 +230,8 @@ class EvaluationEngine:
             payload = self.cache.get(key)
             if payload is not None:
                 return EvalResult(payload, key, cached=True)
-        payload, error = run_point_with_recovery(
-            self._evaluate_miss, self._spec(workload, sequence, fuel),
-            retry=self.retry_policy, faults=self.fault_stats,
-            quarantine=self.quarantine, chaos=self.chaos,
-            timeout=self.evaluator.timeout)
+        payload, error = self.evaluator.attempt(
+            self._spec(workload, sequence, fuel), run=self._evaluate_miss)
         if error is not None:
             raise WorkerError(error.name, error.sequence, error.error,
                               kind=error.kind)
@@ -313,14 +294,9 @@ class EvaluationEngine:
     def _run_composed(self, specs):
         """Run miss specs through :meth:`_evaluate_miss` in order,
         returning ``(payload, error)`` pairs (the evaluator-run
-        contract).  Each point gets the full in-process recovery stack
-        (quarantine check, chaos hooks, classification, bounded
-        retries)."""
-        return [run_point_with_recovery(
-                    self._evaluate_miss, spec, retry=self.retry_policy,
-                    faults=self.fault_stats, quarantine=self.quarantine,
-                    chaos=self.chaos, timeout=self.evaluator.timeout,
-                    point_index=index)
+        contract), one supervised attempt each."""
+        return [self.evaluator.attempt(spec, index,
+                                       run=self._evaluate_miss)
                 for index, spec in enumerate(specs)]
 
     def profile_module(self, module, fuel=None, am=None):
@@ -442,7 +418,7 @@ class EvaluationEngine:
     def stats(self):
         """Hit/miss statistics for every tier: the LRU caches, the
         shared farm store (local per-shard counters plus the
-        farm-wide cross-process aggregate), and the fault layer.
+        farm-wide cross-process aggregate), and the fault counters.
         ``tape`` counts the simulator's per-process program decodes
         (``misses``, ``decode_seconds``); ``hits`` is always 0."""
         from repro.sim import tape_cache_stats
@@ -459,12 +435,7 @@ class EvaluationEngine:
             "local": store.stats.as_dict(),
             "aggregate": store.aggregate_stats(),
         }
-        out["faults"] = {
-            "local": self.fault_stats.as_dict(),
-            "aggregate": self.fault_stats.aggregate(),
-            "quarantined_points": len(self.quarantine),
-            "degraded_to": self.evaluator.degraded_mode,
-        }
+        out["faults"] = {"local": self.fault_stats.as_dict()}
         return out
 
     def __repr__(self):

@@ -1,5 +1,5 @@
 """Deterministic serial/process evaluation of compile->profile points,
-under fault supervision.
+under one supervisor.
 
 A *point* is one ``(program source, pass sequence)`` pair on one
 platform.  :func:`evaluate_point` is a pure function of its spec dict —
@@ -7,7 +7,7 @@ it clones the program's parsed template, runs the sequence, lowers the
 result once, and extracts features from and profiles that one machine
 program — so the same spec yields the same payload whether
 it runs inline or in a worker process, and *whether or not it had to be
-retried*: fault recovery can never change a result, only whether one
+re-run*: fault recovery can never change a result, only whether one
 exists.
 
 Measurement noise is derived from the *final* module fingerprint (see
@@ -16,26 +16,29 @@ identically regardless of evaluation order or worker count.  That is
 what makes the ``serial`` and ``process`` modes bit-for-bit equivalent
 and cached results indistinguishable from fresh ones.
 
-Supervision: :class:`PointEvaluator` does not trust its pool.
+Supervision has one recovery path for every mode:
 
-- **Per-point deadlines**: every dispatched spec carries the
-  configured wall-clock ``timeout``; workers arm a ``SIGALRM`` alarm
-  (:func:`repro.engine.faults.deadline`) and the parent keeps a
-  watchdog with a grace factor, killing and respawning a pool whose
-  worker is hard-hung.
-- **BrokenProcessPool recovery**: a died worker (OOM kill, injected
-  crash) breaks the pool; the supervisor respawns it and re-runs the
-  in-flight specs *one at a time* so the poison point identifies
-  itself — innocent co-flyers are re-enqueued without penalty, the
-  crasher collects quarantine strikes.
-- **Classification + bounded retries**: failures come back as
-  :class:`repro.engine.faults.FailureInfo` with a kind; only transient
-  kinds (timeout/crash/I-O) are retried, with deterministic backoff.
-- **Graceful degradation**: when the pool breaks
-  :data:`DEGRADE_AFTER` times in one batch, the evaluator steps down
-  process -> serial for the remainder of the batch (and stays there
-  for subsequent batches — a broken environment rarely heals itself
-  mid-run).  Results stay bit-identical by construction.
+- **One attempt function.**  :func:`attempt_point` is the only place a
+  point runs: it arms the per-point deadline
+  (:func:`repro.engine.faults.deadline`), applies the chaos hook, runs
+  the point and classifies any exception into a
+  :class:`~repro.engine.faults.FailureInfo`.  Pool workers, the serial
+  tier and the engine's composed path all call it, and a failure it
+  reports is final.
+- **Pool breaks.**  A died worker (OOM kill, injected crash) breaks
+  the pool; the supervisor respawns it.  A point that was alone in
+  flight is charged ``crash``.  When several were in flight, each is
+  re-run solo once: a solo crash is a final ``crash`` (two attempts),
+  and the innocent points get their results.
+- **Hard hangs.**  A worker hung past the parent-side watchdog (the
+  deadline times :data:`PROCESS_WATCHDOG_FACTOR`, plus
+  :data:`PROCESS_WATCHDOG_SLACK`) gets the pool killed and respawned;
+  the hung point is a final ``timeout`` and its co-flyers are
+  re-enqueued without charge.
+
+A pool that cannot be built is the caller's error: nothing falls back
+to in-process evaluation, where a point that kills a worker would kill
+the client.
 """
 
 import hashlib
@@ -49,16 +52,12 @@ from concurrent.futures.process import BrokenProcessPool
 from repro.engine.chaos import maybe_fail_point
 from repro.engine.faults import (
     CRASH,
-    QUARANTINED,
     TIMEOUT,
     FailureInfo,
     FaultStats,
-    RetryPolicy,
-    classify_exception,
     counter_for_kind,
     deadline,
-    point_fingerprint,
-    run_point_with_recovery,
+    failure_of,
 )
 
 EXECUTION_MODES = ("serial", "process")
@@ -68,9 +67,6 @@ EXECUTION_MODES = ("serial", "process")
 #: hangs the alarm cannot interrupt.
 PROCESS_WATCHDOG_FACTOR = 2.0
 PROCESS_WATCHDOG_SLACK = 0.25
-#: Pool breaks (crashes or hard hangs) in one batch before the
-#: evaluator gives up on the pool and finishes serially.
-DEGRADE_AFTER = 3
 
 #: Per-process handles on shared farm stores, keyed by directory — one
 #: store instance per (process, farm) so pool workers open each farm
@@ -238,11 +234,18 @@ def compose_point(spec, store):
     measurement of that code; a fresh profile is indexed under the
     result key so later sequences reaching the same code compose
     instead of re-simulating.  Returns ``(payload, hit)``.
+
+    Store I/O is best effort, as in the engine's cache: an ``OSError``
+    on ``get`` is a miss and one on ``put`` leaves the entry
+    unmirrored; either way the point keeps its payload.
     """
     module, fingerprint, result_fingerprint, function_fingerprints = \
         optimize_point(spec)
     result_key = farm_result_key(spec, result_fingerprint)
-    stored = store.get(result_key)
+    try:
+        stored = store.get(result_key)
+    except OSError:
+        stored = None
     if stored is not None:
         payload = dict(stored)
         payload.update({
@@ -261,34 +264,39 @@ def compose_point(spec, store):
         "fingerprint": result_fingerprint,
         "sequence": [],
     })
-    store.put(result_key, index_entry)
+    try:
+        store.put(result_key, index_entry)
+    except OSError:
+        pass
     return payload, False
 
 
-def _guarded_evaluate(spec):
-    """evaluate_point wrapped so failures travel back as *classified*
-    values (pool futures would otherwise lose the point context).  Runs
-    the spec's chaos hooks and arms the worker-side deadline."""
+def attempt_point(spec, run=evaluate_point):
+    """One attempt at one point: the only place a point runs.
+
+    Arms the spec's deadline, applies its chaos hook, calls ``run``
+    (:func:`evaluate_point`, or the engine's in-process composed path)
+    and classifies any exception, so the outcome travels back as a
+    value: ``(payload, None)`` or ``(None, FailureInfo)``.  Top-level
+    so pool workers can run it.
+    """
     try:
         with deadline(spec.get("timeout")):
             maybe_fail_point(spec)
-            return evaluate_point(spec), None
-    except Exception as error:  # noqa: BLE001 - propagated to caller
-        return None, FailureInfo(spec["name"], tuple(spec["sequence"]),
-                                 repr(error), classify_exception(error),
-                                 int(spec.get("attempt", 1)))
+            return run(spec), None
+    except Exception as error:  # noqa: BLE001 - classified, not raised
+        return None, failure_of(spec, error)
 
 
 class _PointState:
     """Supervision bookkeeping for one spec in one batch."""
 
-    __slots__ = ("index", "spec", "attempt", "ready_at")
+    __slots__ = ("index", "spec", "attempt")
 
     def __init__(self, index, spec):
         self.index = index
         self.spec = spec
         self.attempt = 1
-        self.ready_at = 0.0
 
 
 class PointEvaluator:
@@ -299,275 +307,173 @@ class PointEvaluator:
     per-worker interpreter startup.  Both share one failure contract:
     :meth:`run` returns ``(payload, FailureInfo | None)`` pairs in
     input order, and never lets a raw exception, a hung worker, or a
-    broken pool escape or wedge the batch.
+    broken pool escape or wedge the batch.  ``timeout`` is the
+    per-point deadline in seconds; ``chaos`` is a
+    :class:`~repro.engine.chaos.ChaosInjector` test hook.
     """
 
     def __init__(self, mode="serial", workers=None, timeout=None,
-                 retry=None, quarantine=None, degrade=True, chaos=None,
-                 stats=None):
+                 chaos=None):
         if mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; choose from {EXECUTION_MODES}")
         self.mode = mode
         self.workers = max(1, int(workers)) if workers else None
         self.timeout = timeout
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.quarantine = quarantine
-        self.degrade = degrade
         self.chaos = chaos
-        self.faults = stats if stats is not None else FaultStats()
-        #: Sticky degraded tier: once the pool proved broken, later
-        #: batches run serially too.
-        self.degraded_mode = None
+        self.faults = FaultStats()
 
-    # -- batch entry ------------------------------------------------------
     def run(self, specs):
         """Evaluate all specs; returns ``(payload, error)`` pairs in the
         same order as the input (error is None on success, else a
         :class:`FailureInfo`)."""
         specs = list(specs)
-        if not specs:
-            return []
-        results = [None] * len(specs)
-        states = []
-        for index, spec in enumerate(specs):
-            blocked = self._quarantine_block(spec)
-            if blocked is not None:
-                results[index] = (None, blocked)
-            else:
-                states.append(_PointState(index, spec))
-        if self.mode == "process" and self.degraded_mode is None \
-                and len(states) > 1:
-            states = self._run_pooled(states, results)
-            if states:
-                self.degraded_mode = "serial"
-                self.faults.bump("degradations")
-        self._run_serial(states, results)
-        self.faults.flush()
-        return results
+        if self.mode == "process" and len(specs) > 1:
+            return self._run_pooled(specs)
+        return [self.attempt(spec, index)
+                for index, spec in enumerate(specs)]
 
-    # -- quarantine -------------------------------------------------------
-    def _quarantine_block(self, spec):
-        if self.quarantine is None:
-            return None
-        record = self.quarantine.blocked(point_fingerprint(spec))
-        if record is None:
-            return None
-        self.faults.bump("quarantine_blocks")
-        return FailureInfo(
-            spec["name"], tuple(spec["sequence"]),
-            f"quarantined after {record['strikes']} worker-killing "
-            f"strikes ({record.get('cause', 'worker crash')})",
-            QUARANTINED, 0)
+    def attempt(self, spec, index=None, run=evaluate_point):
+        """One in-process :func:`attempt_point` at ``spec`` (batch
+        position ``index``), with its failure counted."""
+        return self._count(attempt_point(
+            self._decorated(spec, 1, index), run))
 
-    # -- serial tier ------------------------------------------------------
-    def _run_serial(self, states, results):
-        for state in states:
-            payload, failure = run_point_with_recovery(
-                evaluate_point, state.spec, retry=self.retry,
-                faults=self.faults, chaos=self.chaos,
-                timeout=self.timeout, point_index=state.index,
-                first_attempt=state.attempt)
-            results[state.index] = (payload, failure)
+    def _count(self, outcome):
+        failure = outcome[1]
+        if failure is not None:
+            self.faults.bump(counter_for_kind(failure.kind))
+        return outcome
+
+    def _decorated(self, spec, attempt, index):
+        spec = dict(spec)
+        spec["attempt"] = attempt
+        if self.timeout:
+            spec["timeout"] = self.timeout
+        if self.chaos is not None:
+            spec["chaos"] = self.chaos
+            if index is not None:
+                spec["chaos_point"] = index
+        return spec
 
     # -- process tier -----------------------------------------------------
-    def _run_pooled(self, states, results):
-        """Supervised process-pool execution; returns the states still
-        owed a result when the pool must be abandoned (degradation),
-        else ``[]``."""
-        width = self.workers or min(8, len(states))
+    def _run_pooled(self, specs):
+        """Supervised process-pool execution (see module docstring)."""
+        results = [None] * len(specs)
+        width = self.workers or min(8, len(specs))
         # With a deadline, in-flight submissions are capped at the pool
         # width so a spec's watchdog clock starts when a worker can
         # actually start it (queued-behind-a-hang must not read as
         # hung).  Without one, prefetch keeps workers from idling
         # during the parent's harvest/refill round-trip.
         cap = width if self.timeout else width * 2
+        pool = ProcessPoolExecutor(max_workers=width)
+        pending = deque(_PointState(index, spec)
+                        for index, spec in enumerate(specs))
+        solo = deque()  # break suspects: re-run one at a time
+        inflight = {}   # future -> (state, parent watchdog timestamp)
         try:
-            pool = ProcessPoolExecutor(max_workers=width)
-        except Exception:  # noqa: BLE001 - cannot build the pool: degrade
-            return states
-        pending = deque(states)
-        isolate = deque()  # break suspects: re-run one at a time
-        inflight = {}      # future -> state
-        deadlines = {}     # future -> parent watchdog timestamp
-        breaks = 0
-        try:
-            while pending or isolate or inflight:
-                now = time.monotonic()
-                broken = []  # states whose futures died with the pool
-                # -- refill (isolation runs strictly solo)
-                if isolate:
-                    if not inflight and isolate[0].ready_at <= now:
-                        state = isolate.popleft()
-                        if not self._try_submit(pool, state, inflight,
-                                                deadlines):
-                            broken.append(state)
-                elif pending:
-                    while pending and len(inflight) < cap \
-                            and pending[0].ready_at <= now:
-                        state = pending.popleft()
-                        if not self._try_submit(pool, state, inflight,
-                                                deadlines):
-                            broken.append(state)
-                            break
-                # -- wait, then settle worker-reported outcomes
-                if inflight and not broken:
-                    futures_wait(list(inflight), timeout=0.05,
+            while pending or solo or inflight:
+                dead = self._refill(pool, solo or pending,
+                                    1 if solo else cap, inflight)
+                if inflight and not dead:
+                    futures_wait(list(inflight),
+                                 timeout=self._watchdog_wait(inflight),
                                  return_when=FIRST_COMPLETED)
-                elif not inflight and not broken:
-                    time.sleep(0.005)  # backoff window: nothing ready
-                broken.extend(
-                    self._harvest(inflight, deadlines, results, pending))
-                # -- parent-side watchdog
-                hung = None
-                if self.timeout and not broken:
-                    now = time.monotonic()
-                    for future, state in inflight.items():
-                        if deadlines.get(future, now + 1) <= now \
-                                and not future.done():
-                            hung = state
-                            break
-                if hung is not None:
-                    # A hard-hung worker: kill the pool, respawn, put
-                    # innocent co-flyers back, charge the hung point.
-                    breaks += 1
-                    self.faults.bump("pool_respawns")
-                    self._kill_pool(pool)
-                    others = [s for s in inflight.values()
-                              if s is not hung]
-                    inflight.clear()
-                    deadlines.clear()
-                    pool = ProcessPoolExecutor(max_workers=width)
-                    for state in sorted(others, key=lambda s: s.index,
-                                        reverse=True):
-                        pending.appendleft(state)
-                    self._charge_worker_kill(
-                        hung, TIMEOUT,
-                        f"hung past the {self.timeout}s deadline; "
-                        f"worker killed", results, isolate)
-                elif broken:
-                    # The pool died under us (a worker crashed).  Any
-                    # still-unharvested in-flight future is dead too.
-                    breaks += 1
-                    self.faults.bump("pool_respawns")
-                    self._kill_pool(pool)
-                    suspects = {id(s): s for s in broken}
-                    suspects.update(
-                        (id(s), s) for s in inflight.values())
-                    inflight.clear()
-                    deadlines.clear()
-                    pool = ProcessPoolExecutor(max_workers=width)
-                    ordered = sorted(suspects.values(),
-                                     key=lambda s: s.index)
-                    if len(ordered) == 1:
-                        # Alone in flight: definitely the crasher.
-                        self._charge_worker_kill(
-                            ordered[0], CRASH,
-                            "worker crashed (process pool broken)",
-                            results, isolate)
-                    else:
-                        # Ambiguous: bisect by re-running each suspect
-                        # solo so only the true crasher pays strikes.
-                        isolate.extend(ordered)
-                if (hung is not None or broken) and self.degrade \
-                        and breaks >= DEGRADE_AFTER:
-                    leftover = sorted(
-                        list(pending) + list(isolate)
-                        + list(inflight.values()),
-                        key=lambda s: s.index)
-                    return leftover
-            return []
+                dead += self._harvest(inflight, results)
+                now = time.monotonic()
+                hung = [] if dead or not self.timeout else [
+                    state for future, (state, watchdog)
+                    in inflight.items()
+                    if watchdog <= now and not future.done()]
+                if not (dead or hung):
+                    continue
+                # The pool is dead (a worker crashed) or must be killed
+                # (a worker is hard-hung): respawn it, then settle what
+                # was in flight.
+                self.faults.bump("pool_respawns")
+                self._kill_pool(pool)
+                survivors = sorted(
+                    (state for state, _ in inflight.values()),
+                    key=lambda state: state.index)
+                inflight.clear()
+                pool = ProcessPoolExecutor(max_workers=width)
+                if hung:
+                    for state in hung:
+                        self._charge(state, TIMEOUT,
+                                     f"hung past the {self.timeout}s "
+                                     f"deadline; worker killed", results)
+                    pending.extendleft(reversed(
+                        [state for state in survivors
+                         if state not in hung]))
+                    continue
+                suspects = sorted(dead + survivors,
+                                  key=lambda state: state.index)
+                if len(suspects) == 1:
+                    # Alone in flight (a first attempt, or a solo
+                    # re-run): definitely the crasher.
+                    self._charge(suspects[0], CRASH,
+                                 "worker crashed (process pool broken)",
+                                 results)
+                    continue
+                # Ambiguous: re-run each suspect solo so only the true
+                # crasher is charged.
+                for state in suspects:
+                    state.attempt += 1
+                    self.faults.bump("retries")
+                solo.extend(suspects)
+            return results
         finally:
             self._kill_pool(pool)
 
-    def _try_submit(self, pool, state, inflight, deadlines):
-        try:
-            future = pool.submit(_guarded_evaluate,
-                                 self._decorated(state))
-        except BrokenProcessPool:
-            return False
-        inflight[future] = state
-        if self.timeout:
-            deadlines[future] = (time.monotonic()
-                                 + self.timeout * PROCESS_WATCHDOG_FACTOR
-                                 + PROCESS_WATCHDOG_SLACK)
-        return True
+    def _refill(self, pool, queue, limit, inflight):
+        """Submit from ``queue`` until ``limit`` points are in flight;
+        returns ``[state]`` if submitting ``state`` found the pool
+        broken (it joins the in-flight points as a suspect), else
+        ``[]``."""
+        while queue and len(inflight) < limit:
+            state = queue.popleft()
+            try:
+                future = pool.submit(attempt_point, self._decorated(
+                    state.spec, state.attempt, state.index))
+            except BrokenProcessPool:
+                return [state]
+            watchdog = (time.monotonic()
+                        + self.timeout * PROCESS_WATCHDOG_FACTOR
+                        + PROCESS_WATCHDOG_SLACK) if self.timeout \
+                else None
+            inflight[future] = (state, watchdog)
+        return []
 
-    def _harvest(self, inflight, deadlines, results, pending):
-        """Settle every finished future; returns states whose futures
-        died with a broken pool."""
-        suspects = []
-        for future, state in list(inflight.items()):
-            if not future.done():
-                continue
-            del inflight[future]
-            deadlines.pop(future, None)
+    def _watchdog_wait(self, inflight):
+        """How long to wait for a future before the next watchdog
+        check (None: wait for one to finish)."""
+        if not self.timeout:
+            return None
+        earliest = min(watchdog for _, watchdog in inflight.values())
+        return max(0.0, earliest - time.monotonic())
+
+    def _harvest(self, inflight, results):
+        """Settle every finished future; returns the states whose
+        futures died with a broken pool."""
+        broken = []
+        for future in [future for future in inflight if future.done()]:
+            state, _ = inflight.pop(future)
             error = future.exception()
-            if error is None:
-                payload, failure = future.result()
-                self._settle(state, payload, failure, results, pending)
-            elif isinstance(error, BrokenProcessPool):
-                suspects.append(state)
+            if isinstance(error, BrokenProcessPool):
+                broken.append(state)
+            elif error is not None:
+                results[state.index] = self._count((None, failure_of(
+                    state.spec, error)._replace(attempts=state.attempt)))
             else:
-                self._settle(state, None, FailureInfo(
-                    state.spec["name"], tuple(state.spec["sequence"]),
-                    repr(error), classify_exception(error),
-                    state.attempt), results, pending)
-        return suspects
+                results[state.index] = self._count(future.result())
+        return broken
 
-    def _settle(self, state, payload, failure, results, requeue):
-        """Record a worker-reported outcome: success, retryable
-        failure (re-enqueued with deterministic backoff), or final."""
-        if failure is None:
-            results[state.index] = (payload, None)
-            return
-        self.faults.bump(counter_for_kind(failure.kind))
-        if self.retry.should_retry(failure.kind, state.attempt):
-            self.faults.bump("retries")
-            state.ready_at = (time.monotonic()
-                              + self.retry.delay(state.attempt))
-            state.attempt += 1
-            requeue.append(state)
-        else:
-            results[state.index] = (
-                None, failure._replace(attempts=state.attempt))
-
-    def _charge_worker_kill(self, state, kind, cause, results, requeue):
-        """A point's worker had to be killed (crash or hard hang):
-        strike the quarantine ledger, then retry or finalize."""
-        self.faults.bump(counter_for_kind(kind))
-        spec = state.spec
-        if self.quarantine is not None:
-            strikes = self.quarantine.strike(
-                point_fingerprint(spec), spec["name"],
-                tuple(spec["sequence"]), cause)
-            if strikes >= self.quarantine.threshold:
-                self.faults.bump("quarantined")
-                results[state.index] = (None, FailureInfo(
-                    spec["name"], tuple(spec["sequence"]),
-                    f"quarantined after {strikes} worker-killing "
-                    f"strikes ({cause})", QUARANTINED, state.attempt))
-                return
-        if self.retry.should_retry(kind, state.attempt):
-            self.faults.bump("retries")
-            state.ready_at = (time.monotonic()
-                              + self.retry.delay(state.attempt))
-            state.attempt += 1
-            requeue.append(state)
-        else:
-            results[state.index] = (None, FailureInfo(
-                spec["name"], tuple(spec["sequence"]), cause, kind,
-                state.attempt))
-
-    def _decorated(self, state):
-        spec = dict(state.spec)
-        spec["attempt"] = state.attempt
-        if self.timeout:
-            spec["timeout"] = self.timeout
-        if self.chaos is not None:
-            spec["chaos"] = self.chaos
-            spec["chaos_point"] = state.index
-        return spec
+    def _charge(self, state, kind, cause, results):
+        """Finalize a point whose worker had to be killed."""
+        results[state.index] = self._count((None, FailureInfo(
+            state.spec["name"], tuple(state.spec["sequence"]), cause,
+            kind, state.attempt)))
 
     @staticmethod
     def _kill_pool(pool):

@@ -31,16 +31,16 @@ class MLComp:
     evaluation cache and joins the shared compile farm there, a
     cross-process result store that other clients (processes pointed
     at the same directory) and process-pool workers reuse.
-    ``eval_timeout`` puts a wall-clock deadline on every point,
-    ``max_retries`` bounds transient-failure retries, and
-    ``degrade=False`` pins the engine to its configured mode instead of
-    stepping down when pools break repeatedly.
+    ``eval_timeout`` puts a wall-clock deadline on every point.  A
+    point that fails ends as a structured
+    :class:`repro.engine.EvalFailure`; the only re-run is the solo
+    re-run of points that shared a broken process pool.
     """
 
     def __init__(self, target="x86", suite=None, phases=None,
                  measurement_seed=0, cache=True, cache_size=4096,
                  eval_mode="serial", workers=None, farm_dir=None,
-                 eval_timeout=None, max_retries=2, degrade=True):
+                 eval_timeout=None):
         self.platform = Platform(target, measurement_seed)
         suite = suite or default_suite_for(target)
         self.workloads = load_suite(suite)
@@ -49,8 +49,7 @@ class MLComp:
         self.engine = EvaluationEngine(
             self.platform, cache=None if cache else False,
             cache_size=cache_size, mode=eval_mode, workers=workers,
-            farm_dir=farm_dir, eval_timeout=eval_timeout,
-            max_retries=max_retries, degrade=degrade)
+            farm_dir=farm_dir, eval_timeout=eval_timeout)
         self.dataset = None
         self.estimator = None
         self.trainer = None

@@ -1,6 +1,5 @@
-"""Fault-tolerance layer (ISSUE 8 tentpole): failure taxonomy, retry
-policy, poison-point quarantine, worker supervision, graceful
-degradation, and store checksums.
+"""Fault-tolerance layer: failure taxonomy, the one supervisor's
+recovery rules, and store checksums.
 
 Companion suite: ``test_faults.py`` covers the chaos harness itself
 (seeded reproducibility and the injected-fault -> recovery matrix).
@@ -14,11 +13,8 @@ from repro.engine import (
     EvalTimeout,
     EvaluationEngine,
     InjectedCrash,
-    Quarantine,
-    RetryPolicy,
     ShardedStore,
     classify_exception,
-    point_fingerprint,
 )
 from repro.errors import CompilationError, SimulationError
 from repro.sim import Platform
@@ -33,8 +29,8 @@ def workload():
     return load_suite("beebs")[0]
 
 
-def _points(workload):
-    return [(workload, seq) for seq in SEQUENCES]
+def _points(workload, sequences=SEQUENCES):
+    return [(workload, seq) for seq in sequences]
 
 
 def _rows(results):
@@ -63,111 +59,81 @@ def test_classification_table():
     assert classify_exception(ValueError("nope")) == "deterministic"
 
 
-def test_retry_policy_is_deterministic_and_bounded():
-    policy = RetryPolicy(max_retries=2, backoff=0.02, factor=2.0)
-    # Transient kinds retry up to max_retries; deterministic never.
-    assert policy.should_retry("timeout", 1)
-    assert policy.should_retry("crash", 2)
-    assert not policy.should_retry("crash", 3)
-    assert not policy.should_retry("deterministic", 1)
-    # Backoff is a pure function of the attempt number (no jitter).
-    assert [policy.delay(n) for n in (1, 2, 3)] == \
-        [policy.delay(n) for n in (1, 2, 3)]
-    assert policy.delay(2) == pytest.approx(0.04)
-    assert RetryPolicy(max_retries=0).should_retry("timeout", 1) is False
+# -- supervision ----------------------------------------------------------
 
-
-# -- quarantine ledger ----------------------------------------------------
-
-def test_quarantine_persists_across_instances(tmp_path):
-    ledger_dir = str(tmp_path / "_quarantine")
-    spec = {"name": "w", "source": "int main(){}", "sequence": ("dce",),
-            "target": "riscv", "measurement_seed": 0, "fuel": 100}
-    fp = point_fingerprint(spec)
-    first = Quarantine(ledger_dir, threshold=2)
-    assert first.blocked(fp) is None
-    assert first.strike(fp, "w", ("dce",), "crash #1") == 1
-    assert first.blocked(fp) is None  # below threshold
-    assert first.strike(fp, "w", ("dce",), "crash #2") == 2
-    assert first.blocked(fp)["strikes"] == 2
-    # A fresh instance (another client/process) sees the record.
-    second = Quarantine(ledger_dir, threshold=2)
-    assert second.blocked(fp)["causes"] == ["crash #1", "crash #2"]
-    assert len(second) == 1
-    # Attempt decorations don't change the fingerprint.
-    assert point_fingerprint({**spec, "attempt": 7, "timeout": 1}) == fp
-
-
-def test_poison_point_is_quarantined_then_blocked(workload):
-    chaos = ChaosInjector(seed=0, crash_points=[0], times=99)
+def test_poison_point_ends_as_crash_after_one_solo_rerun(workload,
+                                                         tmp_path):
+    farm = tmp_path / "farm"
+    # The co-flyer stalls on its first attempt, so it is still in
+    # flight when the poison point breaks the pool.
+    chaos = ChaosInjector(seed=0, crash_points=[0], times=99,
+                          stall_points={1: 1}, stall_seconds=2.0)
     engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=60, max_retries=6, degrade=False)
+                     eval_timeout=60, farm_dir=str(farm))
     points = [(workload, ("mem2reg",)), (workload, ("dce",))]
     results = engine.evaluate_batch(points, on_error="collect")
+    # Both points shared the broken pool, so both were re-run solo
+    # once; the poison point crashed its solo run too.
     assert isinstance(results[0], EvalFailure)
-    assert results[0].kind == "quarantined"
+    assert results[0].kind == "crash" and results[0].attempts == 2
     assert not results[1].failed  # innocent co-flyer still evaluated
+    assert _rows(results[1:]) == _rows(
+        _engine().evaluate_batch(points[1:]))
     counters = engine.fault_stats.as_dict()
-    assert counters["quarantined"] == 1
-    assert counters["pool_respawns"] >= 3
-    assert len(engine.quarantine) == 1
-    # The second batch is answered from the ledger, without touching a
-    # worker: zero attempts, the block counter moves, respawns don't.
-    again = engine.evaluate_batch(points, on_error="collect")
-    assert again[0].kind == "quarantined" and again[0].attempts == 0
-    after = engine.fault_stats.as_dict()
-    assert after["quarantine_blocks"] == 1
-    assert after["pool_respawns"] == counters["pool_respawns"]
+    assert counters["crashes"] == 1
+    assert counters["retries"] == 2
+    assert counters["pool_respawns"] == 2
+    # No ledger: the farm holds results and store counters only.
+    assert not (farm / "_quarantine").exists()
+    assert not (farm / "_faults").exists()
 
-
-# -- supervision ----------------------------------------------------------
 
 def test_timeout_failure_is_structured(workload):
     chaos = ChaosInjector(seed=0, stall_points=[0], times=99,
                           stall_seconds=1.5)
-    engine = _engine(chaos=chaos, eval_timeout=0.3, max_retries=0)
+    engine = _engine(chaos=chaos, eval_timeout=0.3)
     results = engine.evaluate_batch([(workload, ("mem2reg",))],
                                     on_error="collect")
     assert results[0].failed and results[0].kind == "timeout"
+    assert results[0].attempts == 1
     assert "deadline" in results[0].error
     assert engine.fault_stats.as_dict()["timeouts"] == 1
 
 
-def test_repeated_pool_breaks_degrade_to_serial(workload):
-    serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
-    chaos = ChaosInjector(seed=0, crash_points={0: 2, 1: 2}, times=1)
+def test_repeated_pool_breaks_respawn_the_pool(workload):
+    # Three pool breaks in one batch (each pair of co-flyers crashes
+    # its first attempt), each resolved by solo re-runs: the evaluator
+    # stays on its pool (in-process, every first attempt would fail as
+    # an injected crash) and every row is exact.
+    sequences = SEQUENCES + (("dce",), ("mem2reg",), ("mem2reg", "gvn"))
+    points = _points(workload, sequences)
+    serial_rows = _rows(_engine().evaluate_batch(points))
+    chaos = ChaosInjector(seed=0, crash_points=range(6), times=1)
     engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=60, max_retries=6)
-    rows = _rows(engine.evaluate_batch(_points(workload)))
-    # The pool broke repeatedly -> stepped down, but every point still
-    # produced its bit-identical row.
-    assert engine.evaluator.degraded_mode == "serial"
-    assert rows == serial_rows
+                     eval_timeout=60)
+    results = engine.evaluate_batch(points, on_error="collect")
+    assert _rows(results) == serial_rows
     counters = engine.fault_stats.as_dict()
-    assert counters["degradations"] == 1
-    assert counters["pool_respawns"] >= 3
-    assert engine.stats()["faults"]["degraded_to"] == "serial"
-
-
-def test_no_degrade_pins_the_mode(workload):
-    chaos = ChaosInjector(seed=0, crash_points={0: 2, 1: 2}, times=1)
-    engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=60, max_retries=6, degrade=False)
-    results = engine.evaluate_batch(_points(workload),
-                                    on_error="collect")
-    assert engine.evaluator.degraded_mode is None
-    assert all(not r.failed for r in results)
-    assert engine.fault_stats.as_dict()["degradations"] == 0
+    assert counters["pool_respawns"] == 3
+    assert counters["retries"] == 6
+    assert counters["crashes"] == 0
+    assert engine.stats()["mode"] == "process"
 
 
 def test_serial_tier_recovers_from_inprocess_crashes(workload):
+    # In-process, an injected crash is final on its one attempt (a real
+    # crash would take the client with it); the batch still completes
+    # and the innocent point's row is exact.
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
     chaos = ChaosInjector(seed=0, crash_points=[0, 2], times=1)
     engine = _engine(chaos=chaos, compose=False)
-    rows = _rows(engine.evaluate_batch(_points(workload)))
-    assert rows == serial_rows
+    results = engine.evaluate_batch(_points(workload),
+                                    on_error="collect")
+    assert [(r.kind, r.attempts) for r in (results[0], results[2])] == \
+        [("crash", 1), ("crash", 1)]
+    assert _rows(results[1:2]) == serial_rows[1:2]
     counters = engine.fault_stats.as_dict()
-    assert counters["crashes"] == 2 and counters["retries"] == 2
+    assert counters["crashes"] == 2 and counters["retries"] == 0
 
 
 # -- store checksums ------------------------------------------------------

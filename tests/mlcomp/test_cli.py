@@ -99,8 +99,11 @@ def test_cli_rejects_thread_eval_mode(capsys):
 
 
 @pytest.mark.parametrize("flag", [["--scheduler-workers", "2"],
-                                  ["--cache-dir", "d"]],
-                         ids=["scheduler-workers", "cache-dir"])
+                                  ["--cache-dir", "d"],
+                                  ["--max-retries", "2"],
+                                  ["--no-degrade"]],
+                         ids=["scheduler-workers", "cache-dir",
+                              "max-retries", "no-degrade"])
 def test_cli_rejects_removed_engine_flags(capsys, flag):
     from repro.cli import build_parser
     with pytest.raises(SystemExit):

@@ -134,16 +134,11 @@ def cmd_mlcomp(args):
               f"{tier['evictions']} evictions)")
     farm = stats.get("farm")
     if farm is not None:
-        local = farm["local"]["totals"]
-        shard_line = ", ".join(
-            f"{shard['hits']}/{shard['hits'] + shard['misses']}"
-            for shard in farm["local"]["per_shard"]
-            if shard["hits"] or shard["misses"])
+        local = farm["local"]
         total = farm["aggregate"]
         print(f"[farm] {farm['dir']}: local {local['hits']} hits / "
               f"{local['hits'] + local['misses']} lookups, "
-              f"{local['compactions']} compactions "
-              f"(per-shard: {shard_line or 'idle'})")
+              f"{local['stores']} stores")
         print(f"[farm] cross-process: {total['processes']} processes, "
               f"{total['hits']} hits / "
               f"{total['hits'] + total['misses']} lookups "

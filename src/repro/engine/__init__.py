@@ -31,7 +31,7 @@ from repro.engine.faults import (
     FaultStats,
     classify_exception,
 )
-from repro.engine.store import ShardedStore, StoreStats
+from repro.engine.store import ShardedStore
 
 __all__ = [
     "CacheStats",
@@ -49,7 +49,6 @@ __all__ = [
     "InjectedIOError",
     "PointEvaluator",
     "ShardedStore",
-    "StoreStats",
     "WorkerError",
     "cache_key",
     "classify_exception",

@@ -8,7 +8,7 @@ the stored result instead of re-running the compiler and simulator.
 
 The cache is a bounded LRU with hit/miss/eviction counters and an
 optional on-disk tier that survives across processes: a
-:class:`repro.engine.store.ShardedStore` (the compile farm's sharded
+:class:`repro.engine.store.ShardedStore` (the compile farm's
 append-only segment store).
 """
 
@@ -91,20 +91,15 @@ class EvaluationCache:
     start with a full cache.  The tier is a cross-process
     :class:`~repro.engine.store.ShardedStore`, so many concurrent
     clients and worker processes pointed at the same directory share one
-    warm farm; pass an existing ``store`` instance to share a single
-    in-process handle.
+    warm farm.
     """
 
-    def __init__(self, max_entries=4096, store_dir=None, store=None):
+    def __init__(self, max_entries=4096, store_dir=None):
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.max_entries = max_entries
-        if store is not None:
-            self.store = store
-        elif store_dir is not None:
-            self.store = ShardedStore(store_dir)
-        else:
-            self.store = None
+        self.store = ShardedStore(store_dir) if store_dir is not None \
+            else None
         self.store_dir = self.store.root if self.store is not None \
             else None
         self.stats = CacheStats()
@@ -145,11 +140,6 @@ class EvaluationCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-
-    def clear(self):
-        """Drop the in-memory tier (the disk store is left alone)."""
-        with self._lock:
-            self._entries.clear()
 
     # -- disk tier --------------------------------------------------------
     # The disk tier is strictly best-effort: an I/O error on either

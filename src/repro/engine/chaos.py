@@ -4,7 +4,7 @@ harness).
 Recovery code that is never executed is broken code waiting for
 production traffic.  This module provides a *seeded* injector that is
 threaded through the evaluator (worker crash, soft stall, hard hang)
-and the sharded store (I/O errors, corrupted and truncated segment
+and the farm store (I/O errors, corrupted and truncated segment
 lines), so the one recovery path in :mod:`repro.engine.evaluator` and
 the store's checksums are exercised by tests instead of trusted.
 

@@ -416,11 +416,17 @@ class EvaluationEngine:
 
     # -- reporting --------------------------------------------------------
     def stats(self):
-        """Hit/miss statistics for every tier: the LRU caches, the
-        shared farm store (local per-shard counters plus the
-        farm-wide cross-process aggregate), and the fault counters.
-        ``tape`` counts the simulator's per-process program decodes
-        (``misses``, ``decode_seconds``); ``hits`` is always 0."""
+        """Hit/miss statistics for every tier.
+
+        ``evaluations`` and ``pe`` are the LRU caches.  ``farm`` is None
+        without a farm directory, else ``dir``, ``local`` (this
+        process's store counters: ``hits``, ``misses``, ``stores``,
+        ``cross_hits``, ``corrupt_lines``, ``checksum_skips`` and
+        ``hit_rate``) and ``aggregate`` (the same counters summed over
+        every process that used the farm, plus ``processes``).
+        ``faults`` holds the supervisor's counters.  ``tape`` counts the
+        simulator's per-process program decodes (``misses``,
+        ``decode_seconds``); ``hits`` is always 0."""
         from repro.sim import tape_cache_stats
 
         out = {"pe": self.pe_cache.stats.as_dict(),
@@ -432,7 +438,7 @@ class EvaluationEngine:
         store = self.cache.store if self.cache is not None else None
         out["farm"] = None if store is None else {
             "dir": store.root,
-            "local": store.stats.as_dict(),
+            "local": store.local_stats(),
             "aggregate": store.aggregate_stats(),
         }
         out["faults"] = {"local": self.fault_stats.as_dict()}

@@ -26,10 +26,11 @@ Supervision has one recovery path for every mode:
   tier and the engine's composed path all call it, and a failure it
   reports is final.
 - **Pool breaks.**  A died worker (OOM kill, injected crash) breaks
-  the pool; the supervisor respawns it.  A point that was alone in
-  flight is charged ``crash``.  When several were in flight, each is
-  re-run solo once: a solo crash is a final ``crash`` (two attempts),
-  and the innocent points get their results.
+  the pool; the supervisor respawns it.  Every point that was on its
+  first attempt in the broken pool is re-run solo once, however many
+  shared the pool with it, and nothing else flies with a solo re-run.
+  A solo crash is a final ``crash`` (two attempts); the innocent
+  points, and a crasher that only crashes once, get their results.
 - **Hard hangs.**  A worker hung past the parent-side watchdog (the
   deadline times :data:`PROCESS_WATCHDOG_FACTOR`, plus
   :data:`PROCESS_WATCHDOG_SLACK`) gets the pool killed and respawned;
@@ -374,8 +375,12 @@ class PointEvaluator:
         inflight = {}   # future -> (state, parent watchdog timestamp)
         try:
             while pending or solo or inflight:
-                dead = self._refill(pool, solo or pending,
-                                    1 if solo else cap, inflight)
+                # A solo re-run flies alone: nothing joins it until it
+                # has settled.
+                rerunning = solo or any(state.attempt > 1 for state, _
+                                        in inflight.values())
+                dead = self._refill(pool, solo if rerunning else pending,
+                                    1 if rerunning else cap, inflight)
                 if inflight and not dead:
                     futures_wait(list(inflight),
                                  timeout=self._watchdog_wait(inflight),
@@ -407,21 +412,19 @@ class PointEvaluator:
                         [state for state in survivors
                          if state not in hung]))
                     continue
-                suspects = sorted(dead + survivors,
-                                  key=lambda state: state.index)
-                if len(suspects) == 1:
-                    # Alone in flight (a first attempt, or a solo
-                    # re-run): definitely the crasher.
-                    self._charge(suspects[0], CRASH,
-                                 "worker crashed (process pool broken)",
-                                 results)
-                    continue
-                # Ambiguous: re-run each suspect solo so only the true
-                # crasher is charged.
-                for state in suspects:
-                    state.attempt += 1
-                    self.faults.bump("retries")
-                solo.extend(suspects)
+                # A suspect on its solo re-run flew alone, so it is the
+                # crasher; every first-attempt suspect is re-run solo
+                # once, whether or not it had co-flyers.
+                for state in sorted(dead + survivors,
+                                    key=lambda state: state.index):
+                    if state.attempt > 1:
+                        self._charge(state, CRASH,
+                                     "worker crashed (process pool "
+                                     "broken)", results)
+                    else:
+                        state.attempt += 1
+                        self.faults.bump("retries")
+                        solo.append(state)
             return results
         finally:
             self._kill_pool(pool)

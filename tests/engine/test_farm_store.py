@@ -1,8 +1,8 @@
-"""The sharded cross-process farm store (ISSUE 7 tentpole, layer 1-2).
+"""The cross-process farm store.
 
-Covers: single-store semantics (roundtrip, persistence, sealing,
-compaction, torn-line and corruption tolerance, no legacy layout,
-orphan sweep), a multi-process stress suite (N processes hammering one
+Covers: single-store semantics (roundtrip, persistence, the
+one-segment-per-writer layout, torn-line and corruption tolerance, no
+older layouts), a multi-process stress suite (N processes hammering one
 store: no corruption, no lost writes), and the farm-composed
 process-pool differential (payloads bit-identical to serial
 evaluation).
@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.engine import (
+    ChaosInjector,
     EvaluationCache,
     EvaluationEngine,
     ShardedStore,
@@ -29,125 +30,103 @@ from repro.workloads import load_suite
 KEYS = [cache_key(f"fp{i}", ("mem2reg",), "riscv", 0) for i in range(40)]
 
 
-def _store(path, **kwargs):
-    kwargs.setdefault("shards", 4)
-    return ShardedStore(str(path), **kwargs)
+def _segments(root):
+    return sorted(name for name in os.listdir(root)
+                  if name.endswith(".jsonl"))
 
 
 # -- single-store semantics ----------------------------------------------
 
 def test_put_get_roundtrip_and_miss(tmp_path):
-    store = _store(tmp_path)
+    store = ShardedStore(tmp_path)
     store.put(KEYS[0], {"v": 1, "nested": {"x": [1.5, "s"]}})
     assert store.get(KEYS[0]) == {"v": 1, "nested": {"x": [1.5, "s"]}}
     assert store.get(KEYS[1]) is None
-    totals = store.stats.totals()
+    totals = store.local_stats()
     assert (totals["hits"], totals["misses"], totals["stores"]) \
         == (1, 1, 1)
+    assert totals["hit_rate"] == 0.5
 
 
 def test_entries_visible_to_other_instances(tmp_path):
-    writer = _store(tmp_path)
-    reader = _store(tmp_path)  # separate instance = separate segments
+    writer = ShardedStore(tmp_path)
+    reader = ShardedStore(tmp_path)  # separate instance = separate segments
     for i, key in enumerate(KEYS):
         writer.put(key, {"v": i})
     for i, key in enumerate(KEYS):
         assert reader.get(key) == {"v": i}
     # Every reader hit came from a foreign segment.
-    assert reader.stats.totals()["cross_hits"] == len(KEYS)
-    # Writes land in shard subdirectories of the root.
-    shards = [name for name in os.listdir(tmp_path)
-              if name.startswith("shard-")]
-    assert shards
+    assert reader.local_stats()["cross_hits"] == len(KEYS)
+    # All of the writer's entries land in one segment directly under
+    # the root; the reader, which wrote nothing, has none.
+    segments = _segments(tmp_path)
+    assert len(segments) == 1
+    assert segments[0].startswith(f"seg-{os.getpid()}-")
+    assert sorted(os.listdir(tmp_path)) == ["_stats"] + segments
 
 
-def test_sealing_and_compaction_preserve_every_entry(tmp_path):
-    store = _store(tmp_path, seal_bytes=64, compact_after=2)
-    for i, key in enumerate(KEYS):
-        store.put(key, {"v": i})
-    totals = store.stats.totals()
-    assert totals["compactions"] > 0
-    assert totals["segments_merged"] >= 2
-    # All entries survive compaction, via the same and a fresh handle.
-    for handle in (store, _store(tmp_path)):
-        for i, key in enumerate(KEYS):
-            assert handle.get(key) == {"v": i}, key
-    # Compaction dedups: far fewer segment files than entries.
-    segments = [name
-                for shard in os.listdir(tmp_path)
-                if shard.startswith("shard-")
-                for name in os.listdir(tmp_path / shard)
-                if name.endswith(".jsonl")]
-    assert 0 < len(segments) < len(KEYS)
+def test_torn_put_moves_the_writer_to_a_fresh_segment(tmp_path):
+    # Truncate three keys' lines: each torn put leaves its line at the
+    # end of the segment it tore, and the writer goes on in a new one.
+    torn = set(KEYS[1:7:2])
 
+    class TearSome(ChaosInjector):
+        def mangle_line(self, key, data):
+            return data[:len(data) // 2] if key in torn else data
 
-def test_reader_self_heals_after_foreign_compaction(tmp_path):
-    writer = _store(tmp_path, seal_bytes=64)
-    for i, key in enumerate(KEYS):
+    writer = ShardedStore(tmp_path, chaos=TearSome())
+    for i, key in enumerate(KEYS[:8]):
         writer.put(key, {"v": i})
-    reader = _store(tmp_path)
-    assert reader.get(KEYS[0]) == {"v": 0}  # index now points at files
-    # Another process compacts under the reader.
-    for shard in range(writer.n_shards):
-        writer.compact_shard(shard)
-    for i, key in enumerate(KEYS):
-        assert reader.get(key) == {"v": i}
+    assert len(_segments(tmp_path)) == 1 + len(torn)
+    fresh = ShardedStore(tmp_path)
+    for i, key in enumerate(KEYS[:8]):
+        expected = None if key in torn else {"v": i}
+        assert writer.get(key) == expected
+        assert fresh.get(key) == expected
+    # An intact line written after a torn one in the same file would
+    # have merged with it into one corrupt line.
+    assert fresh.local_stats()["corrupt_lines"] == 0
+    assert fresh.local_stats()["checksum_skips"] == 0
 
 
 def test_torn_final_line_and_corrupt_lines_are_skipped(tmp_path):
-    store = _store(tmp_path, shards=1)
+    store = ShardedStore(tmp_path)
     store.put(KEYS[0], {"v": 0})
-    shard_dir = tmp_path / "shard-00"
-    # A killed writer's segment: one intact line, one torn, one corrupt.
-    with open(shard_dir / "seg-99999-deadbeef-000001.jsonl", "w") as f:
+    # A killed writer's segment: one intact line, one corrupt, one torn.
+    with open(tmp_path / "seg-99999-deadbeef.jsonl", "w") as f:
         f.write(_encode_line(KEYS[1], {"v": 1}).decode())
         f.write("{not json}\n")
         f.write(_encode_line(KEYS[2], {"v": 2}).decode()[:-4])
-    fresh = _store(tmp_path, shards=1)
+    fresh = ShardedStore(tmp_path)
     assert fresh.get(KEYS[0]) == {"v": 0}
     assert fresh.get(KEYS[1]) == {"v": 1}
     assert fresh.get(KEYS[2]) is None  # torn line: never published
-    assert fresh.stats.totals()["corrupt_lines"] == 1
+    assert fresh.local_stats()["corrupt_lines"] == 1
 
 
 def test_legacy_one_file_per_entry_layout_is_a_miss(tmp_path):
     with open(tmp_path / f"{KEYS[0]}.json", "w") as handle:
         json.dump({"v": "legacy"}, handle)
-    store = _store(tmp_path)
-    assert store.get(KEYS[0]) is None
-    assert store.stats.totals()["misses"] == 1
-
-
-def test_startup_sweep_removes_orphaned_tmp_files(tmp_path):
-    (tmp_path / "shard-00").mkdir(parents=True)
-    orphan = tmp_path / "shard-00" / "merged-000001-dead.jsonl.tmp"
-    orphan.write_text("partial")
-    stale_lock = tmp_path / "shard-00" / "compact.lock"
-    stale_lock.write_text("99999")
-    old = time.time() - 3600
-    os.utime(orphan, (old, old))
-    os.utime(stale_lock, (old, old))
-    fresh_tmp = tmp_path / "shard-00" / "live.jsonl.tmp"
-    fresh_tmp.write_text("in-flight")  # young: a live writer owns it
-    store = _store(tmp_path)
-    assert not orphan.exists()
-    assert not stale_lock.exists()
-    assert fresh_tmp.exists()
-    assert store.stats.totals()["orphans_swept"] == 2
-
-
-def test_compaction_lock_blocks_then_goes_stale(tmp_path):
-    store = _store(tmp_path, shards=1, seal_bytes=64)
-    for i, key in enumerate(KEYS):
+    # The key-sharded layout: shard-XX/ directories of segments.
+    shard = tmp_path / "shard-03"
+    shard.mkdir()
+    (shard / "seg-99999-deadbeef.jsonl.active").write_bytes(
+        _encode_line(KEYS[1], {"v": "active"}))
+    (shard / "seg-99999-deadbeef-000001.jsonl").write_bytes(
+        _encode_line(KEYS[2], {"v": "sealed"}))
+    (shard / "merged-000002-deadbeef.jsonl").write_bytes(
+        _encode_line(KEYS[3], {"v": "merged"}))
+    before = sorted(os.listdir(shard))
+    store = ShardedStore(tmp_path)
+    for key in KEYS[:4]:
+        assert store.get(key) is None
+    assert store.local_stats()["misses"] == 4
+    for i, key in enumerate(KEYS[:4]):
         store.put(key, {"v": i})
-    lock = tmp_path / "shard-00" / "compact.lock"
-    lock.write_text("12345")
-    assert store.compact_shard(0) is False  # held by a live compactor
-    old = time.time() - 3600
-    os.utime(lock, (old, old))
-    assert store.compact_shard(0) is True  # stale lock broken
-    for i, key in enumerate(KEYS):
-        assert store.get(key) == {"v": i}
+    assert store.get(KEYS[2]) == {"v": 2}
+    # New entries go to the root, never into a shard directory.
+    assert sorted(os.listdir(shard)) == before
+    assert len(_segments(tmp_path)) == 1
 
 
 def test_evaluation_cache_disk_tier_is_the_sharded_store(tmp_path):
@@ -170,8 +149,7 @@ def _stress_worker(task):
     """One process: write its slice, then hammer reads of every key
     until all writers' entries are visible (no lost writes)."""
     root, worker, n_workers = task
-    store = ShardedStore(root, shards=4, seal_bytes=128,
-                         compact_after=3)
+    store = ShardedStore(root)
     payloads = {}
     for i in range(STRESS_KEYS):
         key = cache_key(f"stress{i}", (), "riscv", 0)
@@ -191,11 +169,7 @@ def _stress_worker(task):
         time.sleep(0.01)
     if missing:
         return ("LOST", sorted(missing)[:3], None)
-    store.compact_shard(0)  # racing compactions must stay safe
-    for key, expected in payloads.items():
-        if store.get(key) != expected:
-            return ("CORRUPT-AFTER-COMPACT", key, None)
-    return ("OK", store.stats.totals()["cross_hits"], None)
+    return ("OK", store.local_stats()["cross_hits"], None)
 
 
 def test_multiprocess_stress_no_corruption_no_lost_writes(tmp_path):
@@ -208,7 +182,7 @@ def test_multiprocess_stress_no_corruption_no_lost_writes(tmp_path):
     # Every worker read the other workers' slices: cross-process hits.
     assert all(cross > 0 for _, cross, _ in outcomes), outcomes
     # A fresh process sees one consistent, complete image.
-    store = ShardedStore(str(tmp_path), shards=4)
+    store = ShardedStore(str(tmp_path))
     for i in range(STRESS_KEYS):
         key = cache_key(f"stress{i}", (), "riscv", 0)
         assert store.get(key) == {"i": i, "blob": f"payload-{i}" * 8}
@@ -278,3 +252,22 @@ def test_farm_spec_composes_without_an_engine(tmp_path):
     assert composed["sequence"] == ["mem2reg", "mem2reg"]
     store = ShardedStore(str(tmp_path))
     assert len(store) == 1  # one result-index entry, shared by both
+
+
+def test_process_pool_farm_holds_one_segment_per_writer(tmp_path):
+    """A 2-worker process-mode batch leaves the farm flat: no shard
+    directory, and no more segment files than processes that wrote."""
+    workloads = load_suite("beebs")[:2]
+    points = [(w, seq) for w in workloads for seq in SEQUENCES]
+    farm = tmp_path / "farm"
+    serial = EvaluationEngine(Platform("riscv", measurement_seed=9))
+    farmed = EvaluationEngine(Platform("riscv", measurement_seed=9),
+                              mode="process", workers=2,
+                              farm_dir=str(farm))
+    assert _rows(farmed.evaluate_batch(points)) == \
+        _rows(serial.evaluate_batch(points))
+    aggregate = farmed.cache.store.aggregate_stats()
+    assert not [name for name in os.listdir(farm)
+                if name.startswith("shard-")]
+    assert 0 < len(_segments(farm)) <= aggregate["processes"]
+    assert aggregate["stores"] >= len(points)

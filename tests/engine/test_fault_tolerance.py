@@ -143,11 +143,11 @@ def test_store_checksum_detects_bit_flip(tmp_path):
     import os
 
     root = str(tmp_path / "farm")
-    store = ShardedStore(root, shards=2)
+    store = ShardedStore(root)
     key = "ab" * 32
     store.put(key, {"metrics": {"t": 1.5}})
     assert store.get(key) == {"metrics": {"t": 1.5}}
-    segment = glob.glob(os.path.join(root, "shard-*", "*.active"))[0]
+    segment = glob.glob(os.path.join(root, "seg-*.jsonl"))[0]
     with open(segment, "rb") as handle:
         data = bytearray(handle.read())
     data[len(data) // 2] ^= 0x5A
@@ -155,10 +155,10 @@ def test_store_checksum_detects_bit_flip(tmp_path):
         handle.write(bytes(data))
     # A fresh reader skips the flipped line like a torn one, and counts
     # it — a miss, not garbage data and not a crash.
-    reader = ShardedStore(root, shards=2)
+    reader = ShardedStore(root)
     assert reader.get(key) is None
-    assert reader.stats.totals()["checksum_skips"] >= 1
-    assert reader.stats.totals()["corrupt_lines"] == 0
+    assert reader.local_stats()["checksum_skips"] >= 1
+    assert reader.local_stats()["corrupt_lines"] == 0
 
 
 def test_store_skips_lines_without_checksum(tmp_path):
@@ -166,13 +166,12 @@ def test_store_skips_lines_without_checksum(tmp_path):
     import os
 
     root = str(tmp_path / "farm")
-    store = ShardedStore(root, shards=2)
+    store = ShardedStore(root)
     key = "cd" * 32
-    shard_dir = os.path.join(root, f"shard-{store.shard_of(key):02x}")
-    os.makedirs(shard_dir, exist_ok=True)
+    os.makedirs(root, exist_ok=True)
     line = json.dumps({"k": key, "p": {"v": 7}},
                       separators=(",", ":")) + "\n"
-    with open(os.path.join(shard_dir, "seg-1-aaaa.jsonl"), "w") as out:
+    with open(os.path.join(root, "seg-1-aaaa.jsonl"), "w") as out:
         out.write(line)
     assert store.get(key) is None
-    assert store.stats.totals()["checksum_skips"] == 1
+    assert store.local_stats()["checksum_skips"] == 1

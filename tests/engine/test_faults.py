@@ -120,6 +120,23 @@ def test_crash_recovery_process_pool(workload):
     assert counters["crashes"] == 0
 
 
+def test_lone_crasher_gets_its_solo_rerun(workload):
+    # One worker and a deadline cap the pool at one point in flight, so
+    # the crasher is always alone when its worker dies.  Its first
+    # attempt still earns the solo re-run, which gets past the one
+    # injected crash.
+    serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
+    chaos = ChaosInjector(seed=0, crash_points=[0], times=1)
+    engine = _engine(mode="process", workers=1, chaos=chaos,
+                     eval_timeout=60)
+    rows = _rows(engine.evaluate_batch(_points(workload)))
+    assert rows == serial_rows
+    counters = engine.fault_stats.as_dict()
+    assert counters["retries"] == 1
+    assert counters["crashes"] == 0
+    assert counters["pool_respawns"] == 1
+
+
 def _assert_one_timeout(engine, results, serial_rows):
     assert results[0].failed and results[0].kind == "timeout"
     assert results[0].attempts == 1
@@ -170,13 +187,12 @@ def test_store_io_errors_degrade_to_misses(tmp_path, workload):
 
 
 def test_worker_farm_io_errors_are_best_effort(tmp_path, workload):
-    # Every shard path is a regular file, so each worker's farm get
-    # and put raises an OSError: a get reads as a miss, a put leaves
-    # the entry unmirrored, and the point keeps its payload.
+    # The farm root is a regular file, so no segment can be created in
+    # it: each worker's farm get reads as a miss, each put raises an
+    # OSError and leaves the entry unmirrored, and the point keeps its
+    # payload.
     farm = tmp_path / "farm"
-    farm.mkdir()
-    for shard in range(ShardedStore(str(farm)).n_shards):
-        (farm / f"shard-{shard:02x}").write_text("not a directory")
+    farm.write_text("not a directory")
     reference = _rows(_engine().evaluate_batch(_points(workload)))
     engine = _engine(mode="process", workers=2, farm_dir=str(farm))
     results = engine.evaluate_batch(_points(workload))
@@ -189,11 +205,7 @@ def test_worker_farm_io_errors_are_best_effort(tmp_path, workload):
 def test_corrupt_and_truncated_lines_are_skipped(tmp_path):
     root = str(tmp_path / "farm")
     chaos = ChaosInjector(seed=3, corrupt_rate=0.5, truncate_rate=0.2)
-    # Torn writes seal segments, and compaction would scrub the bad
-    # lines before the reader sees them; disable it to observe
-    # reader-side detection.
-    writer = ShardedStore(root, shards=4, chaos=chaos,
-                          compact_after=1000)
+    writer = ShardedStore(root, chaos=chaos)
     keys = [f"{n:064x}" for n in range(40)]
     for n, key in enumerate(keys):
         writer.put(key, {"n": n})
@@ -201,14 +213,14 @@ def test_corrupt_and_truncated_lines_are_skipped(tmp_path):
     assert mangled > 0
     # A clean reader serves every intact key and misses every mangled
     # one — garbage never comes back as data.
-    reader = ShardedStore(root, shards=4)
+    reader = ShardedStore(root)
     served = 0
     for n, key in enumerate(keys):
         payload = reader.get(key)
         assert payload is None or payload == {"n": n}
         served += payload is not None
     assert served == len(keys) - mangled
-    assert reader.stats.totals()["checksum_skips"] >= \
+    assert reader.local_stats()["checksum_skips"] >= \
         chaos.injected["corrupted"]
 
 

@@ -211,8 +211,6 @@ class RiscV(ISA):
         if opcode == "print":
             return 8
         if opcode in self._COMPRESSED:
-            if opcode == "li":
-                return 2
             return 2
         if opcode == "lea":
             return 8  # shift+add pair

@@ -59,6 +59,8 @@ class FunctionSelector:
         self.block_map = {}
         self.current = None
         self._label_counter = 0
+        # (id(pred block), id(succ block)) -> Label of the split edge.
+        self._redirects = {}
 
     # -- helpers --------------------------------------------------------------
     def emit(self, opcode, operands=(), pred=None):
@@ -69,26 +71,40 @@ class FunctionSelector:
 
     def vreg_for(self, value):
         """Operand for an IR value, materializing constants."""
-        if isinstance(value, ConstantInt):
-            dst = self.mfunc.new_vreg("int")
-            self.emit("li", [dst, Imm(value.value)])
-            return dst
-        if isinstance(value, ConstantFloat):
-            dst = self.mfunc.new_vreg("float")
-            self.emit("lfi", [dst, FImm(value.value)])
-            return dst
-        if isinstance(value, UndefValue):
-            dst = self.mfunc.new_vreg(self._cls(value))
-            if value.type.is_float():
-                self.emit("lfi", [dst, FImm(0.0)])
-            else:
-                self.emit("li", [dst, Imm(0)])
-            return dst
-        if isinstance(value, GlobalVariable):
-            dst = self.mfunc.new_vreg("int")
-            self.emit("li", [dst, GlobalRef(value.name)])
-            return dst
-        return self.value_map[id(value)]
+        vreg = self.value_map.get(id(value))
+        if vreg is not None:
+            return vreg
+        return self._MATERIALIZE[type(value)](self, value)
+
+    def _materialize_int(self, value):
+        dst = self.mfunc.new_vreg("int")
+        self.emit("li", [dst, Imm(value.value)])
+        return dst
+
+    def _materialize_float(self, value):
+        dst = self.mfunc.new_vreg("float")
+        self.emit("lfi", [dst, FImm(value.value)])
+        return dst
+
+    def _materialize_undef(self, value):
+        dst = self.mfunc.new_vreg(self._cls(value))
+        if value.type.is_float():
+            self.emit("lfi", [dst, FImm(0.0)])
+        else:
+            self.emit("li", [dst, Imm(0)])
+        return dst
+
+    def _materialize_global(self, value):
+        dst = self.mfunc.new_vreg("int")
+        self.emit("li", [dst, GlobalRef(value.name)])
+        return dst
+
+    _MATERIALIZE = {
+        ConstantInt: _materialize_int,
+        ConstantFloat: _materialize_float,
+        UndefValue: _materialize_undef,
+        GlobalVariable: _materialize_global,
+    }
 
     def label_of(self, ir_block):
         return Label(self.block_map[id(ir_block)].label)
@@ -166,13 +182,11 @@ class FunctionSelector:
 
     def _edge_redirect(self, term, pred_block, succ, edge_mblock):
         # Record the redirect so _select_terminator emits the edge label.
-        redirects = getattr(self, "_redirects", {})
-        redirects[(id(pred_block), id(succ))] = Label(edge_mblock.label)
-        self._redirects = redirects
+        self._redirects[(id(pred_block), id(succ))] = \
+            Label(edge_mblock.label)
 
     def _target_label(self, pred_block, succ):
-        redirects = getattr(self, "_redirects", {})
-        label = redirects.get((id(pred_block), id(succ)))
+        label = self._redirects.get((id(pred_block), id(succ)))
         return label if label is not None else self.label_of(succ)
 
     def _emit_parallel_copies(self, copies):
@@ -237,58 +251,52 @@ class FunctionSelector:
 
     # -- ordinary instructions -------------------------------------------------------
     def _select(self, inst):
-        if isinstance(inst, AllocaInst):
-            size = inst.allocated_type.size_cells()
-            offset = self.mfunc.frame_slots
-            self.mfunc.frame_slots += size
-            self.emit("frame_alloc",
-                      [self.value_map[id(inst)], Imm(offset), Imm(size)])
-            return
-        if isinstance(inst, BinaryInst):
-            dst = self.value_map[id(inst)]
-            lhs = self.vreg_for(inst.lhs)
-            rhs = self.vreg_for(inst.rhs)
-            self.emit(_BINOP_MAP[inst.opcode], [dst, lhs, rhs])
-            return
-        if isinstance(inst, (ICmpInst, FCmpInst)):
-            users = inst.users
-            term = inst.parent.terminator()
-            if len(users) == 1 and users[0] is term and \
-                    isinstance(term, CondBranchInst) and \
-                    term.condition is inst:
-                return  # fused into the branch
-            dst = self.value_map[id(inst)]
-            lhs = self.vreg_for(inst.operands[0])
-            rhs = self.vreg_for(inst.operands[1])
-            opcode = "setcc" if isinstance(inst, ICmpInst) else "fsetcc"
-            self.emit(opcode, [dst, lhs, rhs], pred=inst.predicate)
-            return
-        if isinstance(inst, LoadInst):
-            address = self.vreg_for(inst.pointer)
-            self.emit("ld", [self.value_map[id(inst)], address, Imm(0)])
-            return
-        if isinstance(inst, StoreInst):
-            address = self.vreg_for(inst.pointer)
-            value = self.vreg_for(inst.value)
-            self.emit("st", [value, address, Imm(0)])
-            return
-        if isinstance(inst, GEPInst):
-            self._select_gep(inst)
-            return
-        if isinstance(inst, SelectInst):
-            dst = self.value_map[id(inst)]
-            cond = self.vreg_for(inst.condition)
-            tval = self.vreg_for(inst.true_value)
-            fval = self.vreg_for(inst.false_value)
-            self.emit("cmov", [dst, cond, tval, fval])
-            return
-        if isinstance(inst, CastInst):
-            self._select_cast(inst)
-            return
-        if isinstance(inst, CallInst):
-            self._select_call(inst)
-            return
-        raise TypeError(f"cannot select {inst!r}")
+        selector = self._SELECTORS.get(type(inst))
+        if selector is None:
+            raise TypeError(f"cannot select {inst!r}")
+        selector(self, inst)
+
+    def _select_alloca(self, inst):
+        size = inst.allocated_type.size_cells()
+        offset = self.mfunc.frame_slots
+        self.mfunc.frame_slots += size
+        self.emit("frame_alloc",
+                  [self.value_map[id(inst)], Imm(offset), Imm(size)])
+
+    def _select_binary(self, inst):
+        dst = self.value_map[id(inst)]
+        lhs = self.vreg_for(inst.lhs)
+        rhs = self.vreg_for(inst.rhs)
+        self.emit(_BINOP_MAP[inst.opcode], [dst, lhs, rhs])
+
+    def _select_compare(self, inst):
+        users = inst.users
+        term = inst.parent.terminator()
+        if len(users) == 1 and users[0] is term and \
+                isinstance(term, CondBranchInst) and \
+                term.condition is inst:
+            return  # fused into the branch
+        dst = self.value_map[id(inst)]
+        lhs = self.vreg_for(inst.operands[0])
+        rhs = self.vreg_for(inst.operands[1])
+        opcode = "setcc" if isinstance(inst, ICmpInst) else "fsetcc"
+        self.emit(opcode, [dst, lhs, rhs], pred=inst.predicate)
+
+    def _select_load(self, inst):
+        address = self.vreg_for(inst.pointer)
+        self.emit("ld", [self.value_map[id(inst)], address, Imm(0)])
+
+    def _select_store(self, inst):
+        address = self.vreg_for(inst.pointer)
+        value = self.vreg_for(inst.value)
+        self.emit("st", [value, address, Imm(0)])
+
+    def _select_select(self, inst):
+        dst = self.value_map[id(inst)]
+        cond = self.vreg_for(inst.condition)
+        tval = self.vreg_for(inst.true_value)
+        fval = self.vreg_for(inst.false_value)
+        self.emit("cmov", [dst, cond, tval, fval])
 
     def _select_gep(self, inst):
         dst = self.value_map[id(inst)]
@@ -401,6 +409,19 @@ class FunctionSelector:
             self.emit("memcpy", [dest, src, count])
             return
         raise TypeError(f"cannot select intrinsic {name!r}")
+
+    _SELECTORS = {
+        AllocaInst: _select_alloca,
+        BinaryInst: _select_binary,
+        ICmpInst: _select_compare,
+        FCmpInst: _select_compare,
+        LoadInst: _select_load,
+        StoreInst: _select_store,
+        GEPInst: _select_gep,
+        SelectInst: _select_select,
+        CastInst: _select_cast,
+        CallInst: _select_call,
+    }
 
 
 def select_function(function, isa, program):

@@ -2,9 +2,10 @@
 
 Every compile->simulate evaluation is keyed by
 ``(module_fingerprint, pass_sequence, platform.target, measurement_seed)``
-so any component of the system (data extraction, RL rollouts, PSS
-deployment checks, baseline searches) that asks for the same point gets
-the stored result instead of re-running the compiler and simulator.
+plus a digest of the compiler's own sources, so any component of the
+system (data extraction, RL rollouts, PSS deployment checks, baseline
+searches) that asks for the same point gets the stored result instead
+of re-running the compiler and simulator.
 
 The cache is a bounded LRU with hit/miss/eviction counters and an
 optional on-disk tier that survives across processes: a
@@ -12,14 +13,40 @@ optional on-disk tier that survives across processes: a
 append-only segment store).
 """
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
+from pathlib import Path
 
 from repro.engine.store import ShardedStore
 
 
 DEFAULT_FUEL = 20_000_000
+
+#: Packages whose code decides what a stored payload holds: the
+#: frontend, IR, passes, backends, simulator and features.
+SEMANTIC_PACKAGES = ("lang", "ir", "passes", "backend", "sim", "features")
+
+
+@functools.lru_cache(maxsize=None)
+def semantics_digest():
+    """Digest of the ``.py`` sources of :data:`SEMANTIC_PACKAGES`,
+    computed once per process.
+
+    Folded into every :func:`cache_key`, as ccache hashes the compiler's
+    identity into its keys: a farm filled by other compiler semantics
+    then misses instead of serving stale results.
+    """
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for package in SEMANTIC_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def cache_key(module_fingerprint, sequence, target, measurement_seed,
@@ -30,9 +57,12 @@ def cache_key(module_fingerprint, sequence, target, measurement_seed,
     (before the sequence runs), so a hit skips pass running, codegen and
     simulation entirely.  ``fuel`` is part of the key: a run that
     succeeds under a large budget must not answer for a smaller one
-    (which would have raised fuel exhaustion).
+    (which would have raised fuel exhaustion).  :func:`semantics_digest`
+    is part of it too, so sequence keys and result-index keys both
+    change whenever the compiler's semantics do.
     """
     payload = "\x1f".join((
+        semantics_digest(),
         str(module_fingerprint),
         "\x1e".join(str(phase) for phase in sequence),
         str(target),

@@ -10,8 +10,8 @@ dominate dynamic cost.
 
 import numpy as np
 
-from repro.ir import BinaryInst, CallInst, LoadInst, LoopInfo, StoreInst
-from repro.passes.loop_utils import constant_trip_count
+from repro.ir import BinaryInst, CallInst, LoadInst, StoreInst
+from repro.passes.analysis import AnalysisManager
 
 COST_FEATURE_NAMES = (
     "est_total_work",
@@ -32,16 +32,21 @@ _EXPENSIVE_INTRINSICS = frozenset({"sqrt", "exp", "log", "sin", "cos",
                                    "pow"})
 
 
-def block_frequencies(function):
-    """Estimated executions of each block per function invocation."""
-    info = LoopInfo(function)
+def block_frequencies(function, am=None):
+    """Estimated executions of each block per function invocation.
+
+    Loops and trip counts come from ``am`` (a fresh manager if None).
+    """
+    if am is None:
+        am = AnalysisManager()
+    info = am.loops(function)
+    ivs = am.loopivs(function)
     trip_of = {}
     for loop in info.loops:
         preheader = loop.preheader()
         trips = None
         if preheader is not None:
-            trips, _ = constant_trip_count(loop, preheader,
-                                           max_count=100000)
+            trips, _ = ivs.trip_count(loop, preheader, max_count=100000)
         trip_of[id(loop)] = float(trips) if trips is not None \
             else _DEFAULT_TRIP
     frequencies = {}
@@ -55,16 +60,22 @@ def block_frequencies(function):
     return frequencies
 
 
-def function_frequencies(module):
-    """Estimated invocations of each function (rooted at main)."""
+def function_frequencies(module, block_freq=None):
+    """Estimated invocations of each function (rooted at main).
+
+    ``block_freq`` maps each defined function's name to its
+    :func:`block_frequencies`; computed here when None.
+    """
     # Per-call-site weight: caller frequency x call site's block
     # frequency; recursion multiplies by a fixed factor.
-    block_freq = {f.name: block_frequencies(f)
-                  for f in module.defined_functions()}
+    if block_freq is None:
+        am = AnalysisManager()
+        block_freq = {f.name: block_frequencies(f, am)
+                      for f in module.defined_functions()}
     invocations = {f.name: 0.0 for f in module.defined_functions()}
     if "main" in invocations:
         invocations["main"] = 1.0
-    # Two propagation rounds over a topological-ish order approximate
+    # Three propagation rounds over a topological-ish order approximate
     # the call-graph closure well enough for a feature.
     for _ in range(3):
         updated = {name: (1.0 if name == "main" else 0.0)
@@ -95,24 +106,28 @@ def extract_cost_features(module):
 
     The analysis runs on a normalized clone (mem2reg + instcombine) so
     induction variables — and therefore constant trip counts — are
-    visible regardless of which phases the measured module has seen; the
-    module under measurement is never mutated.
+    visible regardless of which phases the measured module has seen.
+    The clone shares no value with the measured module, which is never
+    mutated: not even its use-lists.
     """
-    from repro.ir.cloner import clone_module
     from repro.passes import PassManager
+    from repro.passes.cloning import clone_module
 
     # mem2reg+instcombine only: enough to expose induction variables
     # without erasing the cost differences between measured variants
-    # (stronger normalization was measurably worse).
+    # (stronger normalization, or none, was measurably worse).
     module = clone_module(module)
-    PassManager().run(module, ["mem2reg", "instcombine"])
+    am = AnalysisManager()
+    PassManager().run(module, ["mem2reg", "instcombine"], am)
+    block_freq = {f.name: block_frequencies(f, am)
+                  for f in module.defined_functions()}
     totals = dict.fromkeys(COST_FEATURE_NAMES, 0.0)
-    invocations = function_frequencies(module)
+    invocations = function_frequencies(module, block_freq)
     for function in module.defined_functions():
         call_freq = invocations.get(function.name, 0.0)
         if call_freq <= 0:
             continue
-        frequencies = block_frequencies(function)
+        frequencies = block_freq[function.name]
         for block in function.blocks:
             weight = min(call_freq * frequencies[id(block)], _MAX_FREQ)
             for inst in block.instructions:

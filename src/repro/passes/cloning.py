@@ -1,8 +1,9 @@
 """Region/function/module cloning with value remapping.
 
 Used by loop-unroll (body copies), loop-unswitch (loop versioning),
-inline (callee body into caller), and the workload registry
-(template-clone compilation).
+inline (callee body into caller), the workload registry
+(template-clone compilation) and the static cost model (a normalized
+copy of each measured module).
 
 Every consumer shares one two-phase engine, :func:`clone_blocks_into`:
 block list order is not def-before-use in general (cloned loop bodies
@@ -157,13 +158,14 @@ def clone_module(module):
     local value names, per-function name counters), so the clone prints
     identically to — and fingerprints equal to — the original.  Used by
     the workload registry to hand out fresh modules from a compiled
-    template without re-running the frontend.
+    template without re-running the frontend, and by the cost model to
+    normalize a copy of the module under measurement.
 
     The clone shares no value with the original: every constant operand
     maps 1:1 to a fresh copy with an empty use-list.  Sharing the
     original's constants would register each clone's instructions in
-    their use-lists, so a template would keep alive every module ever
-    cloned from it.
+    their use-lists, so a template (or a measured module) would keep
+    alive every module ever cloned from it.
     """
     from repro.ir.function import Function, Module
     from repro.ir.values import Constant, GlobalVariable

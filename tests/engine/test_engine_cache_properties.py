@@ -16,6 +16,7 @@ from repro.engine import (
     EvaluationEngine,
     cache_key,
 )
+from repro.engine import cache as cache_module
 from repro.sim import Platform
 from repro.workloads import load_suite
 
@@ -190,6 +191,28 @@ def test_disk_store_survives_process_cache(tmp_path, workload):
     assert second_engine.cache.stats.disk_hits == 1
     assert first.metrics() == second.metrics()
     assert list(first.features) == list(second.features)
+
+
+def test_semantics_change_misses_a_warm_farm(tmp_path, workload,
+                                             monkeypatch):
+    """A farm filled under other compiler sources serves nothing: both
+    the sequence key and the result-index key change, so the point is
+    evaluated afresh."""
+    farm = str(tmp_path / "farm")
+    platform = Platform("riscv", measurement_seed=0)
+    first = EvaluationEngine(platform, farm_dir=farm).evaluate(workload,
+                                                               SEQ)
+    warm = EvaluationEngine(platform, farm_dir=farm)
+    assert warm.evaluate(workload, SEQ).cached
+    monkeypatch.setattr(cache_module, "semantics_digest",
+                        lambda: "other compiler sources")
+    engine = EvaluationEngine(platform, farm_dir=farm)
+    fresh = engine.evaluate(workload, SEQ)
+    assert not fresh.cached
+    assert fresh.key != first.key
+    assert engine.cache.stats.disk_hits == 0
+    assert engine.compose_stats == {"hits": 0, "misses": 1}
+    assert fresh.metrics() == first.metrics()
 
 
 def test_function_fingerprints_in_payload_match_module():

@@ -159,13 +159,14 @@ class EvaluationEngine:
 
     def workload_fingerprint(self, workload):
         """Canonical fingerprint of the workload's unoptimized module,
-        memoized by source content (compiling is pure)."""
+        memoized by source content (compiling is pure).  The structural
+        hash reads the registry template, so no clone is made."""
         source = workload.source
         memo_key = (workload.name,
                     hashlib.sha256(source.encode("utf-8")).hexdigest())
         fingerprint = self._workload_fingerprints.get(memo_key)
         if fingerprint is None:
-            fingerprint = module_fingerprint(workload.compile())
+            fingerprint = module_fingerprint(workload.template())
             self._workload_fingerprints[memo_key] = fingerprint
         return fingerprint
 

@@ -88,6 +88,52 @@ class Instruction(Value):
         if self.parent is not None:
             self.parent.remove_instruction(self)
 
+    # -- cloning -----------------------------------------------------------
+    def copy(self, value_map, block_map, pending=None):
+        """A detached field copy: no constructor runs, fields are copied
+        in constructor order, ``name`` is kept, and ``uses``/``parent``
+        start empty.  Operands are remapped through ``value_map`` (keyed
+        by ``id``), the copy joining each operand's use-list in operand
+        order; branch targets are remapped through ``block_map``.  An
+        operand missing from ``value_map`` but defined in a block of
+        ``block_map`` is a forward reference: the slot keeps the
+        original, no use is registered, and the copy goes on ``pending``
+        for :meth:`bind_forward_references`."""
+        clone = object.__new__(type(self))
+        clone.type = self.type
+        clone.name = self.name
+        clone.uses = []
+        clone.parent = None
+        clone._operands = operands = []
+        forward = False
+        for index, op in enumerate(self._operands):
+            mapped = value_map.get(id(op))
+            if mapped is None:
+                if block_map and isinstance(op, Instruction) and \
+                        id(op.parent) in block_map:
+                    operands.append(op)
+                    forward = True
+                    continue
+                mapped = op
+            operands.append(mapped)
+            mapped.uses.append((clone, index))
+        for field in self._fields:
+            setattr(clone, field, getattr(self, field))
+        if forward:
+            pending.append(clone)
+        return clone
+
+    def bind_forward_references(self, value_map):
+        """Second half of :meth:`copy`: point every slot that still
+        holds an original at its copy, registering those uses in
+        operand order."""
+        operands = self._operands
+        for index, op in enumerate(operands):
+            mapped = value_map.get(id(op))
+            if mapped is not None:
+                operands[index] = mapped
+                mapped.uses.append((self, index))
+
     # -- classification ----------------------------------------------------
     def is_terminator(self):
         return self._terminator
@@ -133,6 +179,8 @@ class Instruction(Value):
 
 
 class BinaryInst(Instruction):
+    _fields = ("opcode",)
+
     def __init__(self, opcode, lhs, rhs, name=""):
         if opcode not in BINOPS:
             raise ValueError(f"unknown binary opcode {opcode!r}")
@@ -156,6 +204,7 @@ class BinaryInst(Instruction):
 
 class ICmpInst(Instruction):
     opcode = "icmp"
+    _fields = ("predicate",)
 
     def __init__(self, predicate, lhs, rhs, name=""):
         if predicate not in ICMP_PREDICATES:
@@ -168,6 +217,7 @@ class ICmpInst(Instruction):
 
 class FCmpInst(Instruction):
     opcode = "fcmp"
+    _fields = ("predicate",)
 
     def __init__(self, predicate, lhs, rhs, name=""):
         if predicate not in FCMP_PREDICATES:
@@ -178,6 +228,7 @@ class FCmpInst(Instruction):
 
 class AllocaInst(Instruction):
     opcode = "alloca"
+    _fields = ("allocated_type",)
 
     def __init__(self, allocated_type, name=""):
         super().__init__(PointerType(allocated_type), [], name)
@@ -252,6 +303,18 @@ class PhiInst(Instruction):
         super().__init__(type_, [], name)
         self.incoming_blocks = []
 
+    def copy(self, value_map, block_map, pending=None):
+        """A field copy with no incoming entries: a cloning driver adds
+        them once every block and value has its copy."""
+        clone = object.__new__(type(self))
+        clone.type = self.type
+        clone.name = self.name
+        clone.uses = []
+        clone.parent = None
+        clone._operands = []
+        clone.incoming_blocks = []
+        return clone
+
     def add_incoming(self, value, block):
         self._append_operand(value)
         self.incoming_blocks.append(block)
@@ -309,6 +372,12 @@ class BranchInst(Instruction):
         _retarget(self, self._target, new)
         self._target = new
 
+    def copy(self, value_map, block_map, pending=None):
+        clone = super().copy(value_map, block_map, pending)
+        target = self._target
+        clone._target = block_map.get(id(target), target)
+        return clone
+
     def successors(self):
         return [self._target]
 
@@ -349,6 +418,14 @@ class CondBranchInst(Instruction):
     def false_target(self, new):
         _retarget(self, self._false_target, new)
         self._false_target = new
+
+    def copy(self, value_map, block_map, pending=None):
+        clone = super().copy(value_map, block_map, pending)
+        true_target = self._true_target
+        false_target = self._false_target
+        clone._true_target = block_map.get(id(true_target), true_target)
+        clone._false_target = block_map.get(id(false_target), false_target)
+        return clone
 
     def successors(self):
         return [self._true_target, self._false_target]
@@ -403,6 +480,15 @@ class CallInst(Instruction):
         super().__init__(ret, list(args), name)
         self.callee = callee
 
+    def copy(self, value_map, block_map, pending=None):
+        """A field copy whose callee is remapped through ``value_map``
+        too (a module clone calls its own functions; intrinsic names
+        and functions outside the map stay)."""
+        clone = super().copy(value_map, block_map, pending)
+        callee = self.callee
+        clone.callee = value_map.get(id(callee), callee)
+        return clone
+
     @property
     def args(self):
         return self.operands
@@ -451,6 +537,8 @@ class SelectInst(Instruction):
 
 
 class CastInst(Instruction):
+    _fields = ("opcode",)
+
     def __init__(self, opcode, value, target_type, name=""):
         if opcode not in CAST_OPS:
             raise ValueError(f"unknown cast opcode {opcode!r}")

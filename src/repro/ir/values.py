@@ -12,6 +12,10 @@ from repro.ir.types import FloatType, IntType, PointerType
 class Value:
     """Base class for everything that can be an operand."""
 
+    #: Class-specific instance fields a field copy (``Constant.copy``,
+    #: ``Instruction.copy``) carries over unchanged.
+    _fields = ()
+
     def __init__(self, type_, name=""):
         self.type = type_
         self.name = name
@@ -59,8 +63,21 @@ class Value:
 class Constant(Value):
     """Base class of constants.  Constants have no defining instruction."""
 
+    def copy(self):
+        """A field copy with an empty use-list (a module clone owns its
+        constants, so the original's use-list never sees the clone)."""
+        clone = object.__new__(type(self))
+        clone.type = self.type
+        clone.name = self.name
+        clone.uses = []
+        for field in self._fields:
+            setattr(clone, field, getattr(self, field))
+        return clone
+
 
 class ConstantInt(Constant):
+    _fields = ("value",)
+
     def __init__(self, type_, value):
         if not isinstance(type_, IntType):
             raise TypeError("ConstantInt requires an integer type")
@@ -82,6 +99,8 @@ class ConstantInt(Constant):
 
 
 class ConstantFloat(Constant):
+    _fields = ("value",)
+
     def __init__(self, type_, value):
         if not isinstance(type_, FloatType):
             raise TypeError("ConstantFloat requires a float type")

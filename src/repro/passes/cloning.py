@@ -1,141 +1,70 @@
-"""Region/function/module cloning with value remapping.
+"""Module, region and instruction cloning on one field-copy engine.
 
-Used by loop-unroll (body copies), loop-unswitch (loop versioning),
-inline (callee body into caller), the workload registry
-(template-clone compilation) and the static cost model (a normalized
-copy of each measured module).
+Every clone is made by :meth:`Instruction.copy`, which copies instance
+fields without running a constructor.  :func:`clone_module` serves the
+workload registry (template clones) and the static cost model (a
+normalized copy of each measured module); :func:`clone_region` serves
+loop-unroll, loop-unswitch, loop-distribute and inline; loop-sink and
+loop-rotate copy single instructions (:func:`clone_instruction`).
 
-Every consumer shares one two-phase engine, :func:`clone_blocks_into`:
-block list order is not def-before-use in general (cloned loop bodies
-are appended at the end but referenced earlier, and unreachable regions
-have no safe order at all), so phase one builds clones in list order —
-forward references temporarily keep the origin operand — and phase two
-rebuilds phi incoming lists and rewrites every operand through the
-completed value map.  Callers customize via the ``on_clone`` hook
-(post-processing each clone, e.g. to remap callees or preserve names)
-instead of carrying their own copies of the loop.
+Blocks are cloned in two phases (:func:`clone_blocks_into`).  Block
+order is not def-before-use in general (cloned loop bodies are appended
+at the end but referenced earlier; unreachable regions have no safe
+order), so phase one copies in list order and an operand whose copy
+does not exist yet — a forward reference — keeps its origin value and
+registers no use.  Phase two fills the phis (copied empty), then binds
+the forward references of the copies that hold one, and touches nothing
+else.  Use-lists thus grow in a fixed order: phase-one uses, phi
+incoming values, forward references.  Passes walk use-lists, so their
+decisions, and every later name, depend on that order; the golden
+digests in ``tests/passes/clone_golden.py`` pin it.
 """
 
-import copy
-
-from repro.ir import (
-    AllocaInst,
-    BinaryInst,
-    BranchInst,
-    CallInst,
-    CastInst,
-    CondBranchInst,
-    FCmpInst,
-    GEPInst,
-    ICmpInst,
-    LoadInst,
-    PhiInst,
-    RetInst,
-    SelectInst,
-    StoreInst,
-    UnreachableInst,
-)
+from repro.ir.function import Function, Module
+from repro.ir.values import Constant, GlobalVariable
 
 
-def clone_instruction(inst, value_map, block_map, function):
-    """Clone one instruction, remapping operands (and, for phis and
-    terminators, blocks).  Phi incoming values are remapped by the caller
-    after all blocks exist (two-phase cloning)."""
-
-    def remap(value):
-        return value_map.get(id(value), value)
-
-    def remap_block(block):
-        return block_map.get(id(block), block)
-
-    if isinstance(inst, BinaryInst):
-        clone = BinaryInst(inst.opcode, remap(inst.lhs), remap(inst.rhs))
-    elif isinstance(inst, ICmpInst):
-        clone = ICmpInst(inst.predicate, remap(inst.operands[0]),
-                         remap(inst.operands[1]))
-    elif isinstance(inst, FCmpInst):
-        clone = FCmpInst(inst.predicate, remap(inst.operands[0]),
-                         remap(inst.operands[1]))
-    elif isinstance(inst, CastInst):
-        clone = CastInst(inst.opcode, remap(inst.value), inst.type)
-    elif isinstance(inst, AllocaInst):
-        clone = AllocaInst(inst.allocated_type)
-    elif isinstance(inst, LoadInst):
-        clone = LoadInst(remap(inst.pointer))
-    elif isinstance(inst, StoreInst):
-        clone = StoreInst(remap(inst.value), remap(inst.pointer))
-    elif isinstance(inst, GEPInst):
-        clone = GEPInst(remap(inst.base), remap(inst.index))
-    elif isinstance(inst, SelectInst):
-        clone = SelectInst(remap(inst.condition), remap(inst.true_value),
-                           remap(inst.false_value))
-    elif isinstance(inst, CallInst):
-        clone = CallInst(inst.callee, [remap(a) for a in inst.args])
-    elif isinstance(inst, PhiInst):
-        clone = PhiInst(inst.type)
-        # Incoming entries are filled by phase two once blocks exist.
-    elif isinstance(inst, BranchInst):
-        clone = BranchInst(remap_block(inst.target))
-    elif isinstance(inst, CondBranchInst):
-        clone = CondBranchInst(remap(inst.condition),
-                               remap_block(inst.true_target),
-                               remap_block(inst.false_target))
-    elif isinstance(inst, RetInst):
-        clone = RetInst(None if inst.value is None else remap(inst.value))
-    elif isinstance(inst, UnreachableInst):
-        clone = UnreachableInst()
-    else:
-        raise TypeError(f"cannot clone {inst!r}")
-    if not clone.type.is_void():
-        clone.name = function.next_name("c")
+def clone_instruction(inst, value_map, function, prefix="c"):
+    """A detached copy of one instruction with operands remapped through
+    ``value_map``, named ``function.next_name(prefix)``."""
+    clone = inst.copy(value_map, {})
+    clone.name = function.next_name(prefix)
     return clone
 
 
-def fix_forward_references(blocks, value_map):
-    """Rewrite operands that still reference origin values (forward
-    references cloned before their defs existed) through the completed
-    value map."""
-    for block in blocks:
-        for inst in block.instructions:
-            for index, op in enumerate(inst.operands):
-                mapped = value_map.get(id(op))
-                if mapped is not None and mapped is not op:
-                    inst.set_operand(index, mapped)
-
-
-def clone_blocks_into(blocks, function, value_map, block_map,
-                      make_block, on_clone=None):
-    """Two-phase clone of ``blocks`` into ``function``.
+def clone_blocks_into(blocks, value_map, block_map, make_block,
+                      function=None):
+    """Two-phase clone of ``blocks``.
 
     ``make_block(block)`` creates (and registers) the clone of one
-    block; ``on_clone(inst, clone)`` runs on each fresh clone before it
-    is appended (e.g. remapping callees or preserving names).  Branches to blocks outside the
-    region keep their original targets; phi entries from predecessors
-    outside the region are preserved as-is.  Returns the new blocks.
+    block.  When ``function`` is given, every copy is renamed from its
+    name counter (region clones); otherwise copies keep their names.
+    Branches to blocks outside the region keep their original targets;
+    phi entries from predecessors outside the region are preserved
+    as-is.
     """
     new_blocks = []
     for block in blocks:
         clone_block = make_block(block)
         block_map[id(block)] = clone_block
         new_blocks.append(clone_block)
-    for block in blocks:
-        target = block_map[id(block)]
+    pending = []
+    for block, clone_block in zip(blocks, new_blocks):
         for inst in block.instructions:
-            clone = clone_instruction(inst, value_map, block_map,
-                                      function)
-            if on_clone is not None:
-                on_clone(inst, clone)
-            target.append(clone)
+            clone = inst.copy(value_map, block_map, pending)
+            if function is not None:
+                clone.name = "" if clone.type.is_void() else \
+                    function.next_name("c")
+            clone_block.append(clone)
             value_map[id(inst)] = clone
     for block in blocks:
-        target = block_map[id(block)]
-        for inst, clone in zip(block.instructions, target.instructions):
-            if isinstance(inst, PhiInst):
-                for value, pred in inst.incoming():
-                    clone.add_incoming(value_map.get(id(value), value),
-                                       block_map.get(id(pred), pred))
-    fix_forward_references(new_blocks, value_map)
-    return new_blocks
+        for phi in block.phis():  # phis lead their block (verifier)
+            clone = value_map[id(phi)]
+            for value, pred in phi.incoming():
+                clone.add_incoming(value_map.get(id(value), value),
+                                   block_map.get(id(pred), pred))
+    for clone in pending:
+        clone.bind_forward_references(value_map)
 
 
 def clone_region(blocks, function, suffix="clone"):
@@ -146,8 +75,9 @@ def clone_region(blocks, function, suffix="clone"):
     value_map = {}
     block_map = {}
     clone_blocks_into(
-        blocks, function, value_map, block_map,
-        make_block=lambda b: function.append_block(f"{b.name}.{suffix}"))
+        blocks, value_map, block_map,
+        make_block=lambda b: function.append_block(f"{b.name}.{suffix}"),
+        function=function)
     return value_map, block_map
 
 
@@ -167,9 +97,6 @@ def clone_module(module):
     their use-lists, so a template (or a measured module) would keep
     alive every module ever cloned from it.
     """
-    from repro.ir.function import Function, Module
-    from repro.ir.values import Constant, GlobalVariable
-
     clone = Module(module.name)
     value_map = {}
     for function in module.functions.values():
@@ -178,9 +105,7 @@ def clone_module(module):
                 for op in inst.operands:
                     if isinstance(op, Constant) and \
                             id(op) not in value_map:
-                        fresh = copy.copy(op)
-                        fresh.uses = []
-                        value_map[id(op)] = fresh
+                        value_map[id(op)] = op.copy()
     for gv in module.globals.values():
         initializer = gv.initializer
         if isinstance(initializer, list):
@@ -197,27 +122,15 @@ def clone_module(module):
         shell.attributes = set(function.attributes)
         for old_arg, new_arg in zip(function.args, shell.args):
             new_arg.name = old_arg.name
+            value_map[id(old_arg)] = new_arg
         clone.add_function(shell)
         value_map[id(function)] = shell
-        for old_arg, new_arg in zip(function.args, shell.args):
-            value_map[id(old_arg)] = new_arg
     for function in module.functions.values():
-        shell = clone.functions[function.name]
         if function.is_declaration():
             continue
-
-        def on_clone(inst, new_inst):
-            new_inst.name = inst.name
-            if isinstance(new_inst, CallInst) and \
-                    not new_inst.is_intrinsic():
-                new_inst.callee = value_map.get(id(new_inst.callee),
-                                                new_inst.callee)
-
-        clone_blocks_into(function.blocks, shell, value_map, {},
-                          make_block=lambda b: shell.append_block(b.name),
-                          on_clone=on_clone)
-        # clone_instruction burns name-counter values before on_clone
-        # restores the original names; reset so later passes name new
-        # values exactly as they would on a freshly compiled module.
+        shell = clone.functions[function.name]
+        clone_blocks_into(function.blocks, value_map, {},
+                          make_block=lambda b: shell.append_block(b.name))
+        # After the blocks: an unnamed block takes a counter name.
         shell._name_counter = function._name_counter
     return clone

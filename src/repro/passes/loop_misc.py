@@ -526,7 +526,7 @@ class LoopSink(FunctionPass):
                     if position == 0:
                         replacement = inst
                     else:
-                        replacement = clone_instruction(inst, {}, {},
+                        replacement = clone_instruction(inst, {},
                                                         function)
                     target = phi.parent
                     target.insert(target.first_non_phi_index(),

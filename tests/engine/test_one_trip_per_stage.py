@@ -63,6 +63,18 @@ def test_fresh_point_compiles_once_and_never_parses(monkeypatch):
     assert frontend == []
 
 
+def test_workload_key_fingerprints_the_template_without_a_clone(
+        monkeypatch):
+    workload = load_workload("beebs", "crc32")
+    clones = count_calls(monkeypatch, "repro.passes.cloning",
+                         "clone_module")
+    engine = EvaluationEngine(Platform("riscv"), cache=False)
+    engine.key_for(workload, O2)
+    assert clones == []
+    assert engine.workload_fingerprint(workload) == \
+        module_fingerprint(workload.compile())
+
+
 def test_compose_hit_runs_no_codegen(monkeypatch):
     workload = load_workload("beebs", "fibcall")
     engine = EvaluationEngine(Platform("riscv"))

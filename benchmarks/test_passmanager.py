@@ -13,22 +13,25 @@ a loaded machine, and each names the layer that regressed:
 
 - ``analysis_misses``: analyses computed from scratch.  Rises when the
   AnalysisManager stops caching or a pass over-invalidates.
-- ``analysis_hits``: cached analysis lookups.  Rises when the composed
-  module-fingerprint memo or the static-feature vector memo stops
-  answering, so the caller falls back to per-function lookups.
-- ``verified_functions``: full verifier runs.  Rises when verification
-  stops being restricted to changed functions or stops consulting the
-  content-addressed ``VERIFIED_CONTENTS`` memo.
+- ``analysis_lookups``: analysis requests, cached or computed (hits
+  plus misses).  Rises when the composed module-fingerprint memo or
+  the static-feature vector memo stops answering, so the caller falls
+  back to per-function lookups.
 - ``changed_functions``: functions a phase reported changed.  Rises
   when a pass reports (and so invalidates and re-verifies) spurious
   changes.
+
+Verification must run exactly once per changed function
+(``verified_functions == changed_functions``): never on a function a
+phase left alone.  Both counts come from test-side wrappers around the
+pass manager's ``create_pass`` and ``verify_function``.
 
 Three regimes are guarded:
 
 - **fresh (cold start)**: first-time evaluation with every
   content-addressed memo empty.
 - **fresh (search regime)**: evaluation of *new, never-seen* sequences
-  with the content memos warmed by earlier candidates — the regime
+  with the feature memos warmed by earlier candidates — the regime
   every new phase-sequence candidate pays during search and RL
   training, since candidates share prefixes and converge.
 - **converged**: re-evaluating sequences against already-optimized
@@ -49,10 +52,10 @@ import time
 
 import pytest
 
+import repro.passes.base
 from repro.features import extract_static_features
 from repro.ir.printer import module_fingerprint
 from repro.passes import AnalysisManager, PassManager
-from repro.passes.base import VERIFIED_CONTENTS
 from repro.workloads import load_suite
 
 from bench_record import record
@@ -86,21 +89,18 @@ SEARCH_CANDIDATES = (
 
 #: Work budgets per regime, pinned on the config above.
 FRESH_COLD_BUDGET = {
-    "analysis_misses": 2889,
-    "analysis_hits": 5008,
-    "verified_functions": 686,
+    "analysis_misses": 2824,
+    "analysis_lookups": 6918,
     "changed_functions": 979,
 }
 FRESH_SEARCH_BUDGET = {
-    "analysis_misses": 2401,
-    "analysis_hits": 2328,
-    "verified_functions": 57,
+    "analysis_misses": 2103,
+    "analysis_lookups": 3706,
     "changed_functions": 1023,
 }
 CONVERGED_BUDGET = {
-    "analysis_misses": 664,
-    "analysis_hits": 1887,
-    "verified_functions": 70,
+    "analysis_misses": 598,
+    "analysis_lookups": 2377,
     "changed_functions": 174,
 }
 
@@ -110,17 +110,51 @@ def _workloads():
         load_suite("multi")
 
 
+@pytest.fixture
+def pass_work(monkeypatch):
+    """Running counts of the functions phases report changed and of the
+    verifier runs, taken by wrapping the pass manager's ``create_pass``
+    and ``verify_function``."""
+    counts = {"changed_functions": 0, "verified_functions": 0}
+    create_pass = repro.passes.base.create_pass
+    verify_function = repro.passes.base.verify_function
+
+    def counting_create_pass(name):
+        phase = create_pass(name)
+        run_with_changes = phase.run_with_changes
+
+        def counted_run_with_changes(module, am):
+            changed = run_with_changes(module, am)
+            counts["changed_functions"] += len(changed)
+            return changed
+
+        phase.run_with_changes = counted_run_with_changes
+        return phase
+
+    def counting_verify_function(function, am=None, lcssa=False):
+        counts["verified_functions"] += 1
+        verify_function(function, am, lcssa=lcssa)
+
+    monkeypatch.setattr(repro.passes.base, "create_pass",
+                        counting_create_pass)
+    monkeypatch.setattr(repro.passes.base, "verify_function",
+                        counting_verify_function)
+    return counts
+
+
 def _new_work():
     return {"analysis_misses": 0, "analysis_hits": 0,
-            "verified_functions": 0, "changed_functions": 0}
+            "analysis_lookups": 0, "verified_functions": 0,
+            "changed_functions": 0}
 
 
 def _evaluate_incremental(module, sequence, am, partials, vectors=None,
-                          work=None):
+                          work=None, pass_work=None):
     """One deployment-loop evaluation; adds its work counts to ``work``
-    when given."""
+    when given (``pass_work`` is the fixture's running counts)."""
     pm = PassManager(verify=True)
     hits, misses = am.stats.hits, am.stats.misses
+    passes_before = dict(pass_work or {})
     fingerprint = module_fingerprint(module, am)
     activity = []
     for phase in sequence:
@@ -133,13 +167,14 @@ def _evaluate_incremental(module, sequence, am, partials, vectors=None,
     if work is not None:
         work["analysis_hits"] += am.stats.hits - hits
         work["analysis_misses"] += am.stats.misses - misses
-        for entry in pm.stats.phases:
-            work["verified_functions"] += entry.verified_functions
-            work["changed_functions"] += entry.changed_functions
+        work["analysis_lookups"] += (am.stats.hits - hits) + \
+            (am.stats.misses - misses)
+        for name, count in pass_work.items():
+            work[name] += count - passes_before[name]
     return activity
 
 
-def _evaluate_fresh(workloads, sequences, partials, vectors):
+def _evaluate_fresh(workloads, sequences, partials, vectors, pass_work):
     """Evaluate every workload under every sequence on freshly compiled
     modules; returns ``(activities, work, seconds)``."""
     work = _new_work()
@@ -149,7 +184,7 @@ def _evaluate_fresh(workloads, sequences, partials, vectors):
         for sequence in sequences:
             activities[(workload.name, sequence)] = _evaluate_incremental(
                 workload.compile(), sequence, AnalysisManager(), partials,
-                vectors, work)
+                vectors, work, pass_work)
     return activities, work, time.perf_counter() - started
 
 
@@ -167,15 +202,16 @@ def _check_budget(label, work, budget, seconds, points):
     over = {name: (work[name], budget[name]) for name in budget
             if work[name] > budget[name]}
     assert not over, f"{label} over its work budget: {over}"
+    assert work["verified_functions"] == work["changed_functions"], \
+        f"{label}: verification ran on unchanged functions: {work}"
 
 
-def test_fresh_cold_evaluation_within_work_budget():
+def test_fresh_cold_evaluation_within_work_budget(pass_work):
     """Cold start: every content memo empty.  Activity matches a plain
     fingerprinting run and the work stays within budget."""
     workloads = _workloads()
-    VERIFIED_CONTENTS.clear()
     activities, work, seconds = _evaluate_fresh(workloads, SEQUENCES,
-                                                {}, {})
+                                                {}, {}, pass_work)
     for workload in workloads:
         for sequence in SEQUENCES:
             assert activities[(workload.name, sequence)] == \
@@ -185,20 +221,19 @@ def test_fresh_cold_evaluation_within_work_budget():
                   seconds, len(activities))
 
 
-def test_fresh_search_regime_within_work_budget():
+def test_fresh_search_regime_within_work_budget(pass_work):
     """New-candidate evaluation during search: never-seen sequence
-    orderings against content memos warmed by earlier candidates
-    (candidates share prefixes, so content-memoized verification and
-    the feature memos serve most of the per-phase bookkeeping)."""
+    orderings against feature memos warmed by earlier candidates
+    (candidates share prefixes, so the feature memos serve most of the
+    per-phase static-feature work)."""
     workloads = _workloads()
-    VERIFIED_CONTENTS.clear()
     partials = {}
     vectors = {}
     # A search evaluated SEQUENCES already.
-    _evaluate_fresh(workloads, SEQUENCES, partials, vectors)
+    _evaluate_fresh(workloads, SEQUENCES, partials, vectors, pass_work)
 
     activities, work, seconds = _evaluate_fresh(
-        workloads, SEARCH_CANDIDATES, partials, vectors)
+        workloads, SEARCH_CANDIDATES, partials, vectors, pass_work)
     for workload in workloads:
         for sequence in SEARCH_CANDIDATES:
             assert activities[(workload.name, sequence)] == \
@@ -208,11 +243,10 @@ def test_fresh_search_regime_within_work_budget():
                   seconds, len(activities))
 
 
-def test_converged_reevaluation_within_work_budget():
+def test_converged_reevaluation_within_work_budget(pass_work):
     """Converged-module re-evaluation (the PSS inactive-trial regime)
     once the content-addressed memos are warm."""
     workloads = _workloads()
-    VERIFIED_CONTENTS.clear()
     partials = {}
     vectors = {}
 
@@ -223,8 +257,8 @@ def test_converged_reevaluation_within_work_budget():
             am = AnalysisManager()
             PassManager().run(module, list(sequence), am=am)
             points.append((module, sequence, am))
-    # Prime: the first re-evaluation warms the verification and
-    # feature memos for the converged states.
+    # Prime: the first re-evaluation warms the feature memos for the
+    # converged states.
     for module, sequence, am in points:
         _evaluate_incremental(module, sequence, am, partials, vectors)
 
@@ -232,7 +266,7 @@ def test_converged_reevaluation_within_work_budget():
     started = time.perf_counter()
     for module, sequence, am in points:
         _evaluate_incremental(module, sequence, am, partials, vectors,
-                              work)
+                              work, pass_work)
     seconds = time.perf_counter() - started
     _check_budget("converged_reevaluation", work, CONVERGED_BUDGET,
                   seconds, len(points))

@@ -20,9 +20,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.engine.store import ShardedStore
-
-
-DEFAULT_FUEL = 20_000_000
+from repro.sim import DEFAULT_FUEL
 
 #: Packages whose code decides what a stored payload holds: the
 #: frontend, IR, passes, backends, simulator and features.

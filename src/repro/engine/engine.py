@@ -36,6 +36,7 @@ from repro.engine.faults import DETERMINISTIC
 from repro.features import extract_features
 from repro.ir.printer import module_fingerprint
 from repro.passes.analysis import AnalysisManager
+from repro.sim import DEFAULT_FUEL
 
 
 class EvalResult:
@@ -103,7 +104,7 @@ class EvaluationEngine:
     """Cached (and optionally parallel) evaluation for one platform."""
 
     def __init__(self, platform, cache=None, cache_size=4096,
-                 mode="serial", workers=None, fuel=20_000_000,
+                 mode="serial", workers=None, fuel=DEFAULT_FUEL,
                  compose=True, farm_dir=None, eval_timeout=None,
                  chaos=None):
         self.platform = platform
@@ -204,7 +205,6 @@ class EvaluationEngine:
             "target": self.platform.target,
             "measurement_seed": self.measurement_seed,
             "fuel": fuel or self.fuel,
-            "sim_engine": self.platform.sim_engine,
             # Process-pool workers compose through the shared farm; the
             # serial path composes in-process via _evaluate_miss (whose
             # cache already fronts the same store).
@@ -315,8 +315,7 @@ class EvaluationEngine:
                 return EvalResult(payload, key, cached=True)
         spec = {"sequence": [], "target": self.platform.target,
                 "measurement_seed": self.measurement_seed,
-                "fuel": fuel or self.fuel,
-                "sim_engine": self.platform.sim_engine}
+                "fuel": fuel or self.fuel}
         payload = profile_optimized(
             spec, module, fingerprint, fingerprint,
             {function.name: am.fingerprint(function)

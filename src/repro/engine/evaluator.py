@@ -60,6 +60,7 @@ from repro.engine.faults import (
     deadline,
     failure_of,
 )
+from repro.sim import DEFAULT_FUEL
 
 EXECUTION_MODES = ("serial", "process")
 
@@ -160,13 +161,12 @@ def profile_optimized(spec, module, fingerprint, result_fingerprint,
 
     seed = point_measurement_seed(spec["measurement_seed"],
                                   result_fingerprint)
-    platform = Platform(spec["target"], measurement_seed=seed,
-                        sim_engine=spec.get("sim_engine"))
+    platform = Platform(spec["target"], measurement_seed=seed)
     program = platform.compile(module)
     features = extract_features(module, program, am=am,
                                 partial_cache=partial_cache)
     measurement = platform.execute(program,
-                                   fuel=spec.get("fuel") or 20_000_000)
+                                   fuel=spec.get("fuel") or DEFAULT_FUEL)
     return {
         "fingerprint": fingerprint,
         "result_fingerprint": result_fingerprint,
@@ -221,7 +221,7 @@ def farm_result_key(spec, result_fingerprint):
 
     return cache_key(result_fingerprint, (), spec["target"],
                      spec["measurement_seed"],
-                     spec.get("fuel") or 20_000_000)
+                     spec.get("fuel") or DEFAULT_FUEL)
 
 
 def compose_point(spec, store):

@@ -61,7 +61,6 @@ from repro.ir.cfg import (
 from repro.ir.verifier import (
     check_lcssa,
     verify_function,
-    verify_function_bookkeeping,
     verify_module,
 )
 from repro.ir.printer import (
@@ -84,7 +83,7 @@ __all__ = [
     "BasicBlock", "Function", "Module", "IRBuilder",
     "DominatorTree", "LoopInfo", "Loop", "reverse_postorder",
     "split_edge",
-    "check_lcssa", "verify_function", "verify_function_bookkeeping",
+    "check_lcssa", "verify_function",
     "verify_module",
     "function_to_text", "module_to_text", "module_fingerprint",
     "Interpreter", "ExecutionResult", "run_module",

@@ -49,22 +49,6 @@ def verify_function(function, am=None, lcssa=False):
         check_lcssa(function, dom)
 
 
-def verify_function_bookkeeping(function):
-    """Only the checks that are NOT a function of printed content:
-    def-use registration, parent links, and the maintained CFG state.
-    A function whose canonical fingerprint already verified
-    (``passes.base.VERIFIED_CONTENTS``) skips the content-determined
-    checks but must still prove its bookkeeping — a
-    fingerprint-identical body can carry a stale use list, parent
-    pointer, or predecessor link, and the dead-code sweeps, the
-    single-use combines and every CFG query trust them."""
-    if not function.blocks:
-        return
-    _check_parent_links(function)
-    _check_cfg_links(function)
-    _check_use_lists(function)
-
-
 def _fail(function, message):
     raise VerificationError(f"in @{function.name}: {message}")
 

@@ -77,5 +77,5 @@ class PreservationContractRule(Rule):
                     f"preserved_analyses — declare the preservation "
                     f"contract explicitly (PRESERVE_NONE when the pass "
                     f"restructures the CFG); the preservation auditor "
-                    f"(REPRO_AUDIT_ANALYSES=1) validates the claim",
+                    f"(PassManager(audit_analyses=True)) validates the claim",
                     symbol=node.name)

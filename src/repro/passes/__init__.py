@@ -15,7 +15,6 @@ from repro.passes.base import (
     Pass,
     FunctionPass,
     PassManager,
-    PassManagerStats,
     available_phases,
     create_pass,
     register_pass,
@@ -51,7 +50,6 @@ __all__ = [
     "Pass",
     "FunctionPass",
     "PassManager",
-    "PassManagerStats",
     "available_phases",
     "create_pass",
     "register_pass",

@@ -110,25 +110,14 @@ def loopivs_of(function, am=None):
 
 
 class AnalysisStats:
-    """Hit/miss/invalidation counters for one manager."""
+    """Hit/miss counters for one manager."""
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
-        self.preservations = 0
-
-    def as_dict(self):
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "preservations": self.preservations,
-        }
 
     def __repr__(self):
-        return (f"<AnalysisStats hits={self.hits} misses={self.misses} "
-                f"invalidations={self.invalidations}>")
+        return f"<AnalysisStats hits={self.hits} misses={self.misses}>"
 
 
 class AnalysisManager:
@@ -239,11 +228,8 @@ class AnalysisManager:
             return
         cache = entry[1]
         for name in list(cache):
-            if name in preserved and name != "fingerprint":
-                self.stats.preservations += 1
-            else:
+            if name not in preserved or name == "fingerprint":
                 del cache[name]
-                self.stats.invalidations += 1
 
     def invalidate_module(self, module, preserved=PRESERVE_NONE):
         """Invalidate every cached function; entries for functions no
@@ -254,7 +240,6 @@ class AnalysisManager:
         for key in list(self._entries):
             function = self._entries[key][0]
             if key not in live:
-                self.stats.invalidations += len(self._entries[key][1])
                 del self._entries[key]
             else:
                 self.invalidate(function, preserved)
@@ -262,9 +247,7 @@ class AnalysisManager:
     def forget(self, function):
         """Drop every cached analysis for ``function``."""
         self._module_fps.clear()
-        entry = self._entries.pop(id(function), None)
-        if entry is not None:
-            self.stats.invalidations += len(entry[1])
+        self._entries.pop(id(function), None)
 
     def clear(self):
         self._entries.clear()

@@ -2,14 +2,14 @@
 
 The static R004 rule (:mod:`repro.lint`) forces every pass to *declare*
 a preservation contract; this module checks the declarations are
-*true*.  In audit mode (``PassManager(audit_analyses=True)`` or
-``REPRO_AUDIT_ANALYSES=1``) the manager, after every phase, recomputes
-each analysis still cached for each function from scratch and diffs it
-against the cache.  Any divergence means a pass either claimed to
-preserve an analysis it broke, or mutated a function without reporting
-the change — both are silent-miscompile factories: the next pass plans
-its transform against a dominator tree / loop nest / trip count for a
-CFG that no longer exists.
+*true*.  In audit mode (``PassManager(audit_analyses=True)``) the
+manager, after every phase, recomputes each analysis still cached for
+each function from scratch and diffs it against the cache.  Any
+divergence means a pass either claimed to preserve an analysis it
+broke, or mutated a function without reporting the change — both are
+silent-miscompile factories: the next pass plans its transform against
+a dominator tree / loop nest / trip count for a CFG that no longer
+exists.
 
 The analog in LLVM is ``-verify-analysis-invalidation`` (expensive
 checks); like there, audit mode is far too slow for production and runs
@@ -42,8 +42,6 @@ Comparison semantics per analysis:
     reported changing.
 """
 
-import os
-
 from repro.errors import VerificationError
 from repro.ir.cfg import DominatorTree, LoopInfo
 
@@ -51,10 +49,6 @@ from repro.ir.cfg import DominatorTree, LoopInfo
 class AnalysisPreservationError(VerificationError):
     """A pass's ``preserved_analyses`` claim (or unreported mutation)
     left a provably stale analysis in the cache."""
-
-
-def audit_enabled_by_env():
-    return os.environ.get("REPRO_AUDIT_ANALYSES") == "1"
 
 
 def _fail(phase, function, analysis, detail):

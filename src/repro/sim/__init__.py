@@ -1,14 +1,9 @@
 """Platform simulation: machine-code execution, timing, energy, RAPL."""
 
 from repro.sim.energy import EnergyModel, RaplCounter
-from repro.sim.machine import MachineResult, Simulator
+from repro.sim.machine import DEFAULT_FUEL, MachineResult, Simulator
 from repro.sim.pipeline import BranchPredictor, Cache, PipelineModel
-from repro.sim.platform import (
-    DEFAULT_SIM_ENGINE,
-    Measurement,
-    Platform,
-    default_platforms,
-)
+from repro.sim.platform import Measurement, Platform, default_platforms
 from repro.sim.tape import TapeSimulator, tape_cache_stats
 
 __all__ = [
@@ -16,6 +11,6 @@ __all__ = [
     "PipelineModel", "BranchPredictor", "Cache",
     "EnergyModel", "RaplCounter",
     "Platform", "Measurement", "default_platforms",
-    "DEFAULT_SIM_ENGINE",
+    "DEFAULT_FUEL",
     "tape_cache_stats",
 ]

@@ -1,9 +1,12 @@
-"""Machine-code simulator.
+"""Reference machine-code simulator.
 
 Executes a :class:`MachineProgram` over a cell-addressed memory, producing
 the same observable behaviour as the IR interpreter (the test suite checks
 this differentially), while the timing model (:mod:`repro.sim.pipeline`)
 and energy model (:mod:`repro.sim.energy`) observe the instruction stream.
+Profiling runs the pre-decoded :class:`repro.sim.tape.TapeSimulator`;
+this one-instruction-at-a-time simulator is the oracle the tests and
+benchmarks check the tape against.
 """
 
 from repro.errors import SimulationError
@@ -18,6 +21,10 @@ from repro.ir import arith
 from repro.ir.intrinsics import evaluate_float_intrinsic
 
 _STACK_BASE = 0x4000000
+
+#: Instruction budget of one simulated run (both simulators, every
+#: platform and evaluation path); exhausting it is a SimulationError.
+DEFAULT_FUEL = 20_000_000
 
 
 def _wrap(value):
@@ -65,7 +72,7 @@ class MachineState:
 class Simulator:
     """Functional + micro-architectural simulation of a MachineProgram."""
 
-    def __init__(self, program, isa, timing=None, fuel=20_000_000):
+    def __init__(self, program, isa, timing=None, fuel=DEFAULT_FUEL):
         self.program = program
         self.isa = isa
         self.state = MachineState(program)

@@ -5,17 +5,9 @@ that the profiling layer (paper Fig. 2 box 1) runs programs on.
 from repro.backend.codegen import compile_module
 from repro.backend.isa import get_isa
 from repro.sim.energy import EnergyModel, RaplCounter
-from repro.sim.machine import Simulator
+from repro.sim.machine import DEFAULT_FUEL
 from repro.sim.pipeline import PipelineModel
 from repro.sim.tape import TapeSimulator
-
-#: Which simulator backs ``Platform.execute``: ``"tape"`` (the
-#: pre-decoded interpreter, the default) or ``"seed"`` (the reference
-#: simulator, kept as the differential oracle; select it per platform
-#: with ``Platform(..., sim_engine="seed")``).
-DEFAULT_SIM_ENGINE = "tape"
-
-_SIM_ENGINES = {"tape": TapeSimulator, "seed": Simulator}
 
 
 class Measurement:
@@ -67,15 +59,9 @@ class Platform:
     METRIC_NAMES = ("exec_time_us", "energy_uj", "instructions",
                     "avg_power_w")
 
-    def __init__(self, target, measurement_seed=0, sim_engine=None):
+    def __init__(self, target, measurement_seed=0):
         self.target = target
         self.measurement_seed = measurement_seed
-        self.sim_engine = sim_engine if sim_engine is not None \
-            else DEFAULT_SIM_ENGINE
-        if self.sim_engine not in _SIM_ENGINES:
-            raise ValueError(
-                f"unknown sim engine {self.sim_engine!r}; "
-                f"available: {sorted(_SIM_ENGINES)}")
         self.isa = get_isa(target)
         self.energy_model = EnergyModel(self.isa)
         self.rapl = RaplCounter(measurement_seed) if target == "x86" \
@@ -84,12 +70,11 @@ class Platform:
     def compile(self, module):
         return compile_module(module, self.isa)
 
-    def execute(self, program, fuel=20_000_000):
-        """Run a compiled program, returning a Measurement."""
+    def execute(self, program, fuel=DEFAULT_FUEL):
+        """Run a compiled program on the tape simulator, returning a
+        Measurement."""
         timing = PipelineModel(self.isa)
-        simulator = _SIM_ENGINES[self.sim_engine](
-            program, self.isa, timing, fuel=fuel)
-        result = simulator.run()
+        result = TapeSimulator(program, self.isa, timing, fuel=fuel).run()
         energy = self.energy_model.total_energy_pj(
             result.dynamic_histogram, timing)
         if self.rapl is not None:
@@ -105,7 +90,7 @@ class Platform:
             return_value=result.return_value,
         )
 
-    def profile(self, module, fuel=20_000_000):
+    def profile(self, module, fuel=DEFAULT_FUEL):
         """Compile + execute an IR module."""
         program = self.compile(module)
         return self.execute(program, fuel=fuel)

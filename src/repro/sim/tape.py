@@ -76,7 +76,7 @@ from repro.backend.mir import FImm, GlobalRef, Imm, PhysReg, StackSlot
 from repro.errors import SimulationError
 from repro.ir import arith
 from repro.ir.intrinsics import evaluate_float_intrinsic
-from repro.sim.machine import _STACK_BASE, MachineResult
+from repro.sim.machine import _STACK_BASE, DEFAULT_FUEL, MachineResult
 from repro.sim.pipeline import PipelineModel
 
 _SPLIT = frozenset({"bcc", "fbcc", "call", "jmp", "ret"})
@@ -369,7 +369,7 @@ class TapeSimulator:
     identical cycle counts and cache/predictor state.
     """
 
-    def __init__(self, program, isa, timing=None, fuel=20_000_000):
+    def __init__(self, program, isa, timing=None, fuel=DEFAULT_FUEL):
         started = time.perf_counter()
         self.program = program
         self.isa = isa

@@ -240,7 +240,7 @@ def test_farm_spec_composes_without_an_engine(tmp_path):
     spec = {"source": workload.source, "name": workload.name,
             "sequence": ["mem2reg"], "target": "riscv",
             "measurement_seed": 0, "fuel": 20_000_000,
-            "sim_engine": None, "farm_dir": str(tmp_path)}
+            "farm_dir": str(tmp_path)}
     first = evaluate_point(spec)
     composed = evaluate_point(dict(spec, sequence=["mem2reg",
                                                    "mem2reg"]))

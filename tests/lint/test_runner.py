@@ -1,6 +1,7 @@
 """Runner-level replint tests: suppressions, the JSON schema, the CLI,
 idempotence, and the clean-tree acceptance gate (ISSUE 9)."""
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -157,3 +158,42 @@ def test_repository_tree_is_clean():
     assert report.exit_code == 0
     # The justified disables are visible, not silently dropped.
     assert {f.rule for f in report.suppressed} <= {"R001", "R003"}
+
+
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree):
+    """Line numbers of ``os.environ``/``os.getenv`` uses and of
+    ``from os import environ``-style imports in one parsed module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                node.attr in _ENVIRONMENT_READERS and \
+                isinstance(node.value, ast.Name) and node.value.id == "os":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os" and \
+                any(alias.name in _ENVIRONMENT_READERS
+                    for alias in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_reads_no_environment_variables():
+    """Behaviour is chosen by arguments, never by a process-wide
+    environment switch: no module under src/repro reads the
+    environment."""
+    sample = textwrap.dedent("""
+        import os
+        from os import getenv
+        a = os.environ.get("A")
+        b = os.getenv("B")
+        c = os.path.join("x", "y")
+    """)
+    assert _environment_reads(ast.parse(sample)) == [3, 4, 5]
+    reads = []
+    for path in sorted((REPO_SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads.extend(f"{path.relative_to(REPO_SRC)}:{line}"
+                     for line in _environment_reads(tree))
+    assert reads == []

@@ -131,20 +131,6 @@ def test_unchanged_function_keeps_all_analyses(module):
     assert am.cached("fingerprint", main) is fp
 
 
-def test_passmanager_records_per_phase_stats(module):
-    pm = PassManager(verify=True)
-    pm.run(module, ["mem2reg", "instcombine", "dce"])
-    stats = pm.stats.as_dict()
-    assert [p["phase"] for p in stats["phases"]] == \
-        ["mem2reg", "instcombine", "dce"]
-    for entry in stats["phases"]:
-        assert entry["seconds"] >= 0.0
-        assert entry["changed_functions"] >= 0
-    assert stats["phases"][0]["changed_functions"] > 0
-    assert stats["total_seconds"] >= sum(
-        p["seconds"] for p in stats["phases"]) * 0.99
-
-
 def test_shared_manager_across_sequences(module):
     """One manager can span several PassManager.run calls."""
     am = AnalysisManager()

@@ -1,10 +1,9 @@
 """Dynamic analysis-preservation auditing (ISSUE 9).
 
-``PassManager(audit_analyses=True)`` (or ``REPRO_AUDIT_ANALYSES=1``)
-recomputes every still-cached analysis from scratch after each phase and
-hard-errors on any divergence from the cache — the runtime check that
-the ``preserved_analyses`` declarations replint rule R004 statically
-mandates are actually *true*.  These tests pin:
+``PassManager(audit_analyses=True)`` recomputes every still-cached
+analysis from scratch after each phase and hard-errors on any divergence
+from the cache — the runtime check that the ``preserved_analyses``
+declarations replint rule R004 statically mandates are actually *true*.  These tests pin:
 
 - every registered phase audits clean on the structured sources with
   every analysis force-warmed beforehand;
@@ -16,8 +15,7 @@ mandates are actually *true*.  These tests pin:
 - an unreported mutation (code changed, "nothing changed" reported) is
   detected through the stale fingerprint;
 - the warm-up fills exactly ``ALL_ANALYSES``, and the manager computes
-  no analysis outside it, so no analysis can escape the audit;
-- the environment-variable toggle and its explicit-argument override.
+  no analysis outside it, so no analysis can escape the audit.
 """
 
 import pytest
@@ -185,15 +183,3 @@ def test_unreported_mutation_is_detected():
     function.entry.insert(0, extra)
     with pytest.raises(AnalysisPreservationError, match="fingerprint"):
         audit_preservation(module, am, "sneaky-phase")
-
-
-def test_environment_variable_toggle(monkeypatch):
-    monkeypatch.delenv("REPRO_AUDIT_ANALYSES", raising=False)
-    assert PassManager().audit_analyses is False
-    monkeypatch.setenv("REPRO_AUDIT_ANALYSES", "1")
-    assert PassManager().audit_analyses is True
-    monkeypatch.setenv("REPRO_AUDIT_ANALYSES", "0")
-    assert PassManager().audit_analyses is False
-    monkeypatch.setenv("REPRO_AUDIT_ANALYSES", "1")
-    # The explicit argument wins over the environment.
-    assert PassManager(audit_analyses=False).audit_analyses is False

@@ -11,6 +11,7 @@ Failing runs must fail with the seed's error text.
 
 import pytest
 
+import repro.sim.platform
 from repro.backend import compile_module, get_isa
 from repro.backend.isa import X86, RiscV
 from repro.backend.mir import GlobalRef
@@ -327,21 +328,33 @@ def test_load_trapping_inside_a_line_run(target):
     assert engine.cache.stats.stores == 0
 
 
-def test_platform_routes_sim_engine():
-    """Platform defaults to the tape engine and produces measurements
-    identical to an explicitly seed-backed platform."""
+def _back_platforms_with_seed(monkeypatch):
+    """Make ``Platform.execute`` run the seed :class:`Simulator` in
+    place of the tape; returns the list of seed simulators it builds."""
+    built = []
+
+    class RecordingSimulator(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(repro.sim.platform, "TapeSimulator",
+                        RecordingSimulator)
+    return built
+
+
+def test_platform_routes_sim_engine(monkeypatch):
+    """A Platform's tape-backed measurements are identical to the same
+    platform's measurements with the seed simulator swapped in."""
     module_source = load_suite("beebs")[0].source
-    tape_platform = Platform("riscv")
-    seed_platform = Platform("riscv", sim_engine="seed")
-    assert tape_platform.sim_engine == "tape"
-    tape_m = tape_platform.profile(compile_source(module_source))
-    seed_m = seed_platform.profile(compile_source(module_source))
+    tape_m = Platform("riscv").profile(compile_source(module_source))
+    built = _back_platforms_with_seed(monkeypatch)
+    seed_m = Platform("riscv").profile(compile_source(module_source))
+    assert len(built) == 1
     assert tape_m.metrics() == seed_m.metrics()
     assert tape_m.output == seed_m.output
     assert tape_m.return_value == seed_m.return_value
     assert tape_m.cycles == seed_m.cycles
-    with pytest.raises(ValueError):
-        Platform("riscv", sim_engine="bogus")
 
 
 def _drop_fallthrough_jmp(program):
@@ -409,21 +422,26 @@ _ENGINE_FAILURES = {
 
 
 @pytest.mark.parametrize("case", sorted(_ENGINE_FAILURES))
-def test_engine_failures_match_seed(case):
+def test_engine_failures_match_seed(case, monkeypatch):
     """Through ``EvaluationEngine`` a failing run becomes the same
-    ``EvalFailure`` under both simulator engines, and stores nothing:
-    no payload carries the counters of a run that failed."""
+    ``EvalFailure`` on the tape as with the seed simulator swapped in,
+    and stores nothing: no payload carries the counters of a run that
+    failed."""
     source, fuel, message = _ENGINE_FAILURES[case]
     workload = Workload(f"failing_{case}", "tests", source)
     failures = []
-    for sim_engine in ("seed", None):
-        engine = EvaluationEngine(Platform("riscv", sim_engine=sim_engine))
+    built = []
+    for seed in (False, True):
+        if seed:
+            built = _back_platforms_with_seed(monkeypatch)
+        engine = EvaluationEngine(Platform("riscv"))
         [result] = engine.evaluate_batch([(workload, ("mem2reg",))],
                                          fuel=fuel, on_error="collect")
         assert isinstance(result, EvalFailure)
         assert message in result.error
         assert engine.cache.stats.stores == 0
         failures.append((result.kind, result.error, result.attempts))
+    assert built
     assert failures[0] == failures[1]
 
 

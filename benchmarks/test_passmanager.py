@@ -11,12 +11,13 @@ a budget pinned on this fixed config.  The counts are deterministic
 (identical across processes and hosts), so the guards cannot flake on
 a loaded machine, and each names the layer that regressed:
 
-- ``analysis_misses``: analyses computed from scratch.  Rises when the
-  AnalysisManager stops caching or a pass over-invalidates.
+- ``analysis_misses``: analyses computed from scratch, each function's
+  static-feature partial among them.  Rises when the AnalysisManager
+  stops caching or a pass over-invalidates.
 - ``analysis_lookups``: analysis requests, cached or computed (hits
-  plus misses).  Rises when the composed module-fingerprint memo or
-  the static-feature vector memo stops answering, so the caller falls
-  back to per-function lookups.
+  plus misses); every reuse of a static-feature partial is a hit.
+  Rises when the composed module-fingerprint memo stops answering, so
+  the caller falls back to per-function lookups.
 - ``changed_functions``: functions a phase reported changed.  Rises
   when a pass reports (and so invalidates and re-verifies) spurious
   changes.
@@ -26,17 +27,16 @@ Verification must run exactly once per changed function
 phase left alone.  Both counts come from test-side wrappers around the
 pass manager's ``create_pass`` and ``verify_function``.
 
-Three regimes are guarded:
+Two regimes are guarded, each with one analysis manager per module
+(the only per-function cache: there is no cross-module feature memo):
 
-- **fresh (cold start)**: first-time evaluation with every
-  content-addressed memo empty.
-- **fresh (search regime)**: evaluation of *new, never-seen* sequences
-  with the feature memos warmed by earlier candidates — the regime
-  every new phase-sequence candidate pays during search and RL
-  training, since candidates share prefixes and converge.
+- **fresh (cold start)**: first-time evaluation of freshly compiled
+  modules under empty analysis managers — the regime every new
+  phase-sequence candidate pays during search and RL training.
 - **converged**: re-evaluating sequences against already-optimized
-  modules — the inactive-trial regime the PSS deployment loop spends
-  its phase budget on (Table V allows 8 inactive trials per step).
+  modules whose analysis managers are warm — the inactive-trial regime
+  the PSS deployment loop spends its phase budget on (Table V allows 8
+  inactive trials per step).
 
 A change that does less work should lower the budget it beat; one
 that does more must say why before it raises one.  Wall-clock seconds
@@ -76,31 +76,15 @@ SEQUENCES = (
      "simplifycfg", "gvn", "licm", "loop-unroll", "dce"),
 )
 
-#: New candidate orderings a search proposes after evaluating SEQUENCES:
-#: same phase vocabulary, never-seen orderings (mutated tails).
-SEARCH_CANDIDATES = (
-    ("mem2reg", "instcombine", "simplifycfg", "gvn", "licm",
-     "indvars", "loop-unroll", "sccp", "dce", "gvn"),
-    ("mem2reg", "sroa", "early-cse", "reassociate", "licm",
-     "loop-rotate", "loop-idiom", "instcombine", "adce", "simplifycfg"),
-    ("inline", "mem2reg", "ipsccp", "instcombine", "jump-threading",
-     "simplifycfg", "gvn", "licm", "loop-unroll", "bdce"),
-)
-
 #: Work budgets per regime, pinned on the config above.
 FRESH_COLD_BUDGET = {
-    "analysis_misses": 2824,
-    "analysis_lookups": 6918,
+    "analysis_misses": 4511,
+    "analysis_lookups": 9330,
     "changed_functions": 979,
 }
-FRESH_SEARCH_BUDGET = {
-    "analysis_misses": 2103,
-    "analysis_lookups": 3706,
-    "changed_functions": 1023,
-}
 CONVERGED_BUDGET = {
-    "analysis_misses": 598,
-    "analysis_lookups": 2377,
+    "analysis_misses": 851,
+    "analysis_lookups": 4561,
     "changed_functions": 174,
 }
 
@@ -148,8 +132,8 @@ def _new_work():
             "changed_functions": 0}
 
 
-def _evaluate_incremental(module, sequence, am, partials, vectors=None,
-                          work=None, pass_work=None):
+def _evaluate_incremental(module, sequence, am, work=None,
+                          pass_work=None):
     """One deployment-loop evaluation; adds its work counts to ``work``
     when given (``pass_work`` is the fixture's running counts)."""
     pm = PassManager(verify=True)
@@ -158,8 +142,7 @@ def _evaluate_incremental(module, sequence, am, partials, vectors=None,
     fingerprint = module_fingerprint(module, am)
     activity = []
     for phase in sequence:
-        extract_static_features(module, am=am, partial_cache=partials,
-                                vector_cache=vectors)
+        extract_static_features(module, am=am)
         pm.run(module, [phase], am=am)
         new_fingerprint = module_fingerprint(module, am)
         activity.append(new_fingerprint != fingerprint)
@@ -174,7 +157,7 @@ def _evaluate_incremental(module, sequence, am, partials, vectors=None,
     return activity
 
 
-def _evaluate_fresh(workloads, sequences, partials, vectors, pass_work):
+def _evaluate_fresh(workloads, sequences, pass_work):
     """Evaluate every workload under every sequence on freshly compiled
     modules; returns ``(activities, work, seconds)``."""
     work = _new_work()
@@ -183,14 +166,14 @@ def _evaluate_fresh(workloads, sequences, partials, vectors, pass_work):
     for workload in workloads:
         for sequence in sequences:
             activities[(workload.name, sequence)] = _evaluate_incremental(
-                workload.compile(), sequence, AnalysisManager(), partials,
-                vectors, work, pass_work)
+                workload.compile(), sequence, AnalysisManager(), work,
+                pass_work)
     return activities, work, time.perf_counter() - started
 
 
 def _plain_activity(workload, sequence):
-    """The activity oracle: one fingerprinting run with no memo warm
-    and no feature extraction in between."""
+    """The activity oracle: one fingerprinting run with no analysis
+    warm and no feature extraction in between."""
     return PassManager(verify=True).run_with_fingerprints(
         workload.compile(), list(sequence))
 
@@ -207,11 +190,11 @@ def _check_budget(label, work, budget, seconds, points):
 
 
 def test_fresh_cold_evaluation_within_work_budget(pass_work):
-    """Cold start: every content memo empty.  Activity matches a plain
-    fingerprinting run and the work stays within budget."""
+    """Cold start: every analysis manager empty.  Activity matches a
+    plain fingerprinting run and the work stays within budget."""
     workloads = _workloads()
     activities, work, seconds = _evaluate_fresh(workloads, SEQUENCES,
-                                                {}, {}, pass_work)
+                                                pass_work)
     for workload in workloads:
         for sequence in SEQUENCES:
             assert activities[(workload.name, sequence)] == \
@@ -221,34 +204,10 @@ def test_fresh_cold_evaluation_within_work_budget(pass_work):
                   seconds, len(activities))
 
 
-def test_fresh_search_regime_within_work_budget(pass_work):
-    """New-candidate evaluation during search: never-seen sequence
-    orderings against feature memos warmed by earlier candidates
-    (candidates share prefixes, so the feature memos serve most of the
-    per-phase static-feature work)."""
-    workloads = _workloads()
-    partials = {}
-    vectors = {}
-    # A search evaluated SEQUENCES already.
-    _evaluate_fresh(workloads, SEQUENCES, partials, vectors, pass_work)
-
-    activities, work, seconds = _evaluate_fresh(
-        workloads, SEARCH_CANDIDATES, partials, vectors, pass_work)
-    for workload in workloads:
-        for sequence in SEARCH_CANDIDATES:
-            assert activities[(workload.name, sequence)] == \
-                _plain_activity(workload, sequence), \
-                (workload.name, sequence)
-    _check_budget("fresh_search_regime", work, FRESH_SEARCH_BUDGET,
-                  seconds, len(activities))
-
-
 def test_converged_reevaluation_within_work_budget(pass_work):
     """Converged-module re-evaluation (the PSS inactive-trial regime)
-    once the content-addressed memos are warm."""
+    once each module's analysis manager is warm."""
     workloads = _workloads()
-    partials = {}
-    vectors = {}
 
     points = []
     for workload in workloads:
@@ -257,16 +216,15 @@ def test_converged_reevaluation_within_work_budget(pass_work):
             am = AnalysisManager()
             PassManager().run(module, list(sequence), am=am)
             points.append((module, sequence, am))
-    # Prime: the first re-evaluation warms the feature memos for the
-    # converged states.
+    # Prime: the first re-evaluation warms each manager's static
+    # partials for the converged states.
     for module, sequence, am in points:
-        _evaluate_incremental(module, sequence, am, partials, vectors)
+        _evaluate_incremental(module, sequence, am)
 
     work = _new_work()
     started = time.perf_counter()
     for module, sequence, am in points:
-        _evaluate_incremental(module, sequence, am, partials, vectors,
-                              work, pass_work)
+        _evaluate_incremental(module, sequence, am, work, pass_work)
     seconds = time.perf_counter() - started
     _check_budget("converged_reevaluation", work, CONVERGED_BUDGET,
                   seconds, len(points))
@@ -278,10 +236,7 @@ def test_bench_converged_single_evaluation(benchmark):
     sequence = SEQUENCES[0]
     module = workload.compile()
     am = AnalysisManager()
-    partials = {}
-    vectors = {}
     PassManager().run(module, list(sequence), am=am)
-    _evaluate_incremental(module, sequence, am, partials, vectors)
+    _evaluate_incremental(module, sequence, am)
 
-    benchmark(_evaluate_incremental, module, sequence, am, partials,
-              vectors)
+    benchmark(_evaluate_incremental, module, sequence, am)

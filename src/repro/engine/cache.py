@@ -22,15 +22,28 @@ from pathlib import Path
 from repro.engine.store import ShardedStore
 from repro.sim import DEFAULT_FUEL
 
-#: Packages whose code decides what a stored payload holds: the
-#: frontend, IR, passes, backends, simulator and features.
-SEMANTIC_PACKAGES = ("lang", "ir", "passes", "backend", "sim", "features")
+#: Sources whose code decides what a stored payload holds: the frontend,
+#: IR, passes, backends, simulator and features packages, and the
+#: payload builder (which also derives each point's measurement seed).
+SEMANTIC_SOURCES = ("lang", "ir", "passes", "backend", "sim", "features",
+                    "engine/evaluator.py")
+
+
+def semantic_source_files():
+    """The ``.py`` files of :data:`SEMANTIC_SOURCES`, in digest order."""
+    root = Path(__file__).resolve().parent.parent
+    files = []
+    for source in SEMANTIC_SOURCES:
+        path = root / source
+        files.extend([path] if path.is_file()
+                     else sorted(path.rglob("*.py")))
+    return files
 
 
 @functools.lru_cache(maxsize=None)
 def semantics_digest():
-    """Digest of the ``.py`` sources of :data:`SEMANTIC_PACKAGES`,
-    computed once per process.
+    """Digest of :func:`semantic_source_files`, computed once per
+    process.
 
     Folded into every :func:`cache_key`, as ccache hashes the compiler's
     identity into its keys: a farm filled by other compiler semantics
@@ -38,12 +51,11 @@ def semantics_digest():
     """
     root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
-    for package in SEMANTIC_PACKAGES:
-        for path in sorted((root / package).rglob("*.py")):
-            digest.update(path.relative_to(root).as_posix().encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
+    for path in semantic_source_files():
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
     return digest.hexdigest()
 
 

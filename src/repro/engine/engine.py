@@ -49,14 +49,12 @@ class EvalResult:
         self.cached = cached
         self.fingerprint = payload["fingerprint"]
         self.result_fingerprint = payload["result_fingerprint"]
-        # Per-function canonical fingerprints of the optimized module
-        # (absent in cache entries written before they existed).
-        self.function_fingerprints = dict(
-            payload.get("function_fingerprints", {}))
+        # Per-function canonical fingerprints of the optimized module.
+        self.function_fingerprints = dict(payload["function_fingerprints"])
         self.sequence = tuple(payload["sequence"])
         self.target = payload["target"]
         self.features = np.asarray(payload["features"], dtype=float)
-        self.cycles = payload.get("cycles", 0.0)
+        self.cycles = payload["cycles"]
         self.code_size = payload["code_size"]
         self.output = tuple((kind, value)
                             for kind, value in payload["output"])
@@ -105,7 +103,7 @@ class EvaluationEngine:
 
     def __init__(self, platform, cache=None, cache_size=4096,
                  mode="serial", workers=None, fuel=DEFAULT_FUEL,
-                 compose=True, farm_dir=None, eval_timeout=None,
+                 farm_dir=None, eval_timeout=None,
                  chaos=None):
         self.platform = platform
         #: Compile-farm directory: a cross-process
@@ -121,7 +119,6 @@ class EvaluationEngine:
         #: per-function content up in the result index, skipping
         #: feature extraction, codegen and simulation when any earlier
         #: point (or PSS deployment check) produced the same code.
-        self.compose = compose
         self.compose_stats = {"hits": 0, "misses": 0}
         # Counter updates are read-modify-write; the lock keeps the
         # engine safe to share across threads.
@@ -144,11 +141,6 @@ class EvaluationEngine:
                 self.cache.store is not None:
             self.cache.store.chaos = chaos
         self.fuel = fuel
-        # Function-granular reuse for PE-side feature extraction: static
-        # per-function partials keyed by function fingerprint, shared by
-        # every module this engine scores (bounded; cleared when full).
-        self._feature_partials = {}
-        self._feature_partials_cap = 4096
         self._workload_fingerprints = {}
         self._estimator_tokens = weakref.WeakKeyDictionary()
         self._token_counter = 0
@@ -205,8 +197,8 @@ class EvaluationEngine:
             "target": self.platform.target,
             "measurement_seed": self.measurement_seed,
             "fuel": fuel or self.fuel,
-            # Process-pool workers compose through the shared farm; the
-            # serial path composes in-process via _evaluate_miss (whose
+            # Process-pool workers compose through the shared farm;
+            # in-process attempts compose via _evaluate_miss (whose
             # cache already fronts the same store).
             "farm_dir": self.farm_dir
             if self.evaluator.mode == "process" else None,
@@ -217,7 +209,7 @@ class EvaluationEngine:
         """One fresh point, composed in-process through the cache's
         result index (:func:`~repro.engine.evaluator.compose_point`);
         the caller stores the payload under the sequence key."""
-        if self.cache is None or not self.compose:
+        if self.cache is None:
             return evaluate_point(spec)
         payload, hit = compose_point(spec, self.cache)
         with self._compose_lock:
@@ -263,15 +255,12 @@ class EvaluationEngine:
             else:
                 pending[key] = (self._spec(workload, sequence, fuel),
                                 [index])
-        specs = [spec for spec, _ in pending.values()]
-        if self.evaluator.mode == "serial" and \
-                self.cache is not None and self.compose:
-            # Serial misses compose through the in-process result index
-            # (identical payloads; process workers compose through the
-            # farm instead, since they cannot see this process's cache).
-            outcomes = self._run_composed(specs)
-        else:
-            outcomes = self.evaluator.run(specs)
+        # In-process misses compose through this process's result index
+        # (identical payloads; pool workers compose through the farm
+        # instead, since they cannot see this process's cache).
+        outcomes = self.evaluator.run(
+            [spec for spec, _ in pending.values()],
+            run=self._evaluate_miss)
         for (key, (spec, indices)), (payload, error) in zip(
                 pending.items(), outcomes):
             if error is not None:
@@ -292,14 +281,6 @@ class EvaluationEngine:
                                             cached=position > 0)
         return results
 
-    def _run_composed(self, specs):
-        """Run miss specs through :meth:`_evaluate_miss` in order,
-        returning ``(payload, error)`` pairs (the evaluator-run
-        contract), one supervised attempt each."""
-        return [self.evaluator.attempt(spec, index,
-                                       run=self._evaluate_miss)
-                for index, spec in enumerate(specs)]
-
     def profile_module(self, module, fuel=None, am=None):
         """Profile an already-optimized module, content-addressed by its
         final fingerprint (used by PSS deployment checks).  An analysis
@@ -317,27 +298,19 @@ class EvaluationEngine:
                 "measurement_seed": self.measurement_seed,
                 "fuel": fuel or self.fuel}
         payload = profile_optimized(
-            spec, module, fingerprint, fingerprint,
+            spec, module, am, fingerprint, fingerprint,
             {function.name: am.fingerprint(function)
-             for function in module.defined_functions()},
-            am=am, partial_cache=self._partials())
+             for function in module.defined_functions()})
         if self.cache is not None:
             self.cache.put(key, payload)
         return EvalResult(payload, key, cached=False)
 
     # -- PE-predicted evaluations ----------------------------------------
-    def _partials(self):
-        """The per-function feature partial cache (bounded; dropped
-        wholesale when full)."""
-        if len(self._feature_partials) > self._feature_partials_cap:
-            self._feature_partials.clear()
-        return self._feature_partials
-
     def _extract_features(self, module, am):
-        """Feature extraction with the engine's per-function partials,
-        on the module lowered for this engine's platform."""
+        """Feature extraction on the module lowered for this engine's
+        platform, with per-function static partials from ``am``."""
         return extract_features(module, self.platform.compile(module),
-                                am=am, partial_cache=self._partials())
+                                am=am)
 
     def predicted_objectives(self, module, estimator, fingerprint=None,
                              am=None):
@@ -393,9 +366,8 @@ class EvaluationEngine:
                 # instead of aborting the whole batch (mirrors the
                 # per-candidate guards of the profiled search path).
                 # Each candidate gets its own analysis manager (fresh
-                # module), but all share the engine's per-function
-                # feature partials: candidates that leave a function
-                # untouched reuse its static analysis.
+                # module), whose static partials reuse the analyses its
+                # pipeline left cached.
                 try:
                     module = workload.compile()
                     am = AnalysisManager()

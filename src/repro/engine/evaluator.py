@@ -118,14 +118,16 @@ def point_measurement_seed(measurement_seed, result_fingerprint):
 
 def optimize_point(spec):
     """Build the spec's module and run its sequence; returns
-    ``(module, fingerprint, result_fingerprint, function_fingerprints)``.
+    ``(module, am, fingerprint, result_fingerprint,
+    function_fingerprints)``.
 
     The module is a clone of the program's per-process template
     (:func:`repro.workloads.module_from_source`), so a worker runs the
     frontend once per program, not once per point.  The two fingerprint
     values are composed from per-function digests through the shared
     analysis manager, so the optimized module's content address only
-    pays for the functions the sequence changed.
+    pays for the functions the sequence changed; the manager is
+    returned so feature extraction reads the pipeline's analyses too.
     """
     from repro.ir.printer import module_fingerprint
     from repro.passes import AnalysisManager, PassManager
@@ -141,20 +143,23 @@ def optimize_point(spec):
     result_fingerprint = module_fingerprint(module, am)
     function_fingerprints = {function.name: am.fingerprint(function)
                              for function in module.defined_functions()}
-    return module, fingerprint, result_fingerprint, function_fingerprints
+    return module, am, fingerprint, result_fingerprint, \
+        function_fingerprints
 
 
-def profile_optimized(spec, module, fingerprint, result_fingerprint,
-                      function_fingerprints, am=None, partial_cache=None):
+def profile_optimized(spec, module, am, fingerprint, result_fingerprint,
+                      function_fingerprints):
     """Feature-extract and profile an already-optimized module; returns
     the JSON-serializable cache payload.
 
     The module is lowered exactly once: the one machine program feeds
-    both the platform features and the simulation.  ``am``/
-    ``partial_cache`` let feature extraction reuse per-function static
-    partials (see :func:`repro.features.extract_features`).  The payload
-    holds content only — no wall-clock timing — so a stored row is the
-    same whichever process measured it.
+    both the platform features and the simulation.  ``am`` is the
+    analysis manager that optimized the module: feature extraction
+    reads its per-function static partials and the loop, dominator and
+    IV analyses behind them (see
+    :func:`repro.features.extract_features`).  The payload holds content
+    only — no wall-clock timing — so a stored row is the same whichever
+    process measured it.
     """
     from repro.features import extract_features
     from repro.sim import Platform
@@ -163,8 +168,7 @@ def profile_optimized(spec, module, fingerprint, result_fingerprint,
                                   result_fingerprint)
     platform = Platform(spec["target"], measurement_seed=seed)
     program = platform.compile(module)
-    features = extract_features(module, program, am=am,
-                                partial_cache=partial_cache)
+    features = extract_features(module, program, am=am)
     measurement = platform.execute(program,
                                    fuel=spec.get("fuel") or DEFAULT_FUEL)
     return {
@@ -207,10 +211,7 @@ def evaluate_point(spec):
     if farm_dir:
         payload, _ = compose_point(spec, process_store(farm_dir))
         return payload
-    module, fingerprint, result_fingerprint, function_fingerprints = \
-        optimize_point(spec)
-    return profile_optimized(spec, module, fingerprint,
-                             result_fingerprint, function_fingerprints)
+    return profile_optimized(spec, *optimize_point(spec))
 
 
 def farm_result_key(spec, result_fingerprint):
@@ -240,7 +241,7 @@ def compose_point(spec, store):
     on ``get`` is a miss and one on ``put`` leaves the entry
     unmirrored; either way the point keeps its payload.
     """
-    module, fingerprint, result_fingerprint, function_fingerprints = \
+    module, am, fingerprint, result_fingerprint, function_fingerprints = \
         optimize_point(spec)
     result_key = farm_result_key(spec, result_fingerprint)
     try:
@@ -257,9 +258,8 @@ def compose_point(spec, store):
             "measurement_seed": spec["measurement_seed"],
         })
         return payload, True
-    payload = profile_optimized(spec, module, fingerprint,
-                                result_fingerprint,
-                                function_fingerprints)
+    payload = profile_optimized(spec, module, am, fingerprint,
+                                result_fingerprint, function_fingerprints)
     index_entry = dict(payload)
     index_entry.update({
         "fingerprint": result_fingerprint,
@@ -324,14 +324,15 @@ class PointEvaluator:
         self.chaos = chaos
         self.faults = FaultStats()
 
-    def run(self, specs):
+    def run(self, specs, run=evaluate_point):
         """Evaluate all specs; returns ``(payload, error)`` pairs in the
         same order as the input (error is None on success, else a
-        :class:`FailureInfo`)."""
+        :class:`FailureInfo`).  In-process attempts call ``run``; pool
+        workers always run :func:`evaluate_point`."""
         specs = list(specs)
         if self.mode == "process" and len(specs) > 1:
             return self._run_pooled(specs)
-        return [self.attempt(spec, index)
+        return [self.attempt(spec, index, run)
                 for index, spec in enumerate(specs)]
 
     def attempt(self, spec, index=None, run=evaluate_point):

@@ -47,7 +47,7 @@ def extract_platform_features(program):
     return np.array(values, dtype=float)
 
 
-def extract_features(module, program=None, am=None, partial_cache=None):
+def extract_features(module, program=None, am=None):
     """Full PE input vector: 63 static features, plus platform features
     and static cost-model estimates when ``program`` — the module's
     compiled :class:`~repro.backend.mir.MachineProgram` for the target
@@ -56,13 +56,11 @@ def extract_features(module, program=None, am=None, partial_cache=None):
     (``platform.compile(module)``) and can reuse that one program for
     simulation.
 
-    ``am``/``partial_cache`` enable function-granular reuse of the
-    static third: per-function partials are cached under canonical
-    function fingerprints (see
+    ``am`` makes the static third function-granular: each function's
+    partial is read from (and cached on) the analysis manager (see
     :func:`repro.features.static_features.extract_static_features`).
     """
-    static = extract_static_features(module, am=am,
-                                     partial_cache=partial_cache)
+    static = extract_static_features(module, am=am)
     if program is None:
         return static
     return np.concatenate([static, extract_platform_features(program),

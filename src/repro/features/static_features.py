@@ -51,49 +51,24 @@ STATIC_FEATURE_NAMES = tuple(
 assert len(STATIC_FEATURE_NAMES) == 63, len(STATIC_FEATURE_NAMES)
 
 
-def extract_static_features(module, am=None, partial_cache=None,
-                            vector_cache=None):
+def extract_static_features(module, am=None):
     """Return the 63-dimensional static feature vector of a module.
 
-    The vector is composed from per-function partial aggregates.  With an
-    analysis manager *and* a ``partial_cache`` dict, each function's
-    partial is cached under its canonical fingerprint, so repeated
-    extraction over a module where only some functions changed (the PSS
-    deployment loop, RL training steps) only re-analyzes the changed
-    functions.
-
-    ``vector_cache`` (a dict, also requires ``am``) additionally
-    memoizes the *combined* vector under the module's content hash:
-    re-extracting after an inactive phase — the dominant case in the
-    deployment loop's activity probing — costs one composed fingerprint
-    and a dict hit.  Callers must treat returned vectors as immutable.
+    The vector is composed from per-function partial aggregates.  With
+    an analysis manager each partial is its ``"static_partial"``
+    analysis, which no pass preserves: repeated extraction over a module
+    where only some functions changed (the PSS deployment loop, RL
+    training steps, extraction points after their pass pipeline) only
+    re-analyzes the changed functions, and reads the loop, dominator and
+    IV analyses the pipeline left cached.
     """
-    key = None
-    if vector_cache is not None and am is not None:
-        from repro.ir.printer import module_fingerprint
-        key = module_fingerprint(module, am)
-        cached = vector_cache.get(key)
-        if cached is not None:
-            return cached
-    partials = []
-    for function in module.defined_functions():
-        partial_key = None
-        if partial_cache is not None and am is not None:
-            partial_key = am.fingerprint(function)
-            cached = partial_cache.get(partial_key)
-            if cached is not None:
-                partials.append(cached)
-                continue
-        partial = _function_partial(function, am)
-        if partial_key is not None:
-            partial_cache[partial_key] = partial
-        partials.append(partial)
-    vector = _combine_partials(module, partials)
-    if key is not None:
-        if len(vector_cache) > 8192:
-            vector_cache.clear()
-        vector_cache[key] = vector
-    return vector
+    if am is None:
+        partials = [_function_partial(function)
+                    for function in module.defined_functions()]
+    else:
+        partials = [am.get("static_partial", function)
+                    for function in module.defined_functions()]
+    return _combine_partials(module, partials)
 
 
 #: Feature names a function contributes to by summation.
@@ -113,7 +88,9 @@ _MAXED = ("max_blocks_per_function", "max_phis_per_block",
 
 
 def _function_partial(function, am=None):
-    """One function's contribution to the static feature vector.
+    """One function's contribution to the static feature vector (the
+    ``"static_partial"`` analysis of
+    :class:`~repro.passes.analysis.AnalysisManager`).
 
     Loop and dominator analyses come from (and seed) the analysis
     manager when one is given, so a changed function is analyzed once

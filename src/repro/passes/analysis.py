@@ -2,15 +2,17 @@
 
 The pass layer follows LLVM's new-pass-manager design: analyses
 (``DominatorTree``, ``LoopInfo``, induction-variable/trip-count queries,
-and the canonical per-function fingerprint) are computed on demand,
-cached per function, and invalidated when a pass changes the function —
-except for the analyses the pass declares *preserved*.
+the canonical per-function fingerprint and the function's static-feature
+partial) are computed on demand, cached per function, and invalidated
+when a pass changes the function — except for the analyses the pass
+declares *preserved*.
 
 A pass that does not touch the CFG (instcombine, dce, cse, ...) declares
 ``preserved_analyses = PRESERVE_CFG`` and the dominator tree / loop nest
 survive it; a CFG-restructuring pass (simplifycfg, loop-rotate, unroll)
-preserves nothing.  The per-function fingerprint is never preserved: any
-change must re-fingerprint.
+preserves nothing.  The :data:`CONTENT_ANALYSES` (fingerprint and
+static-feature partial) are never preserved: they summarize the
+function's whole content, so any change must recompute them.
 
 Correctness contract: a pass run against a warm manager must behave
 bit-identically to a run against fresh analyses (enforced by
@@ -22,7 +24,11 @@ from repro.ir.cfg import DominatorTree, LoopInfo
 
 #: Every analysis the manager knows how to compute.
 ALL_ANALYSES = frozenset({"domtree", "loops", "loopivs", "loopcanon",
-                          "fingerprint"})
+                          "fingerprint", "static_partial"})
+
+#: Analyses of a function's whole content: no pass can preserve them,
+#: and :meth:`AnalysisManager.invalidate` always drops them.
+CONTENT_ANALYSES = frozenset({"fingerprint", "static_partial"})
 
 #: Preserved by passes that change instructions but never the CFG.
 #: (``loopcanon`` — the canonical-form verdict memo — is NOT implied:
@@ -151,6 +157,9 @@ class AnalysisManager:
         if name == "fingerprint":
             from repro.ir.printer import function_fingerprint
             return function_fingerprint(function)
+        if name == "static_partial":
+            from repro.features.static_features import _function_partial
+            return _function_partial(function, self)
         raise KeyError(f"unknown analysis {name!r}")
 
     def get(self, name, function):
@@ -219,8 +228,8 @@ class AnalysisManager:
     def invalidate(self, function, preserved=PRESERVE_NONE):
         """Drop ``function``'s analyses except the ``preserved`` set.
 
-        ``fingerprint`` is never preservable: a changed function must
-        re-fingerprint.
+        The :data:`CONTENT_ANALYSES` are never preservable: a changed
+        function must re-fingerprint and re-extract its features.
         """
         self._module_fps.clear()
         entry = self._entries.get(id(function))
@@ -228,7 +237,7 @@ class AnalysisManager:
             return
         cache = entry[1]
         for name in list(cache):
-            if name not in preserved or name == "fingerprint":
+            if name not in preserved or name in CONTENT_ANALYSES:
                 del cache[name]
 
     def invalidate_module(self, module, preserved=PRESERVE_NONE):

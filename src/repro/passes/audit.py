@@ -40,6 +40,10 @@ Comparison semantics per analysis:
     Recompute and compare.  A stale fingerprint on an allegedly
     untouched function convicts a pass of mutating code it never
     reported changing.
+``static_partial``
+    Recompute the function's static-feature partial against fresh
+    analyses and compare (checked after ``fingerprint``, which names an
+    unreported mutation first).
 """
 
 from repro.errors import VerificationError
@@ -175,6 +179,12 @@ def _audit_function(phase, function, cache):
         if function_fingerprint(function) != cache["fingerprint"]:
             _fail(phase, function, "fingerprint",
                   "content hash changed without the function being "
+                  "reported as modified")
+    if "static_partial" in cache:
+        from repro.features.static_features import _function_partial
+        if _function_partial(function) != cache["static_partial"]:
+            _fail(phase, function, "static_partial",
+                  "static features changed without the function being "
                   "reported as modified")
 
 

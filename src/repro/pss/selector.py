@@ -39,18 +39,16 @@ class PhaseSequenceSelector:
         One analysis manager spans the whole selection: phases share
         cached dominator/loop analyses, activity detection re-hashes
         only the functions a phase changed, and feature extraction
-        reuses per-function partials for untouched functions — the
+        reuses the static partials of untouched functions — the
         function-granular incremental loop the deployment path needs
         (each inactive trial previously re-fingerprinted and re-analyzed
         the entire module).
         """
         applied = []
         am = AnalysisManager()
-        partials = {}
         fingerprint = module_fingerprint(module, am)
         while len(applied) < self.max_sequence_length:
-            features = extract_static_features(module, am=am,
-                                               partial_cache=partials)
+            features = extract_static_features(module, am=am)
             probabilities = self.policy.probabilities(
                 self.encoder.encode(features))
             ranked = np.argsort(probabilities)[::-1]

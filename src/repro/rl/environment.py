@@ -84,11 +84,10 @@ class PhaseSequenceEnv:
         self.applied = []
         self._objectives = None
         self._fingerprint = None
-        # Per-episode analysis manager + per-function feature partials:
-        # a step that leaves a function untouched reuses its analyses,
-        # fingerprint, and static feature contribution.
+        # Per-episode analysis manager: a step that leaves a function
+        # untouched reuses its analyses, fingerprint, and static feature
+        # partial (for both the PE reward and the next state).
         self._am = None
-        self._partials = {}
 
     # -- core ----------------------------------------------------------------
     def _measure_objectives(self, fingerprint=None):
@@ -102,14 +101,11 @@ class PhaseSequenceEnv:
         self.module = self.workload.compile()
         self.steps = 0
         self.applied = []
-        if len(self._partials) > 4096:
-            self._partials.clear()  # bounded like the engine's cache
         self._am = AnalysisManager()
         self._fingerprint = module_fingerprint(self.module, self._am)
         self._objectives = self._measure_objectives(self._fingerprint)
         self.initial_objectives = dict(self._objectives)
-        return extract_static_features(self.module, am=self._am,
-                                       partial_cache=self._partials)
+        return extract_static_features(self.module, am=self._am)
 
     def step(self, action_index):
         """Apply a phase.  Returns (state, reward, done, info)."""
@@ -129,8 +125,7 @@ class PhaseSequenceEnv:
         else:
             reward = 0.0  # inactive phase: no change, no reward
         done = self.steps >= self.max_steps
-        state = extract_static_features(self.module, am=self._am,
-                                        partial_cache=self._partials)
+        state = extract_static_features(self.module, am=self._am)
         return state, reward, done, {"changed": changed,
                                      "phase": phase_name}
 

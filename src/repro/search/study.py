@@ -14,7 +14,6 @@ class Trial:
         self.params = {}
         self.value = None
         self.state = "running"
-        self.user_attrs = {}
 
     def suggest_categorical(self, name, choices):
         value = self._sampler.suggest_categorical(name, list(choices),
@@ -36,9 +35,6 @@ class Trial:
         value = self._sampler.suggest_int(name, low, high, self._history)
         self.params[name] = value
         return value
-
-    def set_user_attr(self, key, value):
-        self.user_attrs[key] = value
 
 
 class Study:
@@ -68,43 +64,24 @@ class Study:
         self.trials.append(trial)
 
     def optimize(self, objective, n_trials, callbacks=(),
-                 catch_errors=False, batch_size=1):
-        """Run the ask-evaluate-tell loop.
-
-        ``batch_size > 1`` asks a batch of trials against the same
-        history and evaluates them together; results are told back in
-        ask order, so the trial log stays deterministic for a
-        deterministic objective.
-        """
-
-        def guarded(trial):
+                 catch_errors=False):
+        """Run the ask-evaluate-tell loop for ``n_trials`` trials, or
+        until a callback returns True.  With ``catch_errors`` a trial
+        whose objective raises is logged as ``failed`` and the search
+        goes on."""
+        for _ in range(n_trials):
+            trial = self.ask()
             try:
-                return objective(trial), None
-            except Exception as error:  # noqa: BLE001 - re-raised below
-                return None, error
-
-        remaining = n_trials
-        while remaining > 0:
-            batch = [self.ask()
-                     for _ in range(min(batch_size, remaining))]
-            remaining -= len(batch)
-            outcomes = [guarded(trial) for trial in batch]
-            # Tell every evaluated trial before honoring a stop: the
-            # whole batch's objective cost is already paid, and a later
-            # trial may hold the best value.
-            stop = False
-            for trial, (value, error) in zip(batch, outcomes):
-                if error is not None:
-                    if not catch_errors:
-                        raise error
-                    trial.state = "failed"
-                    self.trials.append(trial)
-                    continue
-                self.tell(trial, value)
-                for callback in callbacks:
-                    if callback(self, trial):
-                        stop = True
-            if stop:
+                value = objective(trial)
+            except Exception:  # noqa: BLE001 - re-raised unless caught
+                if not catch_errors:
+                    raise
+                trial.state = "failed"
+                self.trials.append(trial)
+                continue
+            self.tell(trial, value)
+            # Every callback sees the trial, even after one asks to stop.
+            if any([callback(self, trial) for callback in callbacks]):
                 return self
         return self
 

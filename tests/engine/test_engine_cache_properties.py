@@ -215,6 +215,22 @@ def test_semantics_change_misses_a_warm_farm(tmp_path, workload,
     assert fresh.metrics() == first.metrics()
 
 
+def test_semantics_digest_covers_the_payload_builder():
+    """``engine/evaluator.py`` builds every stored payload and derives
+    each point's measurement seed, so its source is hashed into the
+    keys next to the compiler packages."""
+    from pathlib import Path
+
+    import repro.engine.evaluator as evaluator
+
+    files = cache_module.semantic_source_files()
+    assert Path(evaluator.__file__).resolve() in files
+    packages = {path.parent.name for path in files}
+    assert {"lang", "ir", "passes", "backend", "sim",
+            "features"} <= packages
+    assert len(files) == len(set(files))
+
+
 def test_function_fingerprints_in_payload_match_module():
     """Evaluation payloads carry per-function fingerprints (the
     function-granular identity the incremental pass layer exposes);
@@ -264,14 +280,15 @@ def test_sequences_reaching_same_code_share_one_profile(workload):
 
 
 def test_composed_payload_identical_to_uncomposed_engine(workload):
-    """Composition is invisible: an engine with the result index off
-    produces byte-identical measurements for the same point."""
+    """Composition is invisible: an engine without a cache (so without
+    a result index) produces byte-identical measurements for the same
+    point."""
     sequence = ("mem2reg", "instcombine", "instcombine")
     composed = EvaluationEngine(Platform("riscv"))
     composed.evaluate(workload, ("mem2reg", "instcombine"))
     via_index = composed.evaluate(workload, sequence)
     assert composed.compose_stats["hits"] == 1
-    plain = EvaluationEngine(Platform("riscv"), compose=False)
+    plain = EvaluationEngine(Platform("riscv"), cache=False)
     direct = plain.evaluate(workload, sequence)
     assert via_index.metrics() == direct.metrics()
     assert via_index.result_fingerprint == direct.result_fingerprint
@@ -292,7 +309,7 @@ def test_profile_module_feeds_sequence_evaluations(workload):
     profiled = engine.profile_module(module, am=am)
     result = engine.evaluate(workload, ("mem2reg", "gvn"))
     assert engine.compose_stats == {"hits": 1, "misses": 0}
-    fresh = EvaluationEngine(Platform("riscv"), compose=False).evaluate(
+    fresh = EvaluationEngine(Platform("riscv"), cache=False).evaluate(
         workload, ("mem2reg", "gvn"))
     for other in (result, fresh):
         assert other.metrics() == profiled.metrics()

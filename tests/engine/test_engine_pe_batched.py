@@ -12,7 +12,6 @@ import pytest
 from repro.baselines.searchers import GeneticSearch, RandomPhaseSearch
 from repro.engine import EvaluationEngine, objective_rows, predict_many
 from repro.rl.environment import PhaseSequenceEnv
-from repro.search import create_study
 from repro.sim import Platform
 from repro.workloads import load_suite
 
@@ -170,32 +169,3 @@ def test_random_search_with_estimator_validates_top(workload):
     assert engine.compose_stats["misses"] <= 1 + 2
     assert engine.cache.stats.stores <= 2 * (1 + 2)
     assert value > 0
-
-
-def test_study_batch_optimize_matches_trial_count():
-    study = create_study(direction="minimize", seed=0)
-
-    def objective(trial):
-        x = trial.suggest_float("x", -2.0, 2.0)
-        return (x - 1.0) ** 2
-
-    study.optimize(objective, n_trials=9, batch_size=3)
-    assert len(study.trials) == 9
-    assert len({t.number for t in study.trials}) == 9
-    assert study.best_value >= 0.0
-
-
-def test_study_batch_catches_errors():
-    study = create_study(direction="maximize", seed=0)
-
-    def objective(trial):
-        value = trial.suggest_float("x", 0.0, 1.0)
-        if trial.number % 2 == 1:
-            raise RuntimeError("boom")
-        return value
-
-    study.optimize(objective, n_trials=6, batch_size=2,
-                   catch_errors=True)
-    states = [t.state for t in study.trials]
-    assert states.count("failed") == 3
-    assert states.count("complete") == 3

@@ -126,7 +126,7 @@ def test_serial_tier_recovers_from_inprocess_crashes(workload):
     # and the innocent point's row is exact.
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
     chaos = ChaosInjector(seed=0, crash_points=[0, 2], times=1)
-    engine = _engine(chaos=chaos, compose=False)
+    engine = _engine(chaos=chaos, cache=False)
     results = engine.evaluate_batch(_points(workload),
                                     on_error="collect")
     assert [(r.kind, r.attempts) for r in (results[0], results[2])] == \

@@ -73,7 +73,7 @@ def test_same_seed_same_outcomes(seed, workload):
     def run():
         chaos = ChaosInjector(seed=seed, crash_points=[0], times=1,
                               io_error_rate=0.3)
-        engine = _engine(chaos=chaos, compose=False, eval_timeout=60)
+        engine = _engine(chaos=chaos, cache=False, eval_timeout=60)
         results = engine.evaluate_batch(_points(workload),
                                         on_error="collect")
         outcome = [(type(r).__name__, getattr(r, "kind", None))
@@ -244,7 +244,6 @@ def test_all_tiers_bit_identical_under_transient_faults(workload,
 
     configs = [
         dict(chaos=chaos()),
-        dict(compose=False, chaos=chaos()),
         dict(mode="process", workers=2, chaos=chaos(),
              eval_timeout=60),
         dict(mode="process", workers=2, chaos=chaos(),

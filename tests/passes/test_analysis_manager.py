@@ -14,7 +14,12 @@ from repro.passes import (
     PassManager,
     create_pass,
 )
-from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE
+from repro.passes.analysis import (
+    ALL_ANALYSES,
+    CONTENT_ANALYSES,
+    PRESERVE_CFG,
+    PRESERVE_NONE,
+)
 from tests.conftest import LOOP_SOURCE, SMOKE_SOURCE
 
 
@@ -145,11 +150,26 @@ def test_shared_manager_across_sequences(module):
 
 
 def test_every_registered_pass_declares_valid_preservation():
-    from repro.passes.analysis import ALL_ANALYSES
     for name, factory in sorted(PASS_REGISTRY.items()):
-        preserved = factory.preserved_analyses
-        assert preserved <= ALL_ANALYSES, name
-        assert "fingerprint" not in preserved, name
+        assert factory.preserved_analyses <= ALL_ANALYSES, name
+
+
+def test_no_pass_preserves_content_analyses(module):
+    """The fingerprint and the static-feature partial summarize a
+    function's whole content: no pass declares them preserved, and
+    ``invalidate`` drops them even when told to keep everything."""
+    assert CONTENT_ANALYSES == {"fingerprint", "static_partial"}
+    assert CONTENT_ANALYSES <= ALL_ANALYSES
+    for name, factory in sorted(PASS_REGISTRY.items()):
+        assert not factory.preserved_analyses & CONTENT_ANALYSES, name
+    am = AnalysisManager()
+    main = _main(module)
+    for name in ALL_ANALYSES:
+        am.get(name, main)
+    am.invalidate(main, ALL_ANALYSES)
+    for name in ALL_ANALYSES:
+        assert (am.cached(name, main) is None) == \
+            (name in CONTENT_ANALYSES), name
 
 
 def test_loop_pass_reports_preheader_only_mutation():

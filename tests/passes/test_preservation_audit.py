@@ -13,7 +13,8 @@ declarations replint rule R004 statically mandates are actually *true*.  These t
 - a deliberately corrupted declaration (simplifycfg claiming
   PRESERVE_CFG) is detected at the offending phase;
 - an unreported mutation (code changed, "nothing changed" reported) is
-  detected through the stale fingerprint;
+  detected through the stale fingerprint, and a stale static-feature
+  partial on its own is detected too;
 - the warm-up fills exactly ``ALL_ANALYSES``, and the manager computes
   no analysis outside it, so no analysis can escape the audit.
 """
@@ -49,6 +50,7 @@ def _force_warm(module, am):
     claim has a cached value to leave stale."""
     for function in module.defined_functions():
         am.fingerprint(function)
+        am.get("static_partial", function)
         dom = am.domtree(function)
         loops = am.loops(function)
         ivs = am.loopivs(function)
@@ -182,4 +184,21 @@ def test_unreported_mutation_is_detected():
                        function.next_name("sneak"))
     function.entry.insert(0, extra)
     with pytest.raises(AnalysisPreservationError, match="fingerprint"):
+        audit_preservation(module, am, "sneaky-phase")
+
+
+def test_stale_static_partial_is_detected():
+    """A static-feature partial cached before an edit is convicted on
+    its own, even with the fingerprint brought up to date."""
+    from repro.ir import BinaryInst, ConstantInt
+    from repro.ir.printer import function_fingerprint
+    from repro.ir.types import I64
+
+    module, am = _prepare(LOOP_SOURCE)
+    function = module.get_function("main")
+    extra = BinaryInst("mul", ConstantInt(I64, 3), ConstantInt(I64, 5),
+                       function.next_name("sneak"))
+    function.entry.insert(0, extra)
+    am.put("fingerprint", function, function_fingerprint(function))
+    with pytest.raises(AnalysisPreservationError, match="static_partial"):
         audit_preservation(module, am, "sneaky-phase")

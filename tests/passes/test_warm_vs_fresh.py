@@ -4,7 +4,10 @@ Every registered pass must behave bit-identically when run against a
 *warm* AnalysisManager (analyses cached by a preceding pipeline, then
 force-filled) and against fresh analyses.  Any stale-analysis bug —
 a pass mutating without invalidating, an over-broad preservation set —
-shows up as a fingerprint or activity divergence here.
+shows up as a fingerprint or activity divergence here.  The static
+feature vector read from the warm manager (cached per-function partials
+and the analyses behind them) must equal one extracted against fresh
+analyses after every phase, too.
 
 Covers the expression-fuzz corpus (random straight-line integer
 programs) plus loop/call-heavy fixed sources so the loop and
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.features import extract_static_features
 from repro.ir import run_module
 from repro.ir.printer import module_fingerprint
 from repro.lang import compile_source
@@ -63,6 +67,7 @@ def _prepare(source, warm):
         # Force-fill every analysis so any stale-cache bug is exposed.
         for function in module.defined_functions():
             am.fingerprint(function)
+            am.get("static_partial", function)
             am.domtree(function)
             loops = am.loops(function)
             ivs = am.loopivs(function)
@@ -80,15 +85,24 @@ def _run_one(source, phase, warm):
     module, am = _prepare(source, warm)
     activity = PassManager(verify=True).run(module, [phase, phase],
                                             am=am)
-    return activity, module_fingerprint(module), module
+    return activity, module_fingerprint(module), module, am
+
+
+def assert_features_match_fresh(module, am):
+    """Static features through ``am`` equal a fresh-analyses extraction."""
+    assert list(extract_static_features(module, am)) == \
+        list(extract_static_features(module, FreshAnalyses()))
 
 
 def assert_warm_equals_fresh(source, phase):
-    warm_activity, warm_fp, warm_module = _run_one(source, phase, True)
-    fresh_activity, fresh_fp, fresh_module = _run_one(source, phase,
-                                                      False)
+    warm_activity, warm_fp, warm_module, warm_am = _run_one(source, phase,
+                                                            True)
+    fresh_activity, fresh_fp, fresh_module, fresh_am = _run_one(
+        source, phase, False)
     assert warm_activity == fresh_activity, phase
     assert warm_fp == fresh_fp, phase
+    assert_features_match_fresh(warm_module, warm_am)
+    assert_features_match_fresh(fresh_module, fresh_am)
     assert run_module(warm_module).observable() == \
         run_module(fresh_module).observable()
 
@@ -128,5 +142,6 @@ def test_warm_vs_fresh_random_sequences(sequence):
 
     assert shared_activity == fresh_activity
     assert module_fingerprint(shared) == module_fingerprint(fresh)
+    assert_features_match_fresh(shared, am)
     assert run_module(shared).observable() == \
         run_module(fresh).observable()

@@ -1,5 +1,9 @@
 """Sparse linear models (Table IV): LARS, Lasso, Lasso-LARS, ElasticNet,
 Orthogonal Matching Pursuit.
+
+Lasso and ElasticNet fits record their coordinate-descent sweep count
+(``n_iter_``) and whether they met the tolerance before the sweep cap
+(``converged_``).
 """
 
 import numpy as np
@@ -9,21 +13,34 @@ from repro.models.linear import _LinearBase
 
 
 def _coordinate_descent(Xs, ys, l1, l2, max_iterations=300, tol=1e-6):
-    """Elastic-net coordinate descent on standardized data."""
+    """Elastic-net coordinate descent on standardized data.
+
+    Returns ``(coef, sweeps, converged)``: ``converged`` is whether a
+    sweep moved no coefficient by ``tol`` or more before the sweep cap.
+    Coefficients are Python floats and the residual is updated through
+    one preallocated buffer; each update is the same IEEE operation, in
+    the same order, as NumPy-scalar arithmetic on ``coef`` and
+    ``residual -= delta * column``.  ``column.dot(residual)`` is the
+    BLAS ``ddot`` that ``column @ residual`` calls, on the strided column
+    view: a contiguous copy of the column changes its bits.
+    """
     n, d = Xs.shape
-    coef = np.zeros(d)
+    coef = [0.0] * d
     col_norms = (Xs ** 2).sum(axis=0)
     residual = ys.copy()
+    step = np.empty(n)
     threshold = l1 * n
     # (column index, column view, squared norm, update denominator) for
     # every column that can move; zero-norm columns stay at 0.
-    columns = [(j, Xs[:, j], col_norms[j], col_norms[j] + l2 * n)
+    columns = [(j, Xs[:, j], float(col_norms[j]),
+                float(col_norms[j]) + l2 * n)
                for j in range(d) if not col_norms[j] <= 1e-12]
-    for _ in range(max_iterations):
+    converged = False
+    for sweeps in range(1, max_iterations + 1):
         max_delta = 0.0
         for j, column, norm, denominator in columns:
             old = coef[j]
-            rho = column @ residual + old * norm
+            rho = float(column.dot(residual)) + old * norm
             # Soft threshold of rho at l1 * n.
             if rho > threshold:
                 shrunk = rho - threshold
@@ -34,12 +51,14 @@ def _coordinate_descent(Xs, ys, l1, l2, max_iterations=300, tol=1e-6):
             new = shrunk / denominator
             delta = new - old
             if delta != 0.0:
-                residual -= delta * column
+                np.multiply(column, delta, out=step)
+                np.subtract(residual, step, out=residual)
                 coef[j] = new
                 max_delta = max(max_delta, abs(delta))
         if max_delta < tol:
+            converged = True
             break
-    return coef
+    return np.array(coef), sweeps, converged
 
 
 @register_model("lasso")
@@ -49,7 +68,8 @@ class Lasso(_LinearBase):
 
     def fit(self, X, y):
         Xs, ys = self._prepare(X, y)
-        self.coef_ = _coordinate_descent(Xs, ys, self.alpha, 0.0)
+        self.coef_, self.n_iter_, self.converged_ = _coordinate_descent(
+            Xs, ys, self.alpha, 0.0)
         return self
 
 
@@ -63,7 +83,8 @@ class ElasticNet(_LinearBase):
         Xs, ys = self._prepare(X, y)
         l1 = self.alpha * self.l1_ratio
         l2 = self.alpha * (1.0 - self.l1_ratio)
-        self.coef_ = _coordinate_descent(Xs, ys, l1, l2)
+        self.coef_, self.n_iter_, self.converged_ = _coordinate_descent(
+            Xs, ys, l1, l2)
         return self
 
 

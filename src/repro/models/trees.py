@@ -46,23 +46,30 @@ class _TreeBase(Regressor):
         return self
 
     def _build(self, X, y, depth, nodes):
-        """Append the subtree for (X, y) to ``nodes``; return its depth."""
+        """Append the subtree for (X, y) to ``nodes``; return its depth.
+
+        ``np.add.reduce(y) / n`` and ``y.max() - y.min()`` are the
+        reductions ``y.mean()`` and ``np.ptp(y)`` make, without their
+        Python-level wrappers.
+        """
         index = len(nodes)
-        nodes.append((0, 0.0, index, index, float(y.mean())))
-        if depth >= self.max_depth or len(y) < self.min_samples_split \
-                or np.ptp(y) < 1e-12:
+        n = len(y)
+        nodes.append((0, 0.0, index, index, float(np.add.reduce(y) / n)))
+        if depth >= self.max_depth or n < self.min_samples_split \
+                or y.max() - y.min() < 1e-12:
             return 0
         split = self._best_split(X, y)
         if split is None:
             return 0
         feature, threshold = split
         mask = X[:, feature] <= threshold
-        if mask.all() or not mask.any():
+        if not 0 < np.count_nonzero(mask) < n:
             return 0
         left = len(nodes)
         left_depth = self._build(X[mask], y[mask], depth + 1, nodes)
         right = len(nodes)
-        right_depth = self._build(X[~mask], y[~mask], depth + 1, nodes)
+        mask = ~mask
+        right_depth = self._build(X[mask], y[mask], depth + 1, nodes)
         nodes[index] = (feature, threshold, left, right, nodes[index][4])
         return 1 + max(left_depth, right_depth)
 
@@ -98,22 +105,31 @@ class DecisionTreeRegressor(_TreeBase):
         n = X.shape[0]
         features = self._candidate_features(X.shape[1])
         cols = X[:, features]
-        order = np.argsort(cols, axis=0, kind="stable")
-        xs = np.take_along_axis(cols, order, axis=0)
+        order = cols.argsort(axis=0, kind="stable")
+        xs = cols[order, np.arange(len(features))]
         ys = y[order]
-        # Prefix sums give every split point's left/right moments.
-        csum = np.cumsum(ys, axis=0)
-        csum_sq = np.cumsum(ys ** 2, axis=0)
-        left_n = np.arange(1, n)[:, None]
-        right_n = n - left_n
-        left_sum = csum[:-1]
+        # Prefix sums give every split point's left/right moments; ys is
+        # squared in place once its plain sum is taken.
+        csum = np.add.accumulate(ys)
+        csum_sq = np.add.accumulate(np.square(ys, out=ys))
+        left_n = np.arange(1.0, n)[:, None]
         left_sq = csum_sq[:-1]
-        right_sum = csum[-1] - left_sum
+        # score = (left_sq - left_sum ** 2 / left_n) +
+        #         (right_sq - right_sum ** 2 / right_n), built in place
+        # with the same operands in the same order.
+        right = csum[-1] - csum[:-1]
+        score = np.square(csum[:-1])
+        score /= left_n
+        np.subtract(left_sq, score, out=score)
+        np.square(right, out=right)
+        right /= n - left_n
         right_sq = csum_sq[-1] - left_sq
-        score = (left_sq - left_sum ** 2 / left_n) + \
-                (right_sq - right_sum ** 2 / right_n)
-        score[(xs[1:] == xs[:-1]) | np.isnan(score)] = np.inf
-        k, i = divmod(int(np.argmin(score.T)), n - 1)
+        score += np.subtract(right_sq, right, out=right_sq)
+        score[xs[1:] == xs[:-1]] = np.inf
+        # A NaN score needs an infinite (or NaN) total of y ** 2, and then
+        # every score is inf or NaN: argmin's pick of the first NaN ends
+        # in "no split" as an inf would.
+        k, i = divmod(int(score.T.argmin()), n - 1)
         if not score[i, k] < np.inf:
             return None
         return features[k], (xs[i + 1, k] + xs[i, k]) / 2.0

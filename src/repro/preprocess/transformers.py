@@ -21,6 +21,36 @@ def _yeo_johnson(x, lam):
     return out
 
 
+def _yeo_johnson_columns(X, lambdas):
+    """``_yeo_johnson`` of every column of ``X`` with its own lambda, in
+    one pass.
+
+    Each element takes the same operations on the same operands as in a
+    per-column loop, so the result is bit-identical to it, except where
+    the exponent (lambda, or ``2 - lambda`` for negative inputs) is
+    exactly 2, 0.5 or -1: a scalar exponent there makes ``np.power``
+    square, take the square root or invert instead.  Fitted lambdas are
+    1 (constant columns) or golden-section midpoints.
+    """
+    lam = np.broadcast_to(lambdas, X.shape)
+    out = np.empty(X.shape)
+    positive = X >= 0
+    power = np.abs(lam) > 1e-8
+    cell = positive & power
+    cell_lam = lam[cell]
+    out[cell] = (np.power(X[cell] + 1.0, cell_lam) - 1.0) / cell_lam
+    cell = positive & ~power
+    out[cell] = np.log1p(X[cell])
+    negative = ~positive
+    power = np.abs(lam - 2.0) > 1e-8
+    cell = negative & power
+    cell_lam = 2.0 - lam[cell]
+    out[cell] = -(np.power(-X[cell] + 1.0, cell_lam) - 1.0) / cell_lam
+    cell = negative & ~power
+    out[cell] = -np.log1p(-X[cell])
+    return out
+
+
 def _yeo_johnson_loglik(x, lam):
     n = len(x)
     transformed = _yeo_johnson(x, lam)
@@ -66,23 +96,17 @@ class PowerTransformer(Preprocessor):
             self.lambdas_[j] = _golden_section(
                 lambda lam, col=column: _yeo_johnson_loglik(col, lam),
                 -2.0, 4.0)
-        transformed = self._apply(X)
+        transformed = _yeo_johnson_columns(X, self.lambdas_)
         self.mean_ = transformed.mean(axis=0)
         scale = transformed.std(axis=0)
         scale[scale == 0.0] = 1.0
         self.scale_ = scale
         return self
 
-    def _apply(self, X):
-        out = np.empty_like(X, dtype=float)
-        for j in range(X.shape[1]):
-            out[:, j] = _yeo_johnson(X[:, j].astype(float),
-                                     self.lambdas_[j])
-        return out
-
     def transform(self, X):
         X = np.asarray(X, dtype=float)
-        return (self._apply(X) - self.mean_) / self.scale_
+        return (_yeo_johnson_columns(X, self.lambdas_) - self.mean_) \
+            / self.scale_
 
 
 @register_preprocessor("quantile")

@@ -21,6 +21,7 @@ from repro.preprocess import (
     create_preprocessor,
     minka_mle_dimension,
 )
+from repro.preprocess.transformers import _yeo_johnson, _yeo_johnson_columns
 
 matrices = arrays(
     np.float64, (12, 4),
@@ -130,6 +131,60 @@ def test_power_transformer_normalizes_skew():
     from scipy.stats import skew
     assert abs(skew(Z[:, 0])) < abs(skew(X[:, 0]))
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-6)
+
+
+
+def per_column_yeo_johnson(X, lambdas):
+    """The per-column transform loop, kept as the oracle."""
+    out = np.empty_like(X, dtype=float)
+    for j in range(X.shape[1]):
+        out[:, j] = _yeo_johnson(X[:, j].astype(float), lambdas[j])
+    return out
+
+
+#: Lambdas on and next to every branch edge of the transform, and the
+#: constant-column lambda 1.
+EDGE_LAMBDAS = (1e-9, -1e-9, 2e-8, -2e-8, 2.0 + 1e-9, 2.0 - 1e-9,
+                2.0 - 2e-8, 1.0)
+#: Exponents (lambda, or ``2 - lambda`` for negative inputs) for which
+#: NumPy's power takes a fast path when the exponent is a scalar, as in
+#: the per-column loop but not in the one-pass transform.
+FAST_PATH_EXPONENTS = (2.0, 0.5, -1.0)
+
+
+def no_fast_path(lam):
+    return lam not in FAST_PATH_EXPONENTS and \
+        2.0 - lam not in FAST_PATH_EXPONENTS
+
+
+@settings(max_examples=80, deadline=None)
+@given(X=arrays(np.float64, st.tuples(st.integers(1, 8),
+                                      st.integers(1, 6)),
+                elements=st.floats(-1e3, 1e3, width=64)),
+       lambdas=st.lists(st.one_of(st.sampled_from(EDGE_LAMBDAS),
+                                  st.floats(-2.0, 4.0).filter(
+                                      no_fast_path)),
+                        min_size=6, max_size=6))
+def test_yeo_johnson_columns_match_per_column_oracle(X, lambdas):
+    lambdas = np.array(lambdas[:X.shape[1]])
+    with np.errstate(all="ignore"):
+        assert _yeo_johnson_columns(X, lambdas).tobytes() == \
+            per_column_yeo_johnson(X, lambdas).tobytes()
+
+
+def test_power_transformer_single_row_matches_per_column_oracle():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 9)) * 10.0 ** rng.integers(-2, 3, size=9)
+    X[:, 2] = 4.0
+    X[:, 5] = np.abs(X[:, 5])
+    X[:, 6] = np.round(X[:, 6])
+    power = PowerTransformer().fit(X)
+    assert power.lambdas_[2] == 1.0
+    query = np.vstack([X, -X[:5], X[:5] * 7.0])
+    for rows in (query, query[:1], query[-1:]):
+        expected = (per_column_yeo_johnson(rows, power.lambdas_) -
+                    power.mean_) / power.scale_
+        assert power.transform(rows).tobytes() == expected.tobytes()
 
 
 def test_quantile_transformer_uniform_output():

@@ -9,8 +9,9 @@ simulator is the baseline.
 
 Guarded: the median of three cold passes over the corpus must be at
 least 3x faster than the seed's median, with identical observables,
-instruction counts and cycles (re-checked inline, so a speedup can never
-be bought with a semantics drift; the full-state equivalence corpus is
+instruction counts, cycles, stall totals, mispredicts and both caches'
+hits and misses (re-checked inline, so a speedup can never be bought
+with a semantics drift; the full-state equivalence corpus is
 ``tests/sim/test_tape.py``).  Measured at introduction on a 2-vCPU
 host: 4.03x (seed 11.60 s, interpreter 2.88 s, decode 0.16 s of it).
 
@@ -60,7 +61,10 @@ def _profile_all(programs, engine):
         timing = PipelineModel(isa)
         result = engine(program, isa, timing).run()
         outcomes.append((result.output, result.return_value,
-                         result.instructions_executed, timing.cycles()))
+                         result.instructions_executed, timing.cycles(),
+                         timing.stall_cycles, timing.mispredicts,
+                         timing.icache.hits, timing.icache.misses,
+                         timing.dcache.hits, timing.dcache.misses))
     return time.perf_counter() - started, outcomes
 
 

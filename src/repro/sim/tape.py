@@ -18,8 +18,8 @@ interprets that table in ``run``:
   operand read is one list subscript and a stack access is an ordinary
   ``ld``/``st`` off the frame-base slot.
 - One dispatch loop runs the whole program, with the pipeline state
-  (issue time, stalls, both caches' counters, mispredicts) in locals and
-  an explicit call stack.  The scoreboard, the 2-bit predictor and both
+  (issue time, both caches' counters, mispredicts) in locals and an
+  explicit call stack.  The scoreboard, the 2-bit predictor and both
   caches are inlined with the seed's exact arithmetic; only block ops
   call :meth:`~repro.sim.pipeline.Cache.access`, with the counters
   synced around the call.  An untimed run drives the same loop against
@@ -42,17 +42,36 @@ What is charged where:
 - *Per instruction:* the value, the D-cache access of a load or store,
   and the scoreboard over at most three sources; ``cmov`` and ``vop``,
   which can have more, first fold the rest into one ready slot.
+  Latencies and every cycle charge are floats, so the scoreboard adds
+  float to float (CPython specializes that, not int plus float).
+- *Per penalty:* the I-cache miss, mispredict, store-miss, call and
+  block-op charges advance the issue time and a ``penalties`` total.
+- *Per run:* the stall total.  Each instruction advances the issue
+  time by its stall, then by ``1/issue_width``, and penalties advance
+  it further, so the run's stalls are the issue time it added, less
+  ``1/issue_width`` per instruction, less the penalties: one
+  subtraction when the run ends, not one addition per instruction.
+  This is exactly the seed's per-instruction sum.  Every charge on both
+  ISAs is a multiple of 1/4 cycle, and under ``DEFAULT_FUEL`` every
+  time stays far below 2**53 quarter cycles, so each float addition
+  and subtraction is exact and their order does not matter
+  (``test_timing_arithmetic_is_exact`` holds every ISA of
+  ``get_isa`` to this).  The D-cache's line and set counts are powers
+  of two, so a load or store finds its line and set by shift and mask;
+  ``run`` refuses other geometries.
 
 Nothing is generated, compiled or cached: decoding costs about a
 millisecond per program, so every ``TapeSimulator`` decodes afresh and
 ``tape_cache_stats()`` only counts decodes.  Over the cold corpus (164
 programs, each decoded and run once, 2.49 M executed instructions;
-2-vCPU host, three runs) decode took 0.13-0.16 s and the run 1.7-1.9 s,
-680-760 ns per executed instruction; decode plus run was 5.0-5.9x faster
-than the seed simulator, against 4.3-4.7x with one fetch, one
-``Cache.access`` call and one histogram update per instruction.
-``benchmarks/test_sim_tape.py`` guards the ratio to the seed and records
-the run time per executed instruction.
+2-vCPU host, two runs alternating with the loop that added each stall
+and charged int latencies) decode took 0.13 s and the run 1.19-1.20 s,
+478-482 ns per executed instruction, against 668-742 ns before; decode
+plus run was 6.7-7.0x faster than the seed simulator, against 5.6-5.7x
+before and 4.3-4.7x with one fetch, one ``Cache.access`` call and one
+histogram update per instruction.  ``benchmarks/test_sim_tape.py``
+guards the ratio to the seed and records the run time per executed
+instruction.
 
 Timing replication is exact, quirks included: ``operand_ready`` takes
 the destination register into account, branches and stores mark their
@@ -61,9 +80,11 @@ ops touch the D-cache at the instruction's *code* address.  All value
 semantics come from :mod:`repro.ir.arith`.
 
 Divergence on *failing* runs only: fuel is charged per segment, a fetch
-per line run and a load or store traps before its D-cache access, so a
-run that raises ``SimulationError`` may stop with different partial
-counters than the seed, but with the same error text.  Successful runs
+per line run, a load or store traps before its D-cache access, and the
+stall total counts every instruction of the segment a run stops in as
+issued, so a run that raises ``SimulationError`` may stop with
+different partial counters than the seed, but with the same error
+text.  Successful runs
 are bit-identical in observables, instruction counts, cycles, cache and
 predictor state, and histogram order (``tests/sim/test_tape.py``).
 """
@@ -84,8 +105,9 @@ _MIN64, _MAX64 = -(1 << 63), (1 << 63) - 1
 
 # Op codes of the dispatch loop.  Codes from ``ST`` up need a step
 # after the scoreboard update (a store miss, the predictor, a call).
+_OP_CODES = range(19)
 (MOV, FRAME, LEA, INT2, FN2, FN1, CMP, CMOV, PRINT, JMP, RAISE, LD,
- ST, BR, CALL, RET, MEMSET, MEMCPY, VOP) = range(19)
+ ST, BR, CALL, RET, MEMSET, MEMCPY, VOP) = _OP_CODES
 
 
 def _intrinsic(name):
@@ -270,7 +292,7 @@ class _Decoder:
                 a = self._slot(ops[1])
                 if len(ops) > 2:
                     b = self._slot(ops[2])
-        return (op, d, a, b, c, s0, s1, s2, dst, latency, fetch)
+        return (op, d, a, b, c, s0, s1, s2, dst, float(latency), fetch)
 
     def _fetches(self, instrs):
         """Per instruction, ``(set, tag, n)`` if it leads a run of ``n``
@@ -355,7 +377,7 @@ class _Decoder:
 
     def _raise(self, message):
         return (RAISE, 0, 0, 0, message, self.pad, self.pad, self.pad,
-                self.sink, 0, None)
+                self.sink, 0.0, None)
 
 
 # -- runtime -----------------------------------------------------------------
@@ -407,38 +429,52 @@ class TapeSimulator:
         M = self._memory
         mg = M.get
         oa = self._output.append
-        executions = {}     # segment index -> times run, first-run order
-        exg = executions.get
+        segments = self._segments
+        executions = [0] * len(segments)    # per segment: times run
+        first_runs = []     # segment indices in first-execution order
         icd, dcd = icache.data, dcache.data
         pt = timing.predictor.table
         ptg = pt.get
-        segments = self._segments
         fuel = self.fuel
-        # Cycle costs are host floats, not simulated IR values.
+        # Locals, not globals, in the dispatch chain.
+        (MOV, FRAME, LEA, INT2, FN2, FN1, CMP, CMOV, PRINT, JMP, RAISE, LD,
+         ST, BR, CALL, RET, MEMSET, MEMCPY, VOP) = _OP_CODES
+        MIN64, MAX64 = _MIN64, _MAX64
+        # Cycle costs are host floats, not simulated IR values.  Every
+        # one is a float so that the scoreboard adds float to float.
         inv_w = 1.0 / isa.issue_width  # replint: disable=R003
         iways = icache.ways
-        icmiss = isa.icache["miss"]
+        icmiss = float(isa.icache["miss"])
+        # Line and set by shift and mask.
         dline, dsets, dways = dcache.line, dcache.sets, dcache.ways
-        mispredict = isa.branch_mispredict
-        call_overhead = isa.call_overhead
+        if dline & (dline - 1) or dsets & (dsets - 1):
+            raise ValueError(f"D-cache line {dline} and sets {dsets} "
+                             f"must be powers of two")
+        dshift = dline.bit_length() - 1
+        dmask, dset_shift = dsets - 1, dsets.bit_length() - 1
+        mispredict = float(isa.branch_mispredict)
+        call_overhead = float(isa.call_overhead)
         ld_lat = isa.latency_table.get("ld", 1)
-        ld_hit = isa.dcache["hit"] + ld_lat - 1
-        ld_miss = isa.dcache["miss"] + ld_lat - 1
+        ld_hit = float(isa.dcache["hit"] + ld_lat - 1)
+        ld_miss = float(isa.dcache["miss"] + ld_lat - 1)
         st_extra = isa.dcache["miss"] * 0.25
         per_cell = 0.5 if isa.issue_width >= 4 else 2.0
-        issue = timing.issue
-        stl = timing.stall_cycles
+        issue = issue_start = timing.issue
+        penalties = 0.0     # issue time charged outside the scoreboard
         ict, ich, icm = icache.tick, icache.hits, icache.misses
         dct, dch, dcm = dcache.tick, dcache.hits, dcache.misses
         msp = timing.mispredicts
-        icnt = self.instructions_executed
+        icnt = icnt_start = self.instructions_executed
         pc, slots = entry
         sp = _STACK_BASE - slots
         R[FB] = sp
         stack = []
         try:
             while pc >= 0:
-                executions[pc] = exg(pc, 0) + 1
+                times = executions[pc]
+                if not times:
+                    first_runs.append(pc)
+                executions[pc] = times + 1
                 count, body, pc = segments[pc]
                 icnt += count
                 if icnt > fuel:
@@ -455,9 +491,9 @@ class TapeSimulator:
                         R[d] = mg(adr, 0)
                         # The seed's ``Cache.access``, inlined.
                         dct += 1
-                        line = adr // dline
-                        ways = dcd[line % dsets]
-                        tag = line // dsets
+                        line = adr >> dshift
+                        ways = dcd[line & dmask]
+                        tag = line >> dset_shift
                         if tag in ways:
                             dch += 1
                             lat = ld_hit
@@ -469,7 +505,7 @@ class TapeSimulator:
                         ways[tag] = dct
                     elif op == INT2:
                         v = c(R[a], R[b])
-                        R[d] = v if _MIN64 <= v <= _MAX64 else arith.wrap64(v)
+                        R[d] = v if MIN64 <= v <= MAX64 else arith.wrap64(v)
                     elif op == ST:
                         adr = R[a] + R[b]
                         if adr <= 0:
@@ -477,9 +513,9 @@ class TapeSimulator:
                                 f"store to invalid address {adr}")
                         M[adr] = R[d]
                         dct += 1
-                        line = adr // dline
-                        ways = dcd[line % dsets]
-                        tag = line // dsets
+                        line = adr >> dshift
+                        ways = dcd[line & dmask]
+                        tag = line >> dset_shift
                         hit = tag in ways
                         if hit:
                             dch += 1
@@ -539,7 +575,7 @@ class TapeSimulator:
                     elif op == RAISE:
                         raise SimulationError(c)
                     # -- fetch: one I-cache access per line run --
-                    if fetch:
+                    if fetch is not None:
                         iset, itag, irun = fetch
                         ict += irun
                         ways = icd[iset]
@@ -551,6 +587,7 @@ class TapeSimulator:
                             if len(ways) >= iways:
                                 del ways[min(ways, key=ways.get)]
                             issue += icmiss
+                            penalties += icmiss
                         ways[itag] = ict
                     # -- scoreboard (the seed's ``_issue_instr``) --
                     t = issue
@@ -560,7 +597,6 @@ class TapeSimulator:
                         t = RD[s1]
                     if RD[s2] > t:
                         t = RD[s2]
-                    stl += t - issue
                     RD[dst] = t + lat
                     issue = t + inv_w
                     if op < ST:
@@ -569,6 +605,7 @@ class TapeSimulator:
                     if op == ST:
                         if not hit:
                             issue += st_extra
+                            penalties += st_extra
                     elif op == BR:
                         state = ptg(d, 2)
                         if taken:
@@ -576,13 +613,16 @@ class TapeSimulator:
                             if state < 2:
                                 msp += 1
                                 issue += mispredict
+                                penalties += mispredict
                         else:
                             pt[d] = state - 1 if state > 0 else 0
                             if state >= 2:
                                 msp += 1
                                 issue += mispredict
+                                penalties += mispredict
                     elif op == CALL:
                         issue += call_overhead
+                        penalties += call_overhead
                         stack.append((pc, R[FB], sp))
                         if len(stack) > 400:
                             raise SimulationError("call stack overflow")
@@ -598,7 +638,9 @@ class TapeSimulator:
                         for lane, _, _ in a:
                             RD[lane] = t + lat
                     else:   # MEMSET, MEMCPY: the real cache, synced
-                        issue += n * per_cell
+                        cells = n * per_cell
+                        issue += cells
+                        penalties += cells
                         dcache.tick, dcache.hits, dcache.misses = \
                             dct, dch, dcm
                         for i in range(0, n, dline):
@@ -608,7 +650,11 @@ class TapeSimulator:
         finally:
             self.instructions_executed = icnt
             timing.issue = issue
-            timing.stall_cycles = stl
+            # Every instruction advanced ``issue`` by its stall, then by
+            # ``inv_w``; the rest is penalties.  Exact: see the module
+            # docstring.
+            timing.stall_cycles += (issue - issue_start) \
+                - (icnt - icnt_start) * inv_w - penalties
             icache.tick, icache.hits, icache.misses = ict, ich, icm
             dcache.tick, dcache.hits, dcache.misses = dct, dch, dcm
             timing.mispredicts = msp
@@ -616,7 +662,8 @@ class TapeSimulator:
                                  if RD[i] != 0.0})
             histogram = self.dynamic_histogram
             histograms = self._histograms
-            for index, times in executions.items():
+            for index in first_runs:
+                times = executions[index]
                 for opcode, n in histograms[index]:
                     histogram[opcode] = histogram.get(opcode, 0) + n * times
         value = R[self._ret_index]

@@ -13,7 +13,7 @@ import pytest
 
 import repro.sim.platform
 from repro.backend import compile_module, get_isa
-from repro.backend.isa import X86, RiscV
+from repro.backend.isa import TARGETS, X86, RiscV
 from repro.backend.mir import GlobalRef
 from repro.baselines import STANDARD_LEVELS
 from repro.engine import EvalFailure, EvaluationEngine
@@ -28,6 +28,7 @@ from repro.profiling.permutations import (
     standard_sequences,
 )
 from repro.sim import (
+    DEFAULT_FUEL,
     PipelineModel,
     Platform,
     Simulator,
@@ -37,9 +38,13 @@ from repro.sim.tape import DISPATCH
 from repro.workloads.registry import Workload, load_suite
 
 
-def _assert_equivalent(program, isa, timed):
-    seed_timing = PipelineModel(isa) if timed else None
-    tape_timing = PipelineModel(isa) if timed else None
+def _assert_equivalent(program, isa, timed, timings=None):
+    """``timings``: a ``(seed, tape)`` pair of pipeline models to run
+    on, which earlier runs may have advanced; fresh ones by default."""
+    if timings is None:
+        timings = (PipelineModel(isa), PipelineModel(isa)) if timed \
+            else (None, None)
+    seed_timing, tape_timing = timings
     seed = Simulator(program, isa, seed_timing).run()
     tape = TapeSimulator(program, isa, tape_timing).run()
     assert tape.return_value == seed.return_value
@@ -217,6 +222,168 @@ def test_every_dispatch_opcode_matches_seed():
                 result = _assert_equivalent(program, isa, timed)
                 executed.update(result.dynamic_histogram)
     assert executed == set(DISPATCH)
+
+
+def _timing_inexactness(isa):
+    """Why the tape's float timing would not be exact on ``isa``.
+
+    The tape derives the stall total once from the issue time, so every
+    charge must be a multiple of 1/4 cycle and every sum must stay below
+    2**53 quarter cycles: then float addition is exact, in any order.
+    It also finds a D-cache line and set by shift and mask."""
+    problems = []
+    miss = isa.dcache["miss"]
+    charges = {f"latency of {opcode}": latency
+               for opcode, latency in isa.latency_table.items()}
+    charges.update({
+        "default latency": 1, "D-cache hit": isa.dcache["hit"],
+        "D-cache miss": miss, "store miss (a quarter of a miss)":
+        miss * 0.25, "I-cache miss": isa.icache["miss"],
+        "mispredict": isa.branch_mispredict,
+        "call overhead": isa.call_overhead,
+        "issue slot": 1.0 / isa.issue_width,
+        # The seed's ``PipelineModel.on_block_op`` rule.
+        "block-op cell": 0.5 if isa.issue_width >= 4 else 2.0})
+    problems += [f"{name} {value} is not a multiple of 1/4"
+                 for name, value in charges.items()
+                 if not float(4 * value).is_integer()]
+    problems += [f"D-cache {name} {value} is not a power of two"
+                 for name in ("line", "sets")
+                 for value in [isa.dcache[name]]
+                 if value < 1 or value & (value - 1)]
+    # One instruction stalls for at most the longest latency, a load
+    # miss included, and pays at most every penalty once.
+    longest = max(*isa.latency_table.values(), 1,
+                  miss + isa.latency_table.get("ld", 1) - 1)
+    worst = longest + sum(
+        charges[name] for name in ("I-cache miss", "mispredict",
+                                   "call overhead", "issue slot",
+                                   "store miss (a quarter of a miss)"))
+    if DEFAULT_FUEL * worst * 4 >= 2 ** 53:
+        problems.append(f"{DEFAULT_FUEL} instructions of {worst} cycles "
+                        f"reach 2**53 quarter cycles")
+    return problems
+
+
+class _ThreeWideX86(X86):
+    issue_width = 3
+
+
+class _FortyEightSetRiscV(RiscV):
+    dcache = {**RiscV.dcache, "sets": 48}
+
+
+def test_timing_arithmetic_is_exact():
+    """The shipped ISAs keep the tape's timing arithmetic exact; an
+    issue slot of 1/3 cycle or a 48-set D-cache would not, and the tape
+    refuses the D-cache outright."""
+    for target in TARGETS:
+        assert _timing_inexactness(get_isa(target)) == [], target
+    assert _timing_inexactness(_ThreeWideX86()) == \
+        ["issue slot 0.3333333333333333 is not a multiple of 1/4"]
+    isa = _FortyEightSetRiscV()
+    assert _timing_inexactness(isa) == \
+        ["D-cache sets 48 is not a power of two"]
+    program = compile_module(compile_source(_INT_OPS_SOURCE), isa)
+    with pytest.raises(ValueError, match="powers of two"):
+        TapeSimulator(program, isa, PipelineModel(isa)).run()
+
+
+def _run_state(result, timing):
+    return (result.return_value, result.output,
+            result.instructions_executed,
+            list(result.dynamic_histogram.items()),
+            timing.issue, timing.stall_cycles, timing.ready,
+            timing.mispredicts, timing.predictor.table,
+            [(cache.tick, cache.hits, cache.misses, cache.data)
+             for cache in (timing.icache, timing.dcache)])
+
+
+@pytest.mark.parametrize("target", ["x86", "riscv"])
+def test_back_to_back_runs_on_one_model_match_seed(target):
+    """Two different programs on one ``PipelineModel``, then the second
+    program's simulators run again: each run starts from the previous
+    one's issue time, stall total, ready times, caches and predictor
+    (and, on the rerun, instruction count), and the tape's stall total,
+    derived once per run, still equals the seed's per-instruction sum."""
+    isa = get_isa(target)
+    timings = (PipelineModel(isa), PipelineModel(isa))
+    programs = _opcode_coverage_programs(isa)
+    for program in (programs[0], programs[3]):
+        _assert_equivalent(program, isa, timed=True, timings=timings)
+        assert timings[1].stall_cycles > 0
+    seed = Simulator(programs[3], isa, timings[0])
+    tape = TapeSimulator(programs[3], isa, timings[1])
+    for _ in range(2):
+        assert _run_state(tape.run(), timings[1]) == \
+            _run_state(seed.run(), timings[0])
+
+
+class _PenaltyCountingModel(PipelineModel):
+    """The seed's pipeline model, counting the penalties it charges
+    besides I-cache misses, which its I-cache counts."""
+
+    def __init__(self, isa):
+        super().__init__(isa)
+        self.penalties = dict.fromkeys(
+            ("taken mispredict", "not-taken mispredict", "store miss",
+             "call", "memset", "memcpy"), 0)
+
+    def on_branch(self, instr, taken):
+        mispredicts = self.mispredicts
+        super().on_branch(instr, taken)
+        direction = "taken" if taken else "not-taken"
+        self.penalties[f"{direction} mispredict"] += \
+            self.mispredicts - mispredicts
+
+    def on_store(self, instr, address):
+        misses = self.dcache.misses
+        super().on_store(instr, address)
+        self.penalties["store miss"] += self.dcache.misses - misses
+
+    def on_call(self, instr):
+        super().on_call(instr)
+        self.penalties["call"] += 1
+
+    def on_block_op(self, instr, count):
+        super().on_block_op(instr, count)
+        self.penalties[instr.opcode] += 1
+
+
+# A branch taken every third iteration mispredicts in both directions.
+_PENALTY_SOURCE = """
+int g[64];
+int h[64];
+int step(int x) { return x * 3 + 1; }
+int main() {
+  int s = 0;
+  for (int i = 0; i < 64; i++) { g[i] = 5; }
+  for (int i = 0; i < 30; i++) {
+    if (i % 3 == 0) { s += step(i); }
+    h[i * 2] = s;
+  }
+  print_int(s + g[3] + h[4]);
+  return s;
+}
+"""
+
+
+@pytest.mark.parametrize("target", ["x86", "riscv"])
+def test_stall_total_with_every_penalty_matches_seed(target):
+    """One run charges every penalty the tape keeps out of its derived
+    stall total: I-cache misses, store misses, mispredicts of taken and
+    of not-taken branches, calls, ``memset`` and ``memcpy`` cells."""
+    isa = get_isa(target)
+    module = compile_source(_PENALTY_SOURCE)
+    PassManager().run(module, ["mem2reg", "instcombine", "loop-idiom"])
+    _add_memcpy_and_lshr(module)
+    program = compile_module(module, isa)
+    seed_timing = _PenaltyCountingModel(isa)
+    timings = (seed_timing, PipelineModel(isa))
+    _assert_equivalent(program, isa, timed=True, timings=timings)
+    assert seed_timing.icache.misses > 0
+    assert all(seed_timing.penalties.values()), seed_timing.penalties
+    assert timings[1].stall_cycles == seed_timing.stall_cycles > 0
 
 
 class _TinyX86(X86):

@@ -62,7 +62,7 @@ def _profile_all(programs, engine):
         result = engine(program, isa, timing).run()
         outcomes.append((result.output, result.return_value,
                          result.instructions_executed, timing.cycles(),
-                         timing.stall_cycles, timing.mispredicts,
+                         timing.mispredicts,
                          timing.icache.hits, timing.icache.misses,
                          timing.dcache.hits, timing.dcache.misses))
     return time.perf_counter() - started, outcomes

@@ -5,12 +5,8 @@ iterative-elimination pass pruner).
 All searchers evaluate through an :class:`repro.engine.EvaluationEngine`
 so repeated candidate sequences (identical children across generations,
 re-tried eliminations) hit the evaluation cache instead of re-running
-the compile->simulate loop.  Passing an ``estimator`` switches a
-searcher to PE-guided mode: whole candidate sets are scored with one
-batched matrix call (``engine.score_sequences``) and only the
-highest-ranked candidates are validated with real profiling — the
-paper's core "estimate instead of execute" trade applied to the
-baselines themselves.
+the compile->simulate loop.  Every candidate is scored by profiling:
+the baselines measure, they do not estimate.
 """
 
 import numpy as np
@@ -29,29 +25,18 @@ def _default_objective(measurement):
     return measurement.metrics()["exec_time_us"]
 
 
-def _predicted_time(objectives):
-    """Rank key for PE-predicted candidate objectives."""
-    return objectives["time"]
-
-
 class RandomPhaseSearch:
-    """Sample random sequences; keep the best (lower objective wins).
-
-    With an ``estimator``, all trials are scored in one batched PE call
-    and only the top ``validate_top`` candidates are actually profiled.
-    """
+    """Sample random sequences; keep the best (lower objective wins)."""
 
     def __init__(self, n_trials=30, max_length=12, seed=0,
                  objective=_default_objective, phases=None,
-                 engine=None, estimator=None, validate_top=3):
+                 engine=None):
         self.n_trials = n_trials
         self.max_length = max_length
         self.seed = seed
         self.objective = objective
         self.phases = list(phases or available_phases())
         self.engine = engine
-        self.estimator = estimator
-        self.validate_top = validate_top
 
     def _sequences(self, rng):
         sequences = []
@@ -67,19 +52,7 @@ class RandomPhaseSearch:
         best_sequence = ()
         best_value, _ = _evaluate(workload, platform, (),
                                   self.objective, engine)
-        candidates = self._sequences(rng)
-        if self.estimator is not None:
-            # One matrix call ranks every trial; profile only the top.
-            # (Candidates whose pipeline failed score as None.)
-            predicted = engine.score_sequences(workload, candidates,
-                                               self.estimator)
-            ranked = sorted(
-                ((sequence, objectives) for sequence, objectives
-                 in zip(candidates, predicted) if objectives is not None),
-                key=lambda cp: _predicted_time(cp[1]))
-            candidates = [sequence for sequence, _ in
-                          ranked[:max(1, self.validate_top)]]
-        for sequence in candidates:
+        for sequence in self._sequences(rng):
             try:
                 value, _ = _evaluate(workload, platform, sequence,
                                      self.objective, engine)
@@ -92,16 +65,12 @@ class RandomPhaseSearch:
 
 
 class GeneticSearch:
-    """Small genetic algorithm over phase sequences.
-
-    With an ``estimator``, each generation's fitness is one batched PE
-    matrix call; the final winner is validated by real profiling.
-    """
+    """Small genetic algorithm over phase sequences."""
 
     def __init__(self, population=12, generations=6, max_length=14,
                  mutation_rate=0.25, seed=0,
                  objective=_default_objective, phases=None,
-                 engine=None, estimator=None):
+                 engine=None):
         self.population = population
         self.generations = generations
         self.max_length = max_length
@@ -110,7 +79,6 @@ class GeneticSearch:
         self.objective = objective
         self.phases = list(phases or available_phases())
         self.engine = engine
-        self.estimator = estimator
 
     def search(self, workload, platform):
         rng = np.random.default_rng(self.seed)
@@ -121,7 +89,7 @@ class GeneticSearch:
             return tuple(str(rng.choice(self.phases))
                          for _ in range(length))
 
-        def fitness_profiled(sequence):
+        def fitness(sequence):
             try:
                 value, _ = _evaluate(workload, platform, sequence,
                                      self.objective, engine)
@@ -130,16 +98,7 @@ class GeneticSearch:
                 return float("inf")
 
         def score_population(sequences):
-            if self.estimator is None:
-                return [(fitness_profiled(s), s) for s in sequences]
-            # Batched PE inference: one matrix call per generation;
-            # failed candidates rank last, like the profiled path.
-            predicted = engine.score_sequences(workload, sequences,
-                                               self.estimator)
-            return [(float("inf") if objectives is None
-                     else _predicted_time(objectives), sequence)
-                    for sequence, objectives in zip(sequences,
-                                                    predicted)]
+            return [(fitness(s), s) for s in sequences]
 
         population = [random_sequence() for _ in range(self.population)]
         scored = score_population(population)
@@ -163,10 +122,6 @@ class GeneticSearch:
                 children.append(tuple(child))
             scored = score_population(children)
         scored.sort(key=lambda fs: fs[0])
-        if self.estimator is not None:
-            # Validate the PE's pick with a real measurement.
-            best_sequence = scored[0][1]
-            return best_sequence, fitness_profiled(best_sequence)
         return scored[0][1], scored[0][0]
 
 

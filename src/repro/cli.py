@@ -99,7 +99,6 @@ def cmd_mlcomp(args):
     from repro.rl import TrainingConfig
     mlcomp = MLComp(target=args.target,
                     cache=not args.no_cache,
-                    cache_size=args.cache_size,
                     eval_mode=args.eval_mode,
                     workers=args.workers,
                     farm_dir=args.farm_dir,
@@ -216,8 +215,6 @@ def build_parser():
     # Evaluation-engine knobs.
     p.add_argument("--no-cache", action="store_true",
                    help="disable the evaluation cache")
-    p.add_argument("--cache-size", type=int, default=4096,
-                   help="max in-memory cache entries (LRU beyond this)")
     p.add_argument("--eval-mode", default="serial",
                    choices=("serial", "process"),
                    help="executor for cold evaluations")

@@ -1,10 +1,6 @@
 """Cached parallel evaluation engine for the compile->profile loop."""
 
-from repro.engine.batched import (
-    feature_matrix,
-    objective_rows,
-    predict_many,
-)
+from repro.engine.batched import objective_rows, predict_many
 from repro.engine.cache import CacheStats, EvaluationCache, cache_key
 from repro.engine.chaos import (
     ChaosInjector,
@@ -12,11 +8,7 @@ from repro.engine.chaos import (
     InjectedFault,
     InjectedIOError,
 )
-from repro.engine.engine import (
-    EvalFailure,
-    EvalResult,
-    EvaluationEngine,
-)
+from repro.engine.engine import EvalResult, EvaluationEngine
 from repro.engine.evaluator import (
     EXECUTION_MODES,
     PointEvaluator,
@@ -26,8 +18,8 @@ from repro.engine.evaluator import (
     process_store,
 )
 from repro.engine.faults import (
+    EvalFailure,
     EvalTimeout,
-    FailureInfo,
     FaultStats,
     classify_exception,
 )
@@ -42,7 +34,6 @@ __all__ = [
     "EvalTimeout",
     "EvaluationCache",
     "EvaluationEngine",
-    "FailureInfo",
     "FaultStats",
     "InjectedCrash",
     "InjectedFault",
@@ -53,7 +44,6 @@ __all__ = [
     "cache_key",
     "classify_exception",
     "evaluate_point",
-    "feature_matrix",
     "objective_rows",
     "point_measurement_seed",
     "predict_many",

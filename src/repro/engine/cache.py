@@ -20,7 +20,6 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.engine.store import ShardedStore
-from repro.sim import DEFAULT_FUEL
 
 #: Sources whose code decides what a stored payload holds: the frontend,
 #: IR, passes, backends, simulator and features packages, and the
@@ -59,17 +58,15 @@ def semantics_digest():
     return digest.hexdigest()
 
 
-def cache_key(module_fingerprint, sequence, target, measurement_seed,
-              fuel=DEFAULT_FUEL):
+def cache_key(module_fingerprint, sequence, target, measurement_seed):
     """Stable digest identifying one evaluation point.
 
     ``module_fingerprint`` is the canonical hash of the *input* module
     (before the sequence runs), so a hit skips pass running, codegen and
-    simulation entirely.  ``fuel`` is part of the key: a run that
-    succeeds under a large budget must not answer for a smaller one
-    (which would have raised fuel exhaustion).  :func:`semantics_digest`
-    is part of it too, so sequence keys and result-index keys both
-    change whenever the compiler's semantics do.
+    simulation entirely.  :func:`semantics_digest` is part of the key,
+    so sequence keys and result-index keys both change whenever the
+    compiler's semantics do (the simulators' fuel budget,
+    ``repro.sim.DEFAULT_FUEL``, included).
     """
     payload = "\x1f".join((
         semantics_digest(),
@@ -77,7 +74,6 @@ def cache_key(module_fingerprint, sequence, target, measurement_seed,
         "\x1e".join(str(phase) for phase in sequence),
         str(target),
         str(measurement_seed),
-        str(fuel),
     ))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 

@@ -9,9 +9,8 @@ Every MLComp step (Fig. 2) needs the answer to one of two questions:
    cache over full compile->simulate runs, optionally on a process
    pool).
 2. "What does the PE predict for module M?" —
-   :meth:`predicted_objectives` / :meth:`score_sequences` (in-memory
-   cache over feature extraction + estimator inference, batched into
-   one matrix call for candidate sets).
+   :meth:`predicted_objectives` (in-memory cache over feature
+   extraction + estimator inference; the RL reward's only PE query).
 
 Data extraction, RL rollouts, baseline searches and deployment checks
 all route through here, so repeated points are paid for once.
@@ -32,11 +31,9 @@ from repro.engine.evaluator import (
     evaluate_point,
     profile_optimized,
 )
-from repro.engine.faults import DETERMINISTIC
 from repro.features import extract_features
 from repro.ir.printer import module_fingerprint
 from repro.passes.analysis import AnalysisManager
-from repro.sim import DEFAULT_FUEL
 
 
 class EvalResult:
@@ -71,40 +68,15 @@ class EvalResult:
                 f"t={self._metrics['exec_time_us']:.2f}us>")
 
 
-class EvalFailure:
-    """A point whose evaluation failed; kept in batch output order.
+class EvaluationEngine:
+    """Cached (and optionally parallel) evaluation for one platform.
 
-    ``kind`` is the failure taxonomy bucket (see
-    :mod:`repro.engine.faults`): ``deterministic`` failures are the
-    point's own fault, ``timeout`` points exceeded their deadline,
-    ``crash`` points killed their worker, and ``transient`` points hit
-    an I/O error they could not absorb.  ``attempts`` counts the runs
-    the point got: 1, or 2 after a solo re-run that told a crasher from
-    the innocent points sharing its broken pool.
+    ``cache=False`` turns the in-process evaluation cache off, so every
+    ``evaluate`` call runs its point afresh.
     """
 
-    failed = True
-
-    def __init__(self, name, sequence, error, kind=DETERMINISTIC,
-                 attempts=1):
-        self.name = name
-        self.sequence = tuple(sequence)
-        self.error = error
-        self.kind = kind
-        self.attempts = attempts
-
-    def __repr__(self):
-        return (f"<EvalFailure {self.name} {self.sequence} "
-                f"[{self.kind}]: {self.error}>")
-
-
-class EvaluationEngine:
-    """Cached (and optionally parallel) evaluation for one platform."""
-
-    def __init__(self, platform, cache=None, cache_size=4096,
-                 mode="serial", workers=None, fuel=DEFAULT_FUEL,
-                 farm_dir=None, eval_timeout=None,
-                 chaos=None):
+    def __init__(self, platform, cache=True, mode="serial", workers=None,
+                 farm_dir=None, eval_timeout=None, chaos=None):
         self.platform = platform
         #: Compile-farm directory: a cross-process
         #: :class:`~repro.engine.store.ShardedStore` shared by every
@@ -123,15 +95,11 @@ class EvaluationEngine:
         # Counter updates are read-modify-write; the lock keeps the
         # engine safe to share across threads.
         self._compose_lock = threading.Lock()
-        if cache is False:
-            self.cache = None
-        else:
-            self.cache = cache if cache is not None else \
-                EvaluationCache(max_entries=cache_size,
-                                store_dir=farm_dir)
+        self.cache = EvaluationCache(store_dir=farm_dir) if cache \
+            else None
         # PE scores are keyed by a per-process estimator token, so they
         # live in a memory-only tier (never the disk store).
-        self.pe_cache = EvaluationCache(max_entries=cache_size)
+        self.pe_cache = EvaluationCache()
         #: One supervisor runs every fresh point, in-process or pooled;
         #: its fault counters are the engine's.
         self.evaluator = PointEvaluator(
@@ -140,7 +108,6 @@ class EvaluationEngine:
         if chaos is not None and self.cache is not None and \
                 self.cache.store is not None:
             self.cache.store.chaos = chaos
-        self.fuel = fuel
         self._workload_fingerprints = {}
         self._estimator_tokens = weakref.WeakKeyDictionary()
         self._token_counter = 0
@@ -163,12 +130,12 @@ class EvaluationEngine:
             self._workload_fingerprints[memo_key] = fingerprint
         return fingerprint
 
-    def key_for(self, workload, sequence, fuel=None):
+    def key_for(self, workload, sequence):
         return cache_key(self.workload_fingerprint(workload),
                          tuple(sequence), self.platform.target,
-                         self.measurement_seed, fuel or self.fuel)
+                         self.measurement_seed)
 
-    def result_key_for(self, result_fingerprint, fuel=None):
+    def result_key_for(self, result_fingerprint):
         """The result-index key of an *optimized* module's content.
 
         ``result_fingerprint`` is composed from the module's
@@ -179,7 +146,7 @@ class EvaluationEngine:
         sequence evaluations feed each other.
         """
         return cache_key(result_fingerprint, (), self.platform.target,
-                         self.measurement_seed, fuel or self.fuel)
+                         self.measurement_seed)
 
     def _estimator_token(self, estimator):
         token = self._estimator_tokens.get(estimator)
@@ -189,14 +156,13 @@ class EvaluationEngine:
             self._estimator_tokens[estimator] = token
         return token
 
-    def _spec(self, workload, sequence, fuel):
+    def _spec(self, workload, sequence):
         return {
             "source": workload.source,
             "name": workload.name,
             "sequence": list(sequence),
             "target": self.platform.target,
             "measurement_seed": self.measurement_seed,
-            "fuel": fuel or self.fuel,
             # Process-pool workers compose through the shared farm;
             # in-process attempts compose via _evaluate_miss (whose
             # cache already fronts the same store).
@@ -216,15 +182,15 @@ class EvaluationEngine:
             self.compose_stats["hits" if hit else "misses"] += 1
         return payload
 
-    def evaluate(self, workload, sequence, fuel=None):
+    def evaluate(self, workload, sequence):
         """Evaluate one (workload, sequence) point, cache-first."""
-        key = self.key_for(workload, sequence, fuel)
+        key = self.key_for(workload, sequence)
         if self.cache is not None:
             payload = self.cache.get(key)
             if payload is not None:
                 return EvalResult(payload, key, cached=True)
         payload, error = self.evaluator.attempt(
-            self._spec(workload, sequence, fuel), run=self._evaluate_miss)
+            self._spec(workload, sequence), run=self._evaluate_miss)
         if error is not None:
             raise WorkerError(error.name, error.sequence, error.error,
                               kind=error.kind)
@@ -232,19 +198,19 @@ class EvaluationEngine:
             self.cache.put(key, payload)
         return EvalResult(payload, key, cached=False)
 
-    def evaluate_batch(self, points, fuel=None, on_error="raise"):
+    def evaluate_batch(self, points, on_error="raise"):
         """Evaluate ``[(workload, sequence), ...]`` in input order.
 
         Cache hits are served inline; misses go through the configured
         executor.  ``on_error='collect'`` replaces failed points with
-        :class:`EvalFailure` entries instead of raising
+        :class:`~repro.engine.faults.EvalFailure` entries instead of raising
         :class:`WorkerError` on the first failure.
         """
         points = list(points)
         results = [None] * len(points)
         pending = {}  # key -> (spec, [indices]) — dedup within a batch
         for index, (workload, sequence) in enumerate(points):
-            key = self.key_for(workload, sequence, fuel)
+            key = self.key_for(workload, sequence)
             if key in pending:
                 pending[key][1].append(index)
                 continue
@@ -253,8 +219,7 @@ class EvaluationEngine:
             if payload is not None:
                 results[index] = EvalResult(payload, key, cached=True)
             else:
-                pending[key] = (self._spec(workload, sequence, fuel),
-                                [index])
+                pending[key] = (self._spec(workload, sequence), [index])
         # In-process misses compose through this process's result index
         # (identical payloads; pool workers compose through the farm
         # instead, since they cannot see this process's cache).
@@ -268,9 +233,7 @@ class EvaluationEngine:
                     raise WorkerError(error.name, error.sequence,
                                       error.error, kind=error.kind)
                 for index in indices:
-                    results[index] = EvalFailure(
-                        error.name, error.sequence, error.error,
-                        kind=error.kind, attempts=error.attempts)
+                    results[index] = error
                 continue
             if self.cache is not None:
                 self.cache.put(key, payload)
@@ -281,7 +244,7 @@ class EvaluationEngine:
                                             cached=position > 0)
         return results
 
-    def profile_module(self, module, fuel=None, am=None):
+    def profile_module(self, module, am=None):
         """Profile an already-optimized module, content-addressed by its
         final fingerprint (used by PSS deployment checks).  An analysis
         manager carrying warm per-function fingerprints makes the
@@ -289,14 +252,13 @@ class EvaluationEngine:
         if am is None:
             am = AnalysisManager()
         fingerprint = module_fingerprint(module, am)
-        key = self.result_key_for(fingerprint, fuel)
+        key = self.result_key_for(fingerprint)
         if self.cache is not None:
             payload = self.cache.get(key)
             if payload is not None:
                 return EvalResult(payload, key, cached=True)
         spec = {"sequence": [], "target": self.platform.target,
-                "measurement_seed": self.measurement_seed,
-                "fuel": fuel or self.fuel}
+                "measurement_seed": self.measurement_seed}
         payload = profile_optimized(
             spec, module, am, fingerprint, fingerprint,
             {function.name: am.fingerprint(function)
@@ -330,61 +292,6 @@ class EvaluationEngine:
         objectives = objective_rows(predicted, features)[0]
         self.pe_cache.put(key, objectives)
         return dict(objectives)
-
-    def score_sequences(self, workload, sequences, estimator):
-        """PE-predicted objectives for many candidate sequences, with
-        all uncached predictions made in ONE batched matrix call.
-
-        Searchers use this instead of per-sequence predict loops; the
-        expensive parts that remain (compile + passes + feature
-        extraction) only run for sequences not seen before.  A
-        candidate whose pipeline fails scores as ``None``.
-        """
-        sequences = [tuple(sequence) for sequence in sequences]
-        base_fingerprint = self.workload_fingerprint(workload)
-        token = self._estimator_token(estimator)
-        results = [None] * len(sequences)
-        pending = {}  # key -> (sequence, [indices]) — batch-level dedup
-        for index, sequence in enumerate(sequences):
-            key = "\x1f".join(
-                ("pe-seq", base_fingerprint, "\x1e".join(sequence),
-                 self.platform.target, token))
-            if key in pending:
-                pending[key][1].append(index)
-                continue
-            payload = self.pe_cache.get(key)
-            if payload is not None:
-                results[index] = dict(payload)
-            else:
-                pending[key] = (sequence, [index])
-        if pending:
-            from repro.passes import PassManager
-            rows = []
-            prepared = []  # (key, indices) for candidates that compiled
-            for key, (sequence, indices) in pending.items():
-                # A candidate whose pipeline raises scores as None
-                # instead of aborting the whole batch (mirrors the
-                # per-candidate guards of the profiled search path).
-                # Each candidate gets its own analysis manager (fresh
-                # module), whose static partials reuse the analyses its
-                # pipeline left cached.
-                try:
-                    module = workload.compile()
-                    am = AnalysisManager()
-                    PassManager().run(module, list(sequence), am=am)
-                    rows.append(self._extract_features(module, am))
-                except Exception:  # noqa: BLE001 - candidate skipped
-                    continue
-                prepared.append((key, indices))
-            if rows:
-                matrix = np.vstack(rows)
-                fresh = objective_rows(predict_many(estimator, matrix),
-                                       matrix)
-                for (key, indices), objectives in zip(prepared, fresh):
-                    self.pe_cache.put(key, objectives)
-                    for index in indices:
-                        results[index] = dict(objectives)
-        return results
 
     # -- reporting --------------------------------------------------------
     def stats(self):

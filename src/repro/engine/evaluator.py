@@ -22,7 +22,7 @@ Supervision has one recovery path for every mode:
   point runs: it arms the per-point deadline
   (:func:`repro.engine.faults.deadline`), applies the chaos hook, runs
   the point and classifies any exception into a
-  :class:`~repro.engine.faults.FailureInfo`.  Pool workers, the serial
+  :class:`~repro.engine.faults.EvalFailure`.  Pool workers, the serial
   tier and the engine's composed path all call it, and a failure it
   reports is final.
 - **Pool breaks.**  A died worker (OOM kill, injected crash) breaks
@@ -54,13 +54,12 @@ from repro.engine.chaos import maybe_fail_point
 from repro.engine.faults import (
     CRASH,
     TIMEOUT,
-    FailureInfo,
+    EvalFailure,
     FaultStats,
     counter_for_kind,
     deadline,
     failure_of,
 )
-from repro.sim import DEFAULT_FUEL
 
 EXECUTION_MODES = ("serial", "process")
 
@@ -169,8 +168,7 @@ def profile_optimized(spec, module, am, fingerprint, result_fingerprint,
     platform = Platform(spec["target"], measurement_seed=seed)
     program = platform.compile(module)
     features = extract_features(module, program, am=am)
-    measurement = platform.execute(program,
-                                   fuel=spec.get("fuel") or DEFAULT_FUEL)
+    measurement = platform.execute(program)
     return {
         "fingerprint": fingerprint,
         "result_fingerprint": result_fingerprint,
@@ -192,7 +190,7 @@ def evaluate_point(spec):
     """Run one compile->optimize->profile point from a plain spec dict.
 
     Spec keys: ``source``, ``name``, ``sequence``, ``target``,
-    ``measurement_seed``, ``fuel`` (optional), ``farm_dir`` (optional).
+    ``measurement_seed``, ``farm_dir`` (optional).
     Returns a JSON-serializable payload dict (the cache entry format).
     Top-level so it is picklable for process pools.
 
@@ -217,12 +215,11 @@ def evaluate_point(spec):
 def farm_result_key(spec, result_fingerprint):
     """The result-index key of an optimized module's content —
     identical to ``EvaluationEngine.result_key_for`` for the same
-    platform/seed/fuel, so workers and clients feed one index."""
+    platform and seed, so workers and clients feed one index."""
     from repro.engine.cache import cache_key
 
     return cache_key(result_fingerprint, (), spec["target"],
-                     spec["measurement_seed"],
-                     spec.get("fuel") or DEFAULT_FUEL)
+                     spec["measurement_seed"])
 
 
 def compose_point(spec, store):
@@ -278,7 +275,7 @@ def attempt_point(spec, run=evaluate_point):
     Arms the spec's deadline, applies its chaos hook, calls ``run``
     (:func:`evaluate_point`, or the engine's in-process composed path)
     and classifies any exception, so the outcome travels back as a
-    value: ``(payload, None)`` or ``(None, FailureInfo)``.  Top-level
+    value: ``(payload, None)`` or ``(None, EvalFailure)``.  Top-level
     so pool workers can run it.
     """
     try:
@@ -306,7 +303,7 @@ class PointEvaluator:
     ``mode='serial'`` is the deterministic reference; ``process``
     sidesteps the GIL for CPU-bound simulation at the cost of
     per-worker interpreter startup.  Both share one failure contract:
-    :meth:`run` returns ``(payload, FailureInfo | None)`` pairs in
+    :meth:`run` returns ``(payload, EvalFailure | None)`` pairs in
     input order, and never lets a raw exception, a hung worker, or a
     broken pool escape or wedge the batch.  ``timeout`` is the
     per-point deadline in seconds; ``chaos`` is a
@@ -327,7 +324,7 @@ class PointEvaluator:
     def run(self, specs, run=evaluate_point):
         """Evaluate all specs; returns ``(payload, error)`` pairs in the
         same order as the input (error is None on success, else a
-        :class:`FailureInfo`).  In-process attempts call ``run``; pool
+        :class:`EvalFailure`).  In-process attempts call ``run``; pool
         workers always run :func:`evaluate_point`."""
         specs = list(specs)
         if self.mode == "process" and len(specs) > 1:
@@ -475,7 +472,7 @@ class PointEvaluator:
 
     def _charge(self, state, kind, cause, results):
         """Finalize a point whose worker had to be killed."""
-        results[state.index] = self._count((None, FailureInfo(
+        results[state.index] = self._count((None, EvalFailure(
             state.spec["name"], tuple(state.spec["sequence"]), cause,
             kind, state.attempt)))
 

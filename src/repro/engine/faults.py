@@ -1,7 +1,7 @@
 """Failure taxonomy, per-point deadlines and fault counters for the
 evaluation stack.
 
-Every point attempt ends as a payload or a :class:`FailureInfo` whose
+Every point attempt ends as a payload or an :class:`EvalFailure` whose
 ``kind`` is one of:
 
 - **deterministic** — ``CompilationError``, ``SimulationError``, bad
@@ -41,11 +41,26 @@ class EvalTimeout(Exception):
     """A point exceeded its wall-clock deadline."""
 
 
-#: How a failed point travels back from workers: picklable, carrying
-#: the classification and the attempt count alongside the point's
-#: name, sequence and error text.
-FailureInfo = namedtuple("FailureInfo",
-                         "name sequence error kind attempts")
+class EvalFailure(namedtuple("EvalFailure",
+                             "name sequence error kind attempts")):
+    """A point whose evaluation failed; kept in batch output order.
+
+    A picklable record, so pool workers send it back as is.  ``kind``
+    is the failure taxonomy bucket (see the module docstring):
+    ``deterministic`` failures are the point's own fault, ``timeout``
+    points exceeded their deadline, ``crash`` points killed their
+    worker, and ``transient`` points hit an I/O error they could not
+    absorb.  ``attempts`` counts the runs the point got: 1, or 2 after
+    a solo re-run that told a crasher from the innocent points sharing
+    its broken pool.
+    """
+
+    __slots__ = ()
+    failed = True
+
+    def __repr__(self):
+        return (f"<EvalFailure {self.name} {self.sequence} "
+                f"[{self.kind}]: {self.error}>")
 
 
 def classify_exception(error):
@@ -64,10 +79,10 @@ def classify_exception(error):
 
 
 def failure_of(spec, error):
-    """The classified :class:`FailureInfo` of an exception raised by an
+    """The classified :class:`EvalFailure` of an exception raised by an
     attempt at ``spec``: the one place an exception becomes a point
     failure."""
-    return FailureInfo(spec["name"], tuple(spec["sequence"]), repr(error),
+    return EvalFailure(spec["name"], tuple(spec["sequence"]), repr(error),
                        classify_exception(error),
                        int(spec.get("attempt", 1)))
 

@@ -43,7 +43,3 @@ class SimulationError(MLCompError):
 
 class SearchError(MLCompError):
     """Raised on misuse of the heuristic search API."""
-
-
-class TrainingError(MLCompError):
-    """Raised when model or policy training cannot proceed."""

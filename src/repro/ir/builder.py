@@ -19,7 +19,7 @@ from repro.ir.instructions import (
     UnreachableInst,
 )
 from repro.ir.types import F64, I64
-from repro.ir.values import ConstantFloat, ConstantInt
+from repro.ir.values import ConstantInt
 
 
 class IRBuilder:
@@ -48,9 +48,6 @@ class IRBuilder:
     # -- constants ---------------------------------------------------------
     def const_int(self, value, type_=I64):
         return ConstantInt(type_, value)
-
-    def const_float(self, value):
-        return ConstantFloat(F64, value)
 
     # -- arithmetic ----------------------------------------------------------
     def binop(self, opcode, lhs, rhs, name=""):

@@ -5,10 +5,6 @@ which is simple and fast enough for the function sizes this compiler sees.
 """
 
 
-def successors_map(function):
-    return {block: block.successors() for block in function.blocks}
-
-
 def predecessors_map(function):
     """{block: per-edge predecessor list} read from the IR-maintained
     reverse links: entries come in function block order, a predecessor

@@ -153,20 +153,6 @@ class Instruction(Value):
             return not (isinstance(divisor, ConstantInt) and divisor.value != 0)
         return False
 
-    def reads_memory(self):
-        if isinstance(self, LoadInst):
-            return True
-        if isinstance(self, CallInst):
-            return self.callee_may_access_memory()
-        return False
-
-    def writes_memory(self):
-        if isinstance(self, StoreInst):
-            return True
-        if isinstance(self, CallInst):
-            return self.callee_may_access_memory()
-        return False
-
     def function(self):
         return None if self.parent is None else self.parent.parent
 

@@ -24,9 +24,6 @@ class Type:
     def is_array(self):
         return isinstance(self, ArrayType)
 
-    def is_function(self):
-        return isinstance(self, FunctionType)
-
     def is_scalar(self):
         return self.is_int() or self.is_float()
 

@@ -253,11 +253,6 @@ class AnalysisManager:
             else:
                 self.invalidate(function, preserved)
 
-    def forget(self, function):
-        """Drop every cached analysis for ``function``."""
-        self._module_fps.clear()
-        self._entries.pop(id(function), None)
-
     def clear(self):
         self._entries.clear()
         self._module_fps.clear()

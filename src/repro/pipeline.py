@@ -24,10 +24,10 @@ from repro.workloads import default_suite_for, load_suite
 class MLComp:
     """End-to-end MLComp for one (platform, application domain) pair.
 
-    Engine knobs: ``cache_size`` bounds the in-memory evaluation cache
-    (``cache=False`` disables it), ``eval_mode`` picks the executor
-    (``serial`` or ``process``) and ``workers`` the process pool's
-    width.  ``farm_dir`` is the only on-disk directory: it persists the
+    Engine knobs: ``cache=False`` disables the evaluation cache (a
+    4096-entry LRU), ``eval_mode`` picks the executor (``serial`` or
+    ``process``) and ``workers`` the process pool's width.
+    ``farm_dir`` is the only on-disk directory: it persists the
     evaluation cache and joins the shared compile farm there, a
     cross-process result store that other clients (processes pointed
     at the same directory) and process-pool workers reuse.
@@ -38,17 +38,15 @@ class MLComp:
     """
 
     def __init__(self, target="x86", suite=None, phases=None,
-                 measurement_seed=0, cache=True, cache_size=4096,
-                 eval_mode="serial", workers=None, farm_dir=None,
-                 eval_timeout=None):
+                 measurement_seed=0, cache=True, eval_mode="serial",
+                 workers=None, farm_dir=None, eval_timeout=None):
         self.platform = Platform(target, measurement_seed)
         suite = suite or default_suite_for(target)
         self.workloads = load_suite(suite)
         self.suite = suite
         self.phases = list(phases or available_phases())
         self.engine = EvaluationEngine(
-            self.platform, cache=None if cache else False,
-            cache_size=cache_size, mode=eval_mode, workers=workers,
+            self.platform, cache=cache, mode=eval_mode, workers=workers,
             farm_dir=farm_dir, eval_timeout=eval_timeout)
         self.dataset = None
         self.estimator = None

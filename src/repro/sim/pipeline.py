@@ -74,7 +74,6 @@ class PipelineModel:
         self.icache = Cache(isa.icache["line_bytes"], isa.icache["lines"],
                             1 if isa.icache["lines"] < 128 else 2)
         self.mispredicts = 0
-        self.stall_cycles = 0.0
 
     # -- helpers -----------------------------------------------------------
     def _fetch(self, instr):
@@ -95,7 +94,6 @@ class PipelineModel:
     def _issue_instr(self, instr, latency):
         self._fetch(instr)
         start = max(self.issue, self._operand_ready(instr))
-        self.stall_cycles += start - self.issue
         self.issue = start + 1.0 / self.isa.issue_width
         finish = start + latency
         # Mark destinations.

@@ -45,20 +45,13 @@ What is charged where:
   Latencies and every cycle charge are floats, so the scoreboard adds
   float to float (CPython specializes that, not int plus float).
 - *Per penalty:* the I-cache miss, mispredict, store-miss, call and
-  block-op charges advance the issue time and a ``penalties`` total.
-- *Per run:* the stall total.  Each instruction advances the issue
-  time by its stall, then by ``1/issue_width``, and penalties advance
-  it further, so the run's stalls are the issue time it added, less
-  ``1/issue_width`` per instruction, less the penalties: one
-  subtraction when the run ends, not one addition per instruction.
-  This is exactly the seed's per-instruction sum.  Every charge on both
-  ISAs is a multiple of 1/4 cycle, and under ``DEFAULT_FUEL`` every
-  time stays far below 2**53 quarter cycles, so each float addition
-  and subtraction is exact and their order does not matter
-  (``test_timing_arithmetic_is_exact`` holds every ISA of
-  ``get_isa`` to this).  The D-cache's line and set counts are powers
-  of two, so a load or store finds its line and set by shift and mask;
-  ``run`` refuses other geometries.
+  block-op charges advance the issue time, in the seed's order.
+  Every charge on both ISAs is a multiple of 1/4 cycle, and under
+  ``DEFAULT_FUEL`` every time stays far below 2**53 quarter cycles, so
+  each float addition is exact (``test_timing_arithmetic_is_exact``
+  holds every ISA of ``get_isa`` to this).  The D-cache's line and set
+  counts are powers of two, so a load or store finds its line and set
+  by shift and mask; ``run`` refuses other geometries.
 
 Nothing is generated, compiled or cached: decoding costs about a
 millisecond per program, so every ``TapeSimulator`` decodes afresh and
@@ -80,11 +73,9 @@ ops touch the D-cache at the instruction's *code* address.  All value
 semantics come from :mod:`repro.ir.arith`.
 
 Divergence on *failing* runs only: fuel is charged per segment, a fetch
-per line run, a load or store traps before its D-cache access, and the
-stall total counts every instruction of the segment a run stops in as
-issued, so a run that raises ``SimulationError`` may stop with
-different partial counters than the seed, but with the same error
-text.  Successful runs
+per line run, and a load or store traps before its D-cache access, so a
+run that raises ``SimulationError`` may stop with different partial
+counters than the seed, but with the same error text.  Successful runs
 are bit-identical in observables, instruction counts, cycles, cache and
 predictor state, and histogram order (``tests/sim/test_tape.py``).
 """
@@ -459,12 +450,11 @@ class TapeSimulator:
         ld_miss = float(isa.dcache["miss"] + ld_lat - 1)
         st_extra = isa.dcache["miss"] * 0.25
         per_cell = 0.5 if isa.issue_width >= 4 else 2.0
-        issue = issue_start = timing.issue
-        penalties = 0.0     # issue time charged outside the scoreboard
+        issue = timing.issue
         ict, ich, icm = icache.tick, icache.hits, icache.misses
         dct, dch, dcm = dcache.tick, dcache.hits, dcache.misses
         msp = timing.mispredicts
-        icnt = icnt_start = self.instructions_executed
+        icnt = self.instructions_executed
         pc, slots = entry
         sp = _STACK_BASE - slots
         R[FB] = sp
@@ -587,7 +577,6 @@ class TapeSimulator:
                             if len(ways) >= iways:
                                 del ways[min(ways, key=ways.get)]
                             issue += icmiss
-                            penalties += icmiss
                         ways[itag] = ict
                     # -- scoreboard (the seed's ``_issue_instr``) --
                     t = issue
@@ -605,7 +594,6 @@ class TapeSimulator:
                     if op == ST:
                         if not hit:
                             issue += st_extra
-                            penalties += st_extra
                     elif op == BR:
                         state = ptg(d, 2)
                         if taken:
@@ -613,16 +601,13 @@ class TapeSimulator:
                             if state < 2:
                                 msp += 1
                                 issue += mispredict
-                                penalties += mispredict
                         else:
                             pt[d] = state - 1 if state > 0 else 0
                             if state >= 2:
                                 msp += 1
                                 issue += mispredict
-                                penalties += mispredict
                     elif op == CALL:
                         issue += call_overhead
-                        penalties += call_overhead
                         stack.append((pc, R[FB], sp))
                         if len(stack) > 400:
                             raise SimulationError("call stack overflow")
@@ -640,7 +625,6 @@ class TapeSimulator:
                     else:   # MEMSET, MEMCPY: the real cache, synced
                         cells = n * per_cell
                         issue += cells
-                        penalties += cells
                         dcache.tick, dcache.hits, dcache.misses = \
                             dct, dch, dcm
                         for i in range(0, n, dline):
@@ -650,11 +634,6 @@ class TapeSimulator:
         finally:
             self.instructions_executed = icnt
             timing.issue = issue
-            # Every instruction advanced ``issue`` by its stall, then by
-            # ``inv_w``; the rest is penalties.  Exact: see the module
-            # docstring.
-            timing.stall_cycles += (issue - issue_start) \
-                - (icnt - icnt_start) * inv_w - penalties
             icache.tick, icache.hits, icache.misses = ict, ich, icm
             dcache.tick, dcache.hits, dcache.misses = dct, dch, dcm
             timing.mispredicts = msp

@@ -178,14 +178,10 @@ def test_stats_match_reference_lru_model(operations):
 def test_disk_store_survives_process_cache(tmp_path, workload):
     store = str(tmp_path / "evals")
     platform = Platform("riscv", measurement_seed=0)
-    first_engine = EvaluationEngine(platform,
-                                    cache=EvaluationCache(
-                                        store_dir=store))
+    first_engine = EvaluationEngine(platform, farm_dir=store)
     first = first_engine.evaluate(workload, SEQ)
     # A brand-new cache instance (fresh "process") warm-starts from disk.
-    second_engine = EvaluationEngine(platform,
-                                     cache=EvaluationCache(
-                                         store_dir=store))
+    second_engine = EvaluationEngine(platform, farm_dir=store)
     second = second_engine.evaluate(workload, SEQ)
     assert second.cached
     assert second_engine.cache.stats.disk_hits == 1

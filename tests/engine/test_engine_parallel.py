@@ -107,17 +107,6 @@ def test_duplicate_points_evaluated_once_per_batch():
     assert engine.cache.stats.stores == 2
 
 
-def test_fuel_is_part_of_the_cache_key():
-    workload = load_suite("beebs")[0]
-    engine = EvaluationEngine(Platform("riscv"))
-    big = engine.evaluate(workload, ())
-    assert engine.key_for(workload, (), fuel=1000) != big.key
-    # A cached full-fuel success must not answer for a tiny budget:
-    # the small-fuel evaluation runs fresh and raises fuel exhaustion.
-    with pytest.raises(Exception, match="fuel"):
-        engine.evaluate(workload, (), fuel=10)
-
-
 def test_unknown_mode_rejected():
     for mode in ("gpu", "thread"):
         with pytest.raises(ValueError):

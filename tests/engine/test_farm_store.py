@@ -239,8 +239,7 @@ def test_farm_spec_composes_without_an_engine(tmp_path):
     workload = load_suite("beebs")[0]
     spec = {"source": workload.source, "name": workload.name,
             "sequence": ["mem2reg"], "target": "riscv",
-            "measurement_seed": 0, "fuel": 20_000_000,
-            "farm_dir": str(tmp_path)}
+            "measurement_seed": 0, "farm_dir": str(tmp_path)}
     first = evaluate_point(spec)
     composed = evaluate_point(dict(spec, sequence=["mem2reg",
                                                    "mem2reg"]))

@@ -27,7 +27,6 @@ from repro.workloads import load_workload
 
 O2 = tuple(STANDARD_LEVELS["-O2"])
 SEQUENCE = ("mem2reg", "instcombine", "dce")
-FUEL = 20_000_000
 
 
 def count_calls(monkeypatch, module_name, attr):
@@ -125,7 +124,7 @@ def _reference_payload(workload, sequence, target):
     platform = Platform(target, measurement_seed=point_measurement_seed(
         0, result_fingerprint))
     features = extract_features(module, platform.compile(module))
-    measurement = platform.profile(module, fuel=FUEL)
+    measurement = platform.profile(module)
     return {
         "fingerprint": fingerprint,
         "result_fingerprint": result_fingerprint,
@@ -156,7 +155,7 @@ def test_payload_matches_stage_by_stage_reference(suite, name, target):
     payload = evaluate_point({
         "source": workload.source, "name": workload.name,
         "sequence": list(O2), "target": target,
-        "measurement_seed": 0, "fuel": FUEL})
+        "measurement_seed": 0})
     reference = _reference_payload(workload, O2, target)
     assert sorted(payload) == sorted(reference)
     for field, expected in reference.items():

@@ -74,16 +74,14 @@ def test_cli_mlcomp_engine_knobs_parse(tmp_path):
     from repro.cli import build_parser
     from repro.pipeline import MLComp
     args = build_parser().parse_args(
-        ["mlcomp", "--target", "riscv", "--cache-size", "64",
+        ["mlcomp", "--target", "riscv",
          "--farm-dir", str(tmp_path / "farm"),
          "--eval-mode", "process", "--workers", "2"])
-    assert args.cache_size == 64
     assert args.eval_mode == "process"
     assert not args.no_cache
-    mlcomp = MLComp(target="riscv", cache_size=args.cache_size,
-                    farm_dir=args.farm_dir, eval_mode=args.eval_mode,
-                    workers=args.workers)
-    assert mlcomp.engine.cache.max_entries == 64
+    mlcomp = MLComp(target="riscv", farm_dir=args.farm_dir,
+                    eval_mode=args.eval_mode, workers=args.workers)
+    assert mlcomp.engine.cache.max_entries == 4096
     assert mlcomp.engine.farm_dir == str(tmp_path / "farm")
     assert mlcomp.engine.cache.store_dir == mlcomp.engine.farm_dir
     assert mlcomp.engine.evaluator.mode == "process"
@@ -101,9 +99,10 @@ def test_cli_rejects_thread_eval_mode(capsys):
 @pytest.mark.parametrize("flag", [["--scheduler-workers", "2"],
                                   ["--cache-dir", "d"],
                                   ["--max-retries", "2"],
-                                  ["--no-degrade"]],
+                                  ["--no-degrade"],
+                                  ["--cache-size", "64"]],
                          ids=["scheduler-workers", "cache-dir",
-                              "max-retries", "no-degrade"])
+                              "max-retries", "no-degrade", "cache-size"])
 def test_cli_rejects_removed_engine_flags(capsys, flag):
     from repro.cli import build_parser
     with pytest.raises(SystemExit):

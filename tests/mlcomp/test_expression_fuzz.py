@@ -272,5 +272,4 @@ def test_three_engines_bit_identical(expr, data):
         == tape_run.instructions_executed
     assert seed_run.dynamic_histogram == tape_run.dynamic_histogram
     assert seed_timing.cycles() == tape_timing.cycles()
-    assert seed_timing.stall_cycles == tape_timing.stall_cycles
     assert seed_timing.mispredicts == tape_timing.mispredicts

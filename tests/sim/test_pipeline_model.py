@@ -47,23 +47,27 @@ def test_superscalar_issues_faster(x86_model, riscv_model):
     assert x86_model.cycles() < riscv_model.cycles()
 
 
+def _mul_then_add(model, *add_sources):
+    """Issue ``x = a * b`` then ``y = add_sources``; returns cycles."""
+    model.on_simple(_instr("mul", [_reg("x"), _reg("a"), _reg("b")],
+                           address=0))
+    model.on_simple(_instr("add", [_reg("y"), *add_sources], address=4))
+    return model.cycles()
+
+
 def test_dependency_stall(riscv_model):
-    base = _instr("mul", [_reg("x"), _reg("a"), _reg("b")], address=0)
-    dependent = _instr("add", [_reg("y"), _reg("x"), _reg("x")],
-                       address=4)
-    riscv_model.on_simple(base)
-    cycles_before = riscv_model.cycles()
-    riscv_model.on_simple(dependent)
-    # The add waits for mul's 4-cycle latency; stall recorded.
-    assert riscv_model.stall_cycles > 0
+    independent = _mul_then_add(PipelineModel(get_isa("riscv")),
+                                _reg("c"), _reg("d"))
+    # The add waits for mul's 4-cycle latency, so it ends later than an
+    # add of independent operands.
+    assert _mul_then_add(riscv_model, _reg("x"), _reg("x")) > independent
 
 
 def test_independent_ops_do_not_stall(riscv_model):
-    riscv_model.on_simple(_instr("mul", [_reg("x"), _reg("a"),
-                                         _reg("b")], address=0))
-    riscv_model.on_simple(_instr("add", [_reg("y"), _reg("c"),
-                                         _reg("d")], address=4))
-    assert riscv_model.stall_cycles == 0
+    # One issue cycle each, plus the fill of the one I-cache line the
+    # two instructions share.
+    miss = riscv_model.isa.icache["miss"]
+    assert _mul_then_add(riscv_model, _reg("c"), _reg("d")) == 2 + miss
 
 
 def test_branch_mispredict_penalty(riscv_model):

@@ -56,7 +56,6 @@ def _assert_equivalent(program, isa, timed, timings=None):
     assert list(tape.dynamic_histogram) == list(seed.dynamic_histogram)
     if timed:
         assert tape_timing.issue == seed_timing.issue
-        assert tape_timing.stall_cycles == seed_timing.stall_cycles
         assert tape_timing.mispredicts == seed_timing.mispredicts
         assert tape_timing.ready == seed_timing.ready
         for cache_name in ("icache", "dcache"):
@@ -227,10 +226,10 @@ def test_every_dispatch_opcode_matches_seed():
 def _timing_inexactness(isa):
     """Why the tape's float timing would not be exact on ``isa``.
 
-    The tape derives the stall total once from the issue time, so every
-    charge must be a multiple of 1/4 cycle and every sum must stay below
-    2**53 quarter cycles: then float addition is exact, in any order.
-    It also finds a D-cache line and set by shift and mask."""
+    Every charge must be a multiple of 1/4 cycle and every sum must
+    stay below 2**53 quarter cycles: then float addition is exact, in
+    any order, and the tape's times cannot drift from the seed's.  It
+    also finds a D-cache line and set by shift and mask."""
     problems = []
     miss = isa.dcache["miss"]
     charges = {f"latency of {opcode}": latency
@@ -293,7 +292,7 @@ def _run_state(result, timing):
     return (result.return_value, result.output,
             result.instructions_executed,
             list(result.dynamic_histogram.items()),
-            timing.issue, timing.stall_cycles, timing.ready,
+            timing.issue, timing.ready,
             timing.mispredicts, timing.predictor.table,
             [(cache.tick, cache.hits, cache.misses, cache.data)
              for cache in (timing.icache, timing.dcache)])
@@ -303,15 +302,13 @@ def _run_state(result, timing):
 def test_back_to_back_runs_on_one_model_match_seed(target):
     """Two different programs on one ``PipelineModel``, then the second
     program's simulators run again: each run starts from the previous
-    one's issue time, stall total, ready times, caches and predictor
-    (and, on the rerun, instruction count), and the tape's stall total,
-    derived once per run, still equals the seed's per-instruction sum."""
+    one's issue time, ready times, caches and predictor (and, on the
+    rerun, instruction count) and still ends in the seed's state."""
     isa = get_isa(target)
     timings = (PipelineModel(isa), PipelineModel(isa))
     programs = _opcode_coverage_programs(isa)
     for program in (programs[0], programs[3]):
         _assert_equivalent(program, isa, timed=True, timings=timings)
-        assert timings[1].stall_cycles > 0
     seed = Simulator(programs[3], isa, timings[0])
     tape = TapeSimulator(programs[3], isa, timings[1])
     for _ in range(2):
@@ -370,9 +367,10 @@ int main() {
 
 @pytest.mark.parametrize("target", ["x86", "riscv"])
 def test_stall_total_with_every_penalty_matches_seed(target):
-    """One run charges every penalty the tape keeps out of its derived
-    stall total: I-cache misses, store misses, mispredicts of taken and
-    of not-taken branches, calls, ``memset`` and ``memcpy`` cells."""
+    """One run charges every penalty the tape adds to the issue time
+    outside its scoreboard: I-cache misses, store misses, mispredicts of
+    taken and of not-taken branches, calls, ``memset`` and ``memcpy``
+    cells."""
     isa = get_isa(target)
     module = compile_source(_PENALTY_SOURCE)
     PassManager().run(module, ["mem2reg", "instcombine", "loop-idiom"])
@@ -383,7 +381,7 @@ def test_stall_total_with_every_penalty_matches_seed(target):
     _assert_equivalent(program, isa, timed=True, timings=timings)
     assert seed_timing.icache.misses > 0
     assert all(seed_timing.penalties.values()), seed_timing.penalties
-    assert timings[1].stall_cycles == seed_timing.stall_cycles > 0
+    assert timings[1].issue == seed_timing.issue > 0
 
 
 class _TinyX86(X86):
@@ -575,6 +573,18 @@ def test_error_parity():
             assert str(tape_error.value) == str(seed_error.value), case
 
 
+def _limit_fuel(monkeypatch, fuel):
+    """Make ``Platform.execute`` build its current simulator class with
+    a budget of ``fuel`` instructions."""
+    simulator = repro.sim.platform.TapeSimulator
+
+    class Budgeted(simulator):
+        def __init__(self, program, isa, timing=None, **_):
+            super().__init__(program, isa, timing, fuel=fuel)
+
+    monkeypatch.setattr(repro.sim.platform, "TapeSimulator", Budgeted)
+
+
 _ENGINE_FAILURES = {
     "fuel": ("int main() { int i = 0; while (i < 100000) { i += 1; } "
              "return i; }", 500, "simulator fuel exhausted"),
@@ -593,7 +603,8 @@ def test_engine_failures_match_seed(case, monkeypatch):
     """Through ``EvaluationEngine`` a failing run becomes the same
     ``EvalFailure`` on the tape as with the seed simulator swapped in,
     and stores nothing: no payload carries the counters of a run that
-    failed."""
+    failed.  The ``fuel`` case gives both simulators a 500-instruction
+    budget."""
     source, fuel, message = _ENGINE_FAILURES[case]
     workload = Workload(f"failing_{case}", "tests", source)
     failures = []
@@ -601,9 +612,11 @@ def test_engine_failures_match_seed(case, monkeypatch):
     for seed in (False, True):
         if seed:
             built = _back_platforms_with_seed(monkeypatch)
+        if fuel is not None:
+            _limit_fuel(monkeypatch, fuel)
         engine = EvaluationEngine(Platform("riscv"))
         [result] = engine.evaluate_batch([(workload, ("mem2reg",))],
-                                         fuel=fuel, on_error="collect")
+                                         on_error="collect")
         assert isinstance(result, EvalFailure)
         assert message in result.error
         assert engine.cache.stats.stores == 0

@@ -214,7 +214,7 @@ def build_parser():
                    help="write the trained PSS bundle (.npz)")
     # Evaluation-engine knobs.
     p.add_argument("--no-cache", action="store_true",
-                   help="disable the evaluation cache")
+                   help="disable the evaluation cache and the farm")
     p.add_argument("--eval-mode", default="serial",
                    choices=("serial", "process"),
                    help="executor for cold evaluations")

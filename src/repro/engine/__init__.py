@@ -2,12 +2,6 @@
 
 from repro.engine.batched import objective_rows, predict_many
 from repro.engine.cache import CacheStats, EvaluationCache, cache_key
-from repro.engine.chaos import (
-    ChaosInjector,
-    InjectedCrash,
-    InjectedFault,
-    InjectedIOError,
-)
 from repro.engine.engine import EvalResult, EvaluationEngine
 from repro.engine.evaluator import (
     EXECUTION_MODES,
@@ -27,7 +21,6 @@ from repro.engine.store import ShardedStore
 
 __all__ = [
     "CacheStats",
-    "ChaosInjector",
     "EXECUTION_MODES",
     "EvalFailure",
     "EvalResult",
@@ -35,9 +28,6 @@ __all__ = [
     "EvaluationCache",
     "EvaluationEngine",
     "FaultStats",
-    "InjectedCrash",
-    "InjectedFault",
-    "InjectedIOError",
     "PointEvaluator",
     "ShardedStore",
     "WorkerError",

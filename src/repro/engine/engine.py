@@ -71,20 +71,18 @@ class EvalResult:
 class EvaluationEngine:
     """Cached (and optionally parallel) evaluation for one platform.
 
-    ``cache=False`` turns the in-process evaluation cache off, so every
-    ``evaluate`` call runs its point afresh.
+    ``farm_dir`` names a compile farm: a cross-process
+    :class:`~repro.engine.store.ShardedStore` shared by every client and
+    pool worker pointed at it.  It is the disk tier behind this engine's
+    LRU, and process-pool workers compose per-function results through
+    it instead of re-simulating farm-known code.  ``cache=False`` turns
+    the evaluation cache off, farm included, so every ``evaluate`` call
+    runs its point afresh.
     """
 
     def __init__(self, platform, cache=True, mode="serial", workers=None,
-                 farm_dir=None, eval_timeout=None, chaos=None):
+                 farm_dir=None, eval_timeout=None):
         self.platform = platform
-        #: Compile-farm directory: a cross-process
-        #: :class:`~repro.engine.store.ShardedStore` shared by every
-        #: client and pool worker pointed at it.  Doubles as the disk
-        #: tier behind this engine's LRU, and is propagated into
-        #: process-pool specs so workers compose per-function results
-        #: through it instead of re-simulating farm-known code.
-        self.farm_dir = farm_dir
         #: Function-granular second-level cache consumer: on a
         #: sequence-key miss, in-process evaluations run the (cheap)
         #: pass pipeline and look the *optimized* module's
@@ -103,11 +101,8 @@ class EvaluationEngine:
         #: One supervisor runs every fresh point, in-process or pooled;
         #: its fault counters are the engine's.
         self.evaluator = PointEvaluator(
-            mode=mode, workers=workers, timeout=eval_timeout, chaos=chaos)
+            mode=mode, workers=workers, timeout=eval_timeout)
         self.fault_stats = self.evaluator.faults
-        if chaos is not None and self.cache is not None and \
-                self.cache.store is not None:
-            self.cache.store.chaos = chaos
         self._workload_fingerprints = {}
         self._estimator_tokens = weakref.WeakKeyDictionary()
         self._token_counter = 0
@@ -157,6 +152,8 @@ class EvaluationEngine:
         return token
 
     def _spec(self, workload, sequence):
+        pooled = self.evaluator.mode == "process" and \
+            self.cache is not None
         return {
             "source": workload.source,
             "name": workload.name,
@@ -166,8 +163,7 @@ class EvaluationEngine:
             # Process-pool workers compose through the shared farm;
             # in-process attempts compose via _evaluate_miss (whose
             # cache already fronts the same store).
-            "farm_dir": self.farm_dir
-            if self.evaluator.mode == "process" else None,
+            "farm_dir": self.cache.store_dir if pooled else None,
         }
 
     # -- profiled evaluations --------------------------------------------

@@ -20,12 +20,12 @@ Supervision has one recovery path for every mode:
 
 - **One attempt function.**  :func:`attempt_point` is the only place a
   point runs: it arms the per-point deadline
-  (:func:`repro.engine.faults.deadline`), applies the chaos hook, runs
-  the point and classifies any exception into a
+  (:func:`repro.engine.faults.deadline`), runs the point and classifies
+  any exception into a
   :class:`~repro.engine.faults.EvalFailure`.  Pool workers, the serial
   tier and the engine's composed path all call it, and a failure it
   reports is final.
-- **Pool breaks.**  A died worker (OOM kill, injected crash) breaks
+- **Pool breaks.**  A died worker (an OOM kill, say) breaks
   the pool; the supervisor respawns it.  Every point that was on its
   first attempt in the broken pool is re-run solo once, however many
   shared the pool with it, and nothing else flies with a solo re-run.
@@ -50,7 +50,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.engine.chaos import maybe_fail_point
 from repro.engine.faults import (
     CRASH,
     TIMEOUT,
@@ -272,15 +271,14 @@ def compose_point(spec, store):
 def attempt_point(spec, run=evaluate_point):
     """One attempt at one point: the only place a point runs.
 
-    Arms the spec's deadline, applies its chaos hook, calls ``run``
-    (:func:`evaluate_point`, or the engine's in-process composed path)
-    and classifies any exception, so the outcome travels back as a
-    value: ``(payload, None)`` or ``(None, EvalFailure)``.  Top-level
-    so pool workers can run it.
+    Arms the spec's deadline, calls ``run`` (:func:`evaluate_point`, or
+    the engine's in-process composed path) and classifies any
+    exception, so the outcome travels back as a value:
+    ``(payload, None)`` or ``(None, EvalFailure)``.  Top-level so pool
+    workers can run it.
     """
     try:
         with deadline(spec.get("timeout")):
-            maybe_fail_point(spec)
             return run(spec), None
     except Exception as error:  # noqa: BLE001 - classified, not raised
         return None, failure_of(spec, error)
@@ -306,19 +304,16 @@ class PointEvaluator:
     :meth:`run` returns ``(payload, EvalFailure | None)`` pairs in
     input order, and never lets a raw exception, a hung worker, or a
     broken pool escape or wedge the batch.  ``timeout`` is the
-    per-point deadline in seconds; ``chaos`` is a
-    :class:`~repro.engine.chaos.ChaosInjector` test hook.
+    per-point deadline in seconds.
     """
 
-    def __init__(self, mode="serial", workers=None, timeout=None,
-                 chaos=None):
+    def __init__(self, mode="serial", workers=None, timeout=None):
         if mode not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown mode {mode!r}; choose from {EXECUTION_MODES}")
         self.mode = mode
         self.workers = max(1, int(workers)) if workers else None
         self.timeout = timeout
-        self.chaos = chaos
         self.faults = FaultStats()
 
     def run(self, specs, run=evaluate_point):
@@ -329,14 +324,12 @@ class PointEvaluator:
         specs = list(specs)
         if self.mode == "process" and len(specs) > 1:
             return self._run_pooled(specs)
-        return [self.attempt(spec, index, run)
-                for index, spec in enumerate(specs)]
+        return [self.attempt(spec, run) for spec in specs]
 
-    def attempt(self, spec, index=None, run=evaluate_point):
-        """One in-process :func:`attempt_point` at ``spec`` (batch
-        position ``index``), with its failure counted."""
-        return self._count(attempt_point(
-            self._decorated(spec, 1, index), run))
+    def attempt(self, spec, run=evaluate_point):
+        """One in-process :func:`attempt_point` at ``spec``, with its
+        failure counted."""
+        return self._count(attempt_point(self._decorated(spec, 1), run))
 
     def _count(self, outcome):
         failure = outcome[1]
@@ -344,15 +337,11 @@ class PointEvaluator:
             self.faults.bump(counter_for_kind(failure.kind))
         return outcome
 
-    def _decorated(self, spec, attempt, index):
+    def _decorated(self, spec, attempt):
         spec = dict(spec)
         spec["attempt"] = attempt
         if self.timeout:
             spec["timeout"] = self.timeout
-        if self.chaos is not None:
-            spec["chaos"] = self.chaos
-            if index is not None:
-                spec["chaos_point"] = index
         return spec
 
     # -- process tier -----------------------------------------------------
@@ -436,7 +425,7 @@ class PointEvaluator:
             state = queue.popleft()
             try:
                 future = pool.submit(attempt_point, self._decorated(
-                    state.spec, state.attempt, state.index))
+                    state.spec, state.attempt))
             except BrokenProcessPool:
                 return [state]
             watchdog = (time.monotonic()

@@ -11,8 +11,7 @@ Every point attempt ends as a payload or an :class:`EvalFailure` whose
 - **timeout** — the point exceeded its wall-clock deadline (the
   attempt's own alarm, or the parent-side watchdog that killed a
   hard-hung worker).
-- **crash** — the point's worker died (``BrokenProcessPool``, or an
-  injected crash).
+- **crash** — the point's worker died (``BrokenProcessPool``).
 
 A failure the attempt reports itself is final: re-running a
 deterministic point cannot change its outcome, and a timeout retry
@@ -67,11 +66,9 @@ def classify_exception(error):
     """Map an exception to its failure kind (see module docstring)."""
     from concurrent.futures.process import BrokenProcessPool
 
-    from repro.engine.chaos import InjectedCrash
-
     if isinstance(error, EvalTimeout):
         return TIMEOUT
-    if isinstance(error, (BrokenProcessPool, InjectedCrash)):
+    if isinstance(error, BrokenProcessPool):
         return CRASH
     if isinstance(error, OSError):
         return TRANSIENT

@@ -12,7 +12,7 @@ Layout (``root`` is the ``--farm-dir``)::
     root/
       seg-<pid>-<token>.jsonl     one writer's append-only segment
       seg-<pid>-<token>-<n>.jsonl the same writer's segment after its
-                                  ``n``-th torn write
+                                  ``n``-th failed write
       _stats/<pid>-<token>.json   per-writer counters (aggregated for
                                   the cross-process hit-rate report)
 
@@ -30,8 +30,8 @@ lock files.  These invariants make that safe:
 - **Damage stays at a file end.**  A line is visible once its trailing
   newline is on disk; readers skip torn, corrupt and checksum-failing
   lines.  A crashed writer can only tear its segment's last line, and
-  a live writer whose put leaves a torn line (only the chaos harness
-  does that) moves on to a fresh segment.
+  a live writer whose write fails (``ENOSPC``, say) may have torn its
+  last line, so it moves on to a fresh segment.
 - **Readers refresh incrementally.**  Each instance keeps one
   ``key -> (segment, offset, length)`` index and, on a miss, parses
   only the bytes each segment gained since it last looked.
@@ -85,11 +85,7 @@ class ShardedStore:
     """On-disk content-addressed store, safe under concurrent readers
     and writers from many processes (see module docstring)."""
 
-    def __init__(self, root, chaos=None):
-        #: Optional :class:`repro.engine.chaos.ChaosInjector`: lets the
-        #: fault harness raise I/O errors and corrupt/truncate lines on
-        #: this store's read/write paths deterministically.
-        self.chaos = chaos
+    def __init__(self, root):
         self.root = os.path.abspath(root)
         self._lock = threading.RLock()
         self._index = {}  # key -> (segment path, offset, length)
@@ -117,34 +113,30 @@ class ShardedStore:
     # -- write path -------------------------------------------------------
     def put(self, key, payload):
         """Append one entry; visible to every process once written."""
-        if self.chaos is not None:
-            self.chaos.on_store_op("put", key)
         with self._lock:
             self._ensure_process()
             data = _encode_line(key, payload)
-            if self.chaos is not None:
-                data = self.chaos.mangle_line(key, data)
             path = self._segment_path()
             os.makedirs(self.root, exist_ok=True)
-            with open(path, "ab") as handle:
-                offset = handle.tell()
-                handle.write(data)
-            self._tails[path] = offset + len(data)
-            if data.endswith(b"\n"):
-                self._index[key] = (path, offset, len(data))
-            else:
-                # A torn line: leave it at this segment's end (the
-                # crashed-writer shape readers skip) and write on in a
-                # fresh segment.
+            try:
+                with open(path, "ab") as handle:
+                    offset = handle.tell()
+                    handle.write(data)
+            except OSError:
+                # A write that failed partway leaves a torn line at this
+                # segment's end (the crashed-writer shape readers skip);
+                # the next line must not merge with it, so write on in
+                # a fresh segment.
                 self._tears += 1
+                raise
+            self._tails[path] = offset + len(data)
+            self._index[key] = (path, offset, len(data))
             self.stats["stores"] += 1
             self._flush_stats()
 
     # -- read path --------------------------------------------------------
     def get(self, key):
         """The payload stored for ``key``, or None."""
-        if self.chaos is not None:
-            self.chaos.on_store_op("get", key)
         with self._lock:
             self._ensure_process()
             entry = self._index.get(key)

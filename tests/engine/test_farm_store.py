@@ -16,7 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.engine import (
-    ChaosInjector,
     EvaluationCache,
     EvaluationEngine,
     ShardedStore,
@@ -26,6 +25,7 @@ from repro.engine import (
 from repro.engine.store import _encode_line
 from repro.sim import Platform
 from repro.workloads import load_suite
+from tests.engine.faultinject import inject_store_faults
 
 KEYS = [cache_key(f"fp{i}", ("mem2reg",), "riscv", 0) for i in range(40)]
 
@@ -65,18 +65,20 @@ def test_entries_visible_to_other_instances(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["_stats"] + segments
 
 
-def test_torn_put_moves_the_writer_to_a_fresh_segment(tmp_path):
-    # Truncate three keys' lines: each torn put leaves its line at the
-    # end of the segment it tore, and the writer goes on in a new one.
+def test_torn_put_moves_the_writer_to_a_fresh_segment(tmp_path,
+                                                      monkeypatch):
+    # Three keys' writes fail halfway: each torn put leaves its line at
+    # the end of the segment it tore, and the writer goes on in a new
+    # one.
     torn = set(KEYS[1:7:2])
-
-    class TearSome(ChaosInjector):
-        def mangle_line(self, key, data):
-            return data[:len(data) // 2] if key in torn else data
-
-    writer = ShardedStore(tmp_path, chaos=TearSome())
+    inject_store_faults(monkeypatch, torn=torn)
+    writer = ShardedStore(tmp_path)
     for i, key in enumerate(KEYS[:8]):
-        writer.put(key, {"v": i})
+        if key in torn:
+            with pytest.raises(OSError):
+                writer.put(key, {"v": i})
+        else:
+            writer.put(key, {"v": i})
     assert len(_segments(tmp_path)) == 1 + len(torn)
     fresh = ShardedStore(tmp_path)
     for i, key in enumerate(KEYS[:8]):
@@ -87,6 +89,19 @@ def test_torn_put_moves_the_writer_to_a_fresh_segment(tmp_path):
     # have merged with it into one corrupt line.
     assert fresh.local_stats()["corrupt_lines"] == 0
     assert fresh.local_stats()["checksum_skips"] == 0
+
+
+def test_failed_write_does_not_lose_the_next_entry(tmp_path, monkeypatch):
+    # A write that raises partway (a full disk) leaves torn bytes
+    # behind; the entry put after it must still reach a fresh reader.
+    inject_store_faults(monkeypatch, torn={KEYS[0]})
+    writer = ShardedStore(tmp_path)
+    with pytest.raises(OSError):
+        writer.put(KEYS[0], {"v": 0})
+    writer.put(KEYS[1], {"v": 1})
+    fresh = ShardedStore(tmp_path)
+    assert fresh.get(KEYS[1]) == {"v": 1}
+    assert fresh.local_stats()["corrupt_lines"] == 0
 
 
 def test_torn_final_line_and_corrupt_lines_are_skipped(tmp_path):
@@ -270,3 +285,18 @@ def test_process_pool_farm_holds_one_segment_per_writer(tmp_path):
                 if name.startswith("shard-")]
     assert 0 < len(_segments(farm)) <= aggregate["processes"]
     assert aggregate["stores"] >= len(points)
+
+
+def test_no_cache_process_pool_leaves_the_farm_alone(tmp_path):
+    """``cache=False`` turns the farm off for pool workers too: nothing
+    reads or fills the farm directory, as ``stats()["farm"]`` says."""
+    farm = tmp_path / "farm"
+    engine = EvaluationEngine(Platform("riscv", measurement_seed=9),
+                              cache=False, mode="process", workers=2,
+                              farm_dir=str(farm))
+    workload = load_suite("beebs")[0]
+    results = engine.evaluate_batch([(workload, seq)
+                                     for seq in SEQUENCES[:2]])
+    assert not any(result.failed for result in results)
+    assert engine.stats()["farm"] is None
+    assert not farm.exists() or not _segments(farm)

@@ -1,24 +1,24 @@
 """Fault-tolerance layer: failure taxonomy, the one supervisor's
 recovery rules, and store checksums.
 
-Companion suite: ``test_faults.py`` covers the chaos harness itself
-(seeded reproducibility and the injected-fault -> recovery matrix).
+Companion suite: ``test_faults.py`` covers the fault-injection helper
+itself (seeded reproducibility and the injected-fault -> recovery
+matrix).
 """
 
 import pytest
 
 from repro.engine import (
-    ChaosInjector,
     EvalFailure,
     EvalTimeout,
     EvaluationEngine,
-    InjectedCrash,
     ShardedStore,
     classify_exception,
 )
 from repro.errors import CompilationError, SimulationError
 from repro.sim import Platform
 from repro.workloads import load_suite
+from tests.engine.faultinject import inject_point_faults
 
 SEQUENCES = ((), ("mem2reg", "simplifycfg"),
              ("mem2reg", "instcombine", "dce"))
@@ -50,7 +50,6 @@ def test_classification_table():
 
     assert classify_exception(EvalTimeout("late")) == "timeout"
     assert classify_exception(BrokenProcessPool("died")) == "crash"
-    assert classify_exception(InjectedCrash("boom")) == "crash"
     assert classify_exception(OSError("torn")) == "transient"
     assert classify_exception(CompilationError("bad")) == \
         "deterministic"
@@ -62,15 +61,17 @@ def test_classification_table():
 # -- supervision ----------------------------------------------------------
 
 def test_poison_point_ends_as_crash_after_one_solo_rerun(workload,
-                                                         tmp_path):
+                                                         tmp_path,
+                                                         monkeypatch):
     farm = tmp_path / "farm"
+    points = [(workload, ("mem2reg",)), (workload, ("dce",))]
     # The co-flyer stalls on its first attempt, so it is still in
     # flight when the poison point breaks the pool.
-    chaos = ChaosInjector(seed=0, crash_points=[0], times=99,
-                          stall_points={1: 1}, stall_seconds=2.0)
-    engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=60, farm_dir=str(farm))
-    points = [(workload, ("mem2reg",)), (workload, ("dce",))]
+    inject_point_faults(monkeypatch, {points[0]: ("crash", 99),
+                                      points[1]: ("stall", 1)},
+                        seconds=2.0)
+    engine = _engine(mode="process", workers=2, eval_timeout=60,
+                     farm_dir=str(farm))
     results = engine.evaluate_batch(points, on_error="collect")
     # Both points shared the broken pool, so both were re-run solo
     # once; the poison point crashed its solo run too.
@@ -88,10 +89,11 @@ def test_poison_point_ends_as_crash_after_one_solo_rerun(workload,
     assert not (farm / "_faults").exists()
 
 
-def test_timeout_failure_is_structured(workload):
-    chaos = ChaosInjector(seed=0, stall_points=[0], times=99,
-                          stall_seconds=1.5)
-    engine = _engine(chaos=chaos, eval_timeout=0.3)
+def test_timeout_failure_is_structured(workload, monkeypatch):
+    inject_point_faults(monkeypatch,
+                        {(workload, ("mem2reg",)): ("stall", 99)},
+                        seconds=1.5)
+    engine = _engine(eval_timeout=0.3)
     results = engine.evaluate_batch([(workload, ("mem2reg",))],
                                     on_error="collect")
     assert results[0].failed and results[0].kind == "timeout"
@@ -100,7 +102,7 @@ def test_timeout_failure_is_structured(workload):
     assert engine.fault_stats.as_dict()["timeouts"] == 1
 
 
-def test_repeated_pool_breaks_respawn_the_pool(workload):
+def test_repeated_pool_breaks_respawn_the_pool(workload, monkeypatch):
     # Three pool breaks in one batch (each pair of co-flyers crashes
     # its first attempt), each resolved by solo re-runs: the evaluator
     # stays on its pool (in-process, every first attempt would fail as
@@ -108,9 +110,9 @@ def test_repeated_pool_breaks_respawn_the_pool(workload):
     sequences = SEQUENCES + (("dce",), ("mem2reg",), ("mem2reg", "gvn"))
     points = _points(workload, sequences)
     serial_rows = _rows(_engine().evaluate_batch(points))
-    chaos = ChaosInjector(seed=0, crash_points=range(6), times=1)
-    engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=60)
+    inject_point_faults(monkeypatch,
+                        {point: ("crash", 1) for point in points})
+    engine = _engine(mode="process", workers=2, eval_timeout=60)
     results = engine.evaluate_batch(points, on_error="collect")
     assert _rows(results) == serial_rows
     counters = engine.fault_stats.as_dict()
@@ -120,15 +122,17 @@ def test_repeated_pool_breaks_respawn_the_pool(workload):
     assert engine.stats()["mode"] == "process"
 
 
-def test_serial_tier_recovers_from_inprocess_crashes(workload):
+def test_serial_tier_recovers_from_inprocess_crashes(workload,
+                                                     monkeypatch):
     # In-process, an injected crash is final on its one attempt (a real
     # crash would take the client with it); the batch still completes
     # and the innocent point's row is exact.
-    serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
-    chaos = ChaosInjector(seed=0, crash_points=[0, 2], times=1)
-    engine = _engine(chaos=chaos, cache=False)
-    results = engine.evaluate_batch(_points(workload),
-                                    on_error="collect")
+    points = _points(workload)
+    serial_rows = _rows(_engine().evaluate_batch(points))
+    inject_point_faults(monkeypatch, {points[0]: ("crash", 1),
+                                      points[2]: ("crash", 1)})
+    engine = _engine(cache=False)
+    results = engine.evaluate_batch(points, on_error="collect")
     assert [(r.kind, r.attempts) for r in (results[0], results[2])] == \
         [("crash", 1), ("crash", 1)]
     assert _rows(results[1:2]) == serial_rows[1:2]

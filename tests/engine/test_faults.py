@@ -1,11 +1,11 @@
-"""The deterministic fault-injection harness.
+"""The deterministic fault-injection harness (``faultinject.py``).
 
 Three claims:
 
-1. **Seeded injection is reproducible** — the same injector
-   configuration makes identical decisions run to run (point selection
-   and the rate-based store draws), so a chaos failure is a test case,
-   not a flake.
+1. **Seeded injection is reproducible** — the same fault configuration
+   makes identical decisions run to run (point selection and the
+   rate-based store draws), so an injected failure is a test case, not
+   a flake.
 2. **Every injected fault class maps to its documented recovery** —
    co-flying crash -> respawn + solo re-run, stall or hang -> final
    timeout (the hang via the parent's watchdog), store I/O error ->
@@ -20,16 +20,19 @@ Three claims:
 import pytest
 
 from repro.engine import (
-    ChaosInjector,
     EvalFailure,
     EvalResult,
     EvaluationEngine,
-    InjectedIOError,
     ShardedStore,
 )
-from repro.engine.chaos import _chance
 from repro.sim import Platform
 from repro.workloads import load_suite
+from tests.engine.faultinject import (
+    chance,
+    fault_for,
+    inject_point_faults,
+    inject_store_faults,
+)
 
 SEQUENCES = ((), ("mem2reg", "simplifycfg"),
              ("mem2reg", "instcombine", "dce"))
@@ -57,61 +60,65 @@ def _engine(**kwargs):
 
 # -- claim 1: seeded injection is reproducible ----------------------------
 
+def _faults(points, kind, indices, times=1):
+    """``{point: (kind, times)}`` for the points at ``indices``."""
+    return {points[index]: (kind, times) for index in indices}
+
+
 def test_rate_draws_are_stable_and_order_independent():
     keys = [f"{n:064x}" for n in range(64)]
-    first = [_chance(7, "store.get", key) for key in keys]
-    second = [_chance(7, "store.get", key) for key in reversed(keys)]
+    first = [chance(7, "store.get", key) for key in keys]
+    second = [chance(7, "store.get", key) for key in reversed(keys)]
     assert first == list(reversed(second))
     # Different seeds and sites decorrelate.
-    assert first != [_chance(8, "store.get", key) for key in keys]
-    assert first != [_chance(7, "store.put", key) for key in keys]
+    assert first != [chance(8, "store.get", key) for key in keys]
+    assert first != [chance(7, "store.put", key) for key in keys]
     assert all(0.0 <= draw < 1.0 for draw in first)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_same_seed_same_outcomes(seed, workload):
-    def run():
-        chaos = ChaosInjector(seed=seed, crash_points=[0], times=1,
-                              io_error_rate=0.3)
-        engine = _engine(chaos=chaos, cache=False, eval_timeout=60)
+def test_same_seed_same_outcomes(seed, workload, monkeypatch, tmp_path):
+    inject_point_faults(monkeypatch,
+                        _faults(_points(workload), "crash", [0]))
+    inject_store_faults(monkeypatch, seed=seed, io_error_rate=0.3)
+
+    def run(farm):
+        # Each run gets an empty farm, so its store faults hit the same
+        # keys in the same state.
+        engine = _engine(farm_dir=str(tmp_path / farm), eval_timeout=60)
         results = engine.evaluate_batch(_points(workload),
                                         on_error="collect")
         outcome = [(type(r).__name__, getattr(r, "kind", None))
                    for r in results]
-        return outcome, engine.fault_stats.as_dict(), _rows(
-            [r for r in results if not r.failed])
+        return outcome, engine.fault_stats.as_dict(), \
+            engine.cache.stats.disk_errors, _rows(
+                [r for r in results if not r.failed])
 
-    assert run() == run()
+    first = run("first")
+    assert first == run("second")
+    assert first[2] > 0  # the store faults fired
 
 
-def test_point_selection_by_index_and_identity(workload):
-    by_index = ChaosInjector(seed=0, crash_points=[1], times=2)
-    spec = {"name": workload.name, "sequence": ("dce",),
-            "chaos_point": 1, "attempt": 1}
-    assert by_index._selected(by_index.crash_points, spec)
-    assert by_index._selected(by_index.crash_points,
-                              {**spec, "attempt": 2})
-    assert not by_index._selected(by_index.crash_points,
-                                  {**spec, "attempt": 3})
-    assert not by_index._selected(by_index.crash_points,
-                                  {**spec, "chaos_point": 0})
-    by_identity = ChaosInjector(
-        seed=0, stall_points=[(workload.name, ("dce",))])
-    assert by_identity._selected(by_identity.stall_points, spec)
-    assert not by_identity._selected(
-        by_identity.stall_points, {**spec, "sequence": ("mem2reg",)})
+def test_point_selection_by_identity_and_attempt(workload):
+    plan = {(workload.name, ("dce",)): ("crash", 2)}
+    spec = {"name": workload.name, "sequence": ["dce"], "attempt": 1}
+    assert fault_for(plan, spec) == "crash"
+    assert fault_for(plan, {**spec, "attempt": 2}) == "crash"
+    assert fault_for(plan, {**spec, "attempt": 3}) is None
+    assert fault_for(plan, {**spec, "sequence": ("mem2reg",)}) is None
+    assert fault_for(plan, {**spec, "name": "other"}) is None
 
 
 # -- claim 2: every fault class maps to its recovery ----------------------
 
-def test_crash_recovery_process_pool(workload):
+def test_crash_recovery_process_pool(workload, monkeypatch):
     # Points 0 and 1 fly together and both crash their pool; each is
     # re-run solo once, gets past its one injected crash, and lands
     # bit-identical to the fault-free serial row.
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
-    chaos = ChaosInjector(seed=1, crash_points=[0, 1], times=1)
-    engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=60)
+    inject_point_faults(monkeypatch,
+                        _faults(_points(workload), "crash", [0, 1]))
+    engine = _engine(mode="process", workers=2, eval_timeout=60)
     rows = _rows(engine.evaluate_batch(_points(workload)))
     assert rows == serial_rows
     counters = engine.fault_stats.as_dict()
@@ -120,15 +127,15 @@ def test_crash_recovery_process_pool(workload):
     assert counters["crashes"] == 0
 
 
-def test_lone_crasher_gets_its_solo_rerun(workload):
+def test_lone_crasher_gets_its_solo_rerun(workload, monkeypatch):
     # One worker and a deadline cap the pool at one point in flight, so
     # the crasher is always alone when its worker dies.  Its first
     # attempt still earns the solo re-run, which gets past the one
     # injected crash.
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
-    chaos = ChaosInjector(seed=0, crash_points=[0], times=1)
-    engine = _engine(mode="process", workers=1, chaos=chaos,
-                     eval_timeout=60)
+    inject_point_faults(monkeypatch,
+                        _faults(_points(workload), "crash", [0]))
+    engine = _engine(mode="process", workers=1, eval_timeout=60)
     rows = _rows(engine.evaluate_batch(_points(workload)))
     assert rows == serial_rows
     counters = engine.fault_stats.as_dict()
@@ -146,41 +153,42 @@ def _assert_one_timeout(engine, results, serial_rows):
     assert counters["timeouts"] == 1 and counters["retries"] == 0
 
 
-def test_stall_recovery_worker_deadline(workload):
+def test_stall_recovery_worker_deadline(workload, monkeypatch):
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
-    chaos = ChaosInjector(seed=0, stall_points=[0], times=1,
-                          stall_seconds=1.5)
-    engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=0.4)
+    inject_point_faults(monkeypatch,
+                        _faults(_points(workload), "stall", [0]),
+                        seconds=1.5)
+    engine = _engine(mode="process", workers=2, eval_timeout=0.4)
     results = engine.evaluate_batch(_points(workload),
                                     on_error="collect")
     _assert_one_timeout(engine, results, serial_rows)
     assert engine.fault_stats.as_dict()["pool_respawns"] == 0
 
 
-def test_hard_hang_recovery_parent_watchdog(workload):
+def test_hard_hang_recovery_parent_watchdog(workload, monkeypatch):
     # The hang blocks SIGALRM, so only the parent-side watchdog (which
     # kills the worker) can end it — and it must.
     serial_rows = _rows(_engine().evaluate_batch(_points(workload)))
-    chaos = ChaosInjector(seed=0, hang_points=[0], times=1,
-                          stall_seconds=5.0)
-    engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=0.3)
+    inject_point_faults(monkeypatch,
+                        _faults(_points(workload), "hang", [0]),
+                        seconds=5.0)
+    engine = _engine(mode="process", workers=2, eval_timeout=0.3)
     results = engine.evaluate_batch(_points(workload),
                                     on_error="collect")
     _assert_one_timeout(engine, results, serial_rows)
     assert engine.fault_stats.as_dict()["pool_respawns"] == 1
 
 
-def test_store_io_errors_degrade_to_misses(tmp_path, workload):
+def test_store_io_errors_degrade_to_misses(tmp_path, workload,
+                                           monkeypatch):
     # Fault-free engine against the same directory first: the farm has
-    # the entries.  A chaos reader whose every store op errors still
-    # answers every point (cache tier treats I/O errors as misses).
+    # the entries.  A reader whose every store op errors still answers
+    # every point (cache tier treats I/O errors as misses).
     farm = str(tmp_path / "farm")
     warm = _engine(farm_dir=farm)
     reference = _rows(warm.evaluate_batch(_points(workload)))
-    chaos = ChaosInjector(seed=2, io_error_rate=1.0)
-    cold = _engine(farm_dir=farm, chaos=chaos)
+    inject_store_faults(monkeypatch, seed=2, io_error_rate=1.0)
+    cold = _engine(farm_dir=farm)
     rows = _rows(cold.evaluate_batch(_points(workload)))
     assert rows == reference
     assert cold.cache.stats.disk_errors > 0
@@ -202,52 +210,47 @@ def test_worker_farm_io_errors_are_best_effort(tmp_path, workload):
     assert engine.cache.stats.disk_errors > 0
 
 
-def test_corrupt_and_truncated_lines_are_skipped(tmp_path):
+def test_corrupt_and_truncated_lines_are_skipped(tmp_path, monkeypatch):
     root = str(tmp_path / "farm")
-    chaos = ChaosInjector(seed=3, corrupt_rate=0.5, truncate_rate=0.2)
-    writer = ShardedStore(root, chaos=chaos)
+    inject_store_faults(monkeypatch, seed=3, corrupt_rate=0.5,
+                        truncate_rate=0.2)
+    writer = ShardedStore(root)
     keys = [f"{n:064x}" for n in range(40)]
+    truncated = set()
     for n, key in enumerate(keys):
-        writer.put(key, {"n": n})
-    mangled = chaos.injected["corrupted"] + chaos.injected["truncated"]
-    assert mangled > 0
+        try:
+            writer.put(key, {"n": n})
+        except OSError:
+            truncated.add(key)
+    corrupted = {key for key in keys if key not in truncated
+                 and chance(3, "store.corrupt", key) < 0.5}
+    assert truncated and corrupted
+    monkeypatch.undo()
     # A clean reader serves every intact key and misses every mangled
     # one — garbage never comes back as data.
     reader = ShardedStore(root)
-    served = 0
     for n, key in enumerate(keys):
-        payload = reader.get(key)
-        assert payload is None or payload == {"n": n}
-        served += payload is not None
-    assert served == len(keys) - mangled
-    assert reader.local_stats()["checksum_skips"] >= \
-        chaos.injected["corrupted"]
-
-
-def test_injected_io_error_is_transient():
-    from repro.engine import classify_exception
-
-    assert classify_exception(InjectedIOError("boom")) == "transient"
+        mangled = key in truncated or key in corrupted
+        assert reader.get(key) == (None if mangled else {"n": n})
+    assert reader.local_stats()["checksum_skips"] >= len(corrupted)
 
 
 # -- claim 3: faults never change results ---------------------------------
 
 def test_all_tiers_bit_identical_under_transient_faults(workload,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        monkeypatch):
     points = _points(workload)
     reference = _rows(_engine().evaluate_batch(points))
     farm = tmp_path / "farm"
-
-    def chaos():
-        return ChaosInjector(seed=4, crash_points=[0, 1], times=1,
-                             stall_points=[2], stall_seconds=0.1)
-
+    inject_point_faults(monkeypatch, {
+        **_faults(points, "crash", [0, 1]),
+        **_faults(points, "stall", [2])}, seconds=0.1)
     configs = [
-        dict(chaos=chaos()),
-        dict(mode="process", workers=2, chaos=chaos(),
+        dict(),
+        dict(mode="process", workers=2, eval_timeout=60),
+        dict(mode="process", workers=2, farm_dir=str(farm),
              eval_timeout=60),
-        dict(mode="process", workers=2, chaos=chaos(),
-             farm_dir=str(farm), eval_timeout=60),
     ]
     for config in configs:
         engine = _engine(**config)
@@ -267,15 +270,15 @@ def test_all_tiers_bit_identical_under_transient_faults(workload,
     assert not (farm / "_faults").exists()
 
 
-def test_batch_always_completes_structurally(workload):
+def test_batch_always_completes_structurally(workload, monkeypatch):
     # Mixed injection (poison crash point + a deterministic failure):
     # evaluate_batch must return a full row set of EvalResult /
     # EvalFailure — no hang, no raw exception.
-    chaos = ChaosInjector(seed=5, crash_points={1: 99},
-                          stall_points=[0], stall_seconds=0.1)
-    engine = _engine(mode="process", workers=2, chaos=chaos,
-                     eval_timeout=60)
     points = _points(workload) + [(workload, ("not-a-phase",))]
+    inject_point_faults(monkeypatch, {
+        **_faults(points, "crash", [1], times=99),
+        **_faults(points, "stall", [0])}, seconds=0.1)
+    engine = _engine(mode="process", workers=2, eval_timeout=60)
     results = engine.evaluate_batch(points, on_error="collect")
     assert len(results) == len(points)
     assert all(isinstance(r, (EvalResult, EvalFailure))

@@ -82,8 +82,7 @@ def test_cli_mlcomp_engine_knobs_parse(tmp_path):
     mlcomp = MLComp(target="riscv", farm_dir=args.farm_dir,
                     eval_mode=args.eval_mode, workers=args.workers)
     assert mlcomp.engine.cache.max_entries == 4096
-    assert mlcomp.engine.farm_dir == str(tmp_path / "farm")
-    assert mlcomp.engine.cache.store_dir == mlcomp.engine.farm_dir
+    assert mlcomp.engine.cache.store_dir == str(tmp_path / "farm")
     assert mlcomp.engine.evaluator.mode == "process"
     assert mlcomp.engine.evaluator.workers == 2
     disabled = MLComp(target="riscv", cache=False)

@@ -1,13 +1,12 @@
 """Benchmark record of the backend's own speed (the codegen layer).
 
 Compiles the golden-digest corpus (``tests/backend/codegen_golden.py``:
-the workload corpus plus one SLP program, at -O0, -O2 and -O3, on both
-targets) three times and records, as the median of the three passes,
-the absolute seconds of instruction selection, register allocation and
-SLP fusion plus code layout, the whole ``compile_module`` time, and
-machine instructions emitted per second.  Every compile is checked
-against the golden digests inline, so a speedup can never be bought
-with a change in the output.
+the workload corpus at -O0, -O2 and -O3, on both targets) three times
+and records, as the median of the three passes, the absolute seconds of
+instruction selection, register allocation and code layout, the whole
+``compile_module`` time, and machine instructions emitted per second.
+Every compile is checked against the golden digests inline, so a
+speedup can never be bought with a change in the output.
 
 Slow tier, and no wall-clock bound: the numbers are recorded, not
 gated.  Running with ``REPRO_BENCH_RECORD=1`` appends them to
@@ -31,8 +30,7 @@ BENCH_PATH = os.path.join(ROOT, "BENCH_codegen.json")
 STAGES = {
     "select_function": "isel",
     "allocate_registers": "regalloc",
-    "_slp_fuse": "slp_layout",
-    "_layout_code": "slp_layout",
+    "_layout_code": "layout",
 }
 
 
@@ -88,8 +86,8 @@ def test_codegen_speed_record():
     per_second = instructions / median["codegen"]
     print(f"\n[codegen-bench] {compiles} compiles, {instructions} machine "
           f"instructions: isel {median['isel']:.3f}s, regalloc "
-          f"{median['regalloc']:.3f}s, slp+layout "
-          f"{median['slp_layout']:.3f}s, codegen {median['codegen']:.3f}s "
+          f"{median['regalloc']:.3f}s, layout "
+          f"{median['layout']:.3f}s, codegen {median['codegen']:.3f}s "
           f"({per_second:,.0f} instructions/s)")
     record(BENCH_PATH, {
         "benchmark": "codegen_golden_corpus",
@@ -97,7 +95,7 @@ def test_codegen_speed_record():
         "instructions": instructions,
         "isel_seconds": round(median["isel"], 4),
         "regalloc_seconds": round(median["regalloc"], 4),
-        "slp_layout_seconds": round(median["slp_layout"], 4),
+        "layout_seconds": round(median["layout"], 4),
         "codegen_seconds": round(median["codegen"], 4),
         "instructions_per_second": round(per_second),
     })

@@ -1,18 +1,16 @@
 """Code generation driver: IR module → MachineProgram.
 
-Steps: instruction selection per function, register allocation, post-RA
-SLP fusion (x86 with the ``slp-enabled`` attribute), global data layout,
-and code layout/encoding (assigning every instruction an address and a
-byte size — the paper's "code size" metric).
+Steps: instruction selection per function, register allocation, global
+data layout, and code layout/encoding (assigning every instruction an
+address and a byte size — the paper's "code size" metric).
 """
 
 from repro.backend.isa import get_isa
 from repro.backend.isel import select_function
-from repro.backend.mir import MachineInstr, MachineProgram, PhysReg
+from repro.backend.mir import MachineProgram
 from repro.backend.regalloc import allocate_registers
 
 _GLOBAL_BASE = 0x1000
-_SLP_OPCODES = ("fadd", "fsub", "fmul")
 
 
 def compile_module(module, target):
@@ -23,8 +21,6 @@ def compile_module(module, target):
     for function in module.defined_functions():
         mfunc = select_function(function, isa, program)
         allocate_registers(mfunc, isa)
-        if isa.has_vector and mfunc.slp_enabled:
-            _slp_fuse(mfunc, isa)
         program.add_function(mfunc)
     _layout_code(program, isa)
     return program
@@ -46,47 +42,6 @@ def _layout_globals(module, program):
             program.global_init[address + offset] = value
         address += cells
     program.data_cells = address - _GLOBAL_BASE
-
-
-def _slp_fuse(mfunc, isa):
-    """Pack runs of ``vector_lanes`` consecutive, independent, same-opcode
-    float ops into one ``vop`` (post-RA superword-level parallelism)."""
-    lanes = isa.vector_lanes
-    for block in mfunc.blocks:
-        instructions = block.instructions
-        result = []
-        index = 0
-        while index < len(instructions):
-            group = instructions[index:index + lanes]
-            if len(group) == lanes and _fusable_group(group):
-                vop = MachineInstr("vop", [group[0].opcode])
-                vop.lanes = [tuple(i.operands[:3]) for i in group]
-                result.append(vop)
-                index += lanes
-            else:
-                result.append(instructions[index])
-                index += 1
-        # MIR blocks carry no maintained CFG; wholesale replacement is
-        # the supported idiom here.
-        block.instructions = result  # replint: disable=R001
-
-
-def _fusable_group(group):
-    opcode = group[0].opcode
-    if opcode not in _SLP_OPCODES:
-        return False
-    if any(i.opcode != opcode for i in group):
-        return False
-    written = set()
-    for instr in group:
-        dst, a, b = instr.operands[:3]
-        if not all(isinstance(r, PhysReg) for r in (dst, a, b)):
-            return False
-        # Lanes must be independent: no lane reads a prior lane's result.
-        if a.name in written or b.name in written:
-            return False
-        written.add(dst.name)
-    return True
 
 
 def _layout_code(program, isa):

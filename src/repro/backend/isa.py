@@ -4,11 +4,15 @@ per-opcode latency/energy tables the simulator consumes.
 Two targets mirror the paper's platforms:
 
 - ``x86``: CISC-flavoured — 14 allocatable integer and 14 float registers,
-  variable-length encoding, ``lea`` address arithmetic, ``cmov``, SLP
-  vector lanes, a wide out-of-order-approximated pipeline.
+  variable-length encoding, ``lea`` address arithmetic, ``cmov``, a wide
+  out-of-order-approximated pipeline.
 - ``riscv``: RISC-flavoured embedded core — 26 allocatable integer and 30
   float registers, fixed 4-byte encoding (2-byte compressed subset),
   no cmov (expands), scalar in-order pipeline.
+
+Neither target has vector instructions: the ``slp-enabled`` attribute
+that ``slp-vectorizer`` and ``loop-vectorize`` set never reaches the
+machine code.
 """
 
 from repro.backend.mir import Imm, PhysReg
@@ -19,8 +23,6 @@ class ISA:
     issue_width = 1
     has_lea = False
     has_cmov = False
-    has_vector = False
-    vector_lanes = 4
     # Cache geometry (cells per line, lines, ways) and penalties.
     dcache = {"line": 8, "sets": 64, "ways": 2,
               "hit": 2, "miss": 20}
@@ -67,8 +69,6 @@ class X86(ISA):
     issue_width = 4
     has_lea = True
     has_cmov = True
-    has_vector = True
-    vector_lanes = 4
     dcache = {"line": 8, "sets": 64, "ways": 8, "hit": 1, "miss": 16}
     icache = {"line_bytes": 64, "lines": 512, "miss": 6}
     branch_mispredict = 14
@@ -87,7 +87,7 @@ class X86(ISA):
         "fadd": 3, "fsub": 3, "fmul": 4, "fdiv": 14,
         "fsqrt": 15, "fexp": 40, "flog": 40, "fsin": 45, "fcos": 45,
         "fpow": 60, "cvtsi2sd": 4, "cvtsd2si": 4,
-        "ld": 4, "vop": 4, "cmov": 2,
+        "ld": 4, "cmov": 2,
     }
     # Energy in picojoules per operation (McPAT-like orders of magnitude
     # for a desktop core).
@@ -98,7 +98,7 @@ class X86(ISA):
         "fsqrt": 500.0, "fexp": 1400.0, "flog": 1400.0,
         "fsin": 1600.0, "fcos": 1600.0, "fpow": 2100.0,
         "ld": 140.0, "st": 160.0, "call": 180.0, "ret": 90.0,
-        "vop": 260.0, "memset": 90.0, "memcpy": 120.0,
+        "memset": 90.0, "memcpy": 120.0,
         "print": 600.0,
     }
     static_power_watts = 4.5
@@ -131,8 +131,6 @@ class X86(ISA):
             return 1
         if opcode == "cmov":
             return 4
-        if opcode == "vop":
-            return 5
         if opcode in ("memset", "memcpy"):
             return 6  # rep stosq / rep movsq with setup
         if opcode == "print":
@@ -153,7 +151,6 @@ class RiscV(ISA):
     issue_width = 1
     has_lea = False
     has_cmov = False
-    has_vector = False
     dcache = {"line": 4, "sets": 32, "ways": 2, "hit": 1, "miss": 30}
     icache = {"line_bytes": 32, "lines": 64, "miss": 12}
     branch_mispredict = 3

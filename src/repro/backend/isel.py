@@ -54,7 +54,6 @@ class FunctionSelector:
         self.isa = isa
         self.program = program
         self.mfunc = MachineFunction(function.name)
-        self.mfunc.slp_enabled = "slp-enabled" in function.attributes
         self.value_map = {}
         self.block_map = {}
         self.current = None

@@ -108,20 +108,19 @@ class Label:
 #   print kind, src           kind in {'i','f'}
 #   memset dst, val, n        block fill (n cells)
 #   memcpy dst, src, n        block copy
-#   vop   sub_opcode, [(dst,a,b), ...]   SLP-fused float lanes (x86)
 #   frame_alloc dst, size     dst = address of a fresh stack area (alloca)
+# Every opcode is scalar: there is no vector or multi-lane instruction.
 
 TERMINATORS = frozenset({"jmp", "bcc", "fbcc", "ret"})
 
 
 class MachineInstr:
-    __slots__ = ("opcode", "operands", "pred", "lanes", "address", "size")
+    __slots__ = ("opcode", "operands", "pred", "address", "size")
 
-    def __init__(self, opcode, operands=(), pred=None, lanes=None):
+    def __init__(self, opcode, operands=(), pred=None):
         self.opcode = opcode
         self.operands = list(operands)
         self.pred = pred        # predicate for setcc/bcc families
-        self.lanes = lanes      # for vop
         self.address = 0        # byte address after layout
         self.size = 0           # encoded size in bytes
 
@@ -131,8 +130,6 @@ class MachineInstr:
     def __repr__(self):
         pred = f".{self.pred}" if self.pred else ""
         ops = ", ".join(repr(o) for o in self.operands)
-        if self.lanes is not None:
-            ops = f"{self.operands[0]} x{len(self.lanes)}"
         return f"{self.opcode}{pred} {ops}".strip()
 
 
@@ -155,7 +152,6 @@ class MachineFunction:
         self.blocks = []
         self.frame_slots = 0      # locals + spills, in cells
         self._next_vreg = 0
-        self.slp_enabled = False
 
     def new_block(self, label):
         block = MachineBlock(label)

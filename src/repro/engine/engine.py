@@ -180,19 +180,7 @@ class EvaluationEngine:
 
     def evaluate(self, workload, sequence):
         """Evaluate one (workload, sequence) point, cache-first."""
-        key = self.key_for(workload, sequence)
-        if self.cache is not None:
-            payload = self.cache.get(key)
-            if payload is not None:
-                return EvalResult(payload, key, cached=True)
-        payload, error = self.evaluator.attempt(
-            self._spec(workload, sequence), run=self._evaluate_miss)
-        if error is not None:
-            raise WorkerError(error.name, error.sequence, error.error,
-                              kind=error.kind)
-        if self.cache is not None:
-            self.cache.put(key, payload)
-        return EvalResult(payload, key, cached=False)
+        return self.evaluate_batch([(workload, sequence)])[0]
 
     def evaluate_batch(self, points, on_error="raise"):
         """Evaluate ``[(workload, sequence), ...]`` in input order.

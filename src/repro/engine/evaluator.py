@@ -324,12 +324,8 @@ class PointEvaluator:
         specs = list(specs)
         if self.mode == "process" and len(specs) > 1:
             return self._run_pooled(specs)
-        return [self.attempt(spec, run) for spec in specs]
-
-    def attempt(self, spec, run=evaluate_point):
-        """One in-process :func:`attempt_point` at ``spec``, with its
-        failure counted."""
-        return self._count(attempt_point(self._decorated(spec, 1), run))
+        return [self._count(attempt_point(self._decorated(spec, 1), run))
+                for spec in specs]
 
     def _count(self, outcome):
         failure = outcome[1]

@@ -11,7 +11,9 @@ from repro.features.static_features import (
     extract_static_features,
 )
 
-# Static machine-opcode classes counted per target.
+# Static machine-opcode classes counted per target.  No backend emits
+# ``vop``, so ``m_vop`` is always 0; the column stays so that the PE's
+# feature layout, and with it every fit, is unchanged.
 MACHINE_OPCODES = (
     "li", "lfi", "mv", "lea", "add", "sub", "mul", "div", "rem",
     "and", "or", "xor", "shl", "sar", "shr",

@@ -2,8 +2,8 @@
 
 The opcode vocabulary mirrors LLVM's scalar subset: integer and float
 arithmetic, comparisons, memory (alloca/load/store/gep), control flow
-(br/condbr/ret/unreachable), phi, select, call, and casts.  Vector forms are
-handled late in the backend (see DESIGN.md) so the IR stays scalar.
+(br/condbr/ret/unreachable), phi, select, call, and casts.  There are no
+vector forms: the IR, like the machine code, stays scalar.
 """
 
 from repro.ir.types import I1, PointerType, VOID

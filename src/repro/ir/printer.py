@@ -136,9 +136,9 @@ def function_fingerprint(function):
     Local value names do not enter the digest, so transformation no-ops
     that merely rename values do not register as changes (the PSS relies
     on this to detect inactive phases, paper §III-D).  Function
-    attributes (e.g. the SLP-enable marker) are part of the digest: they
-    change generated code, so two functions differing only in attributes
-    must not share a fingerprint.
+    attributes (e.g. the SLP-enable marker) are part of the digest, so a
+    phase that only sets one counts as active, even where, as for
+    ``slp-enabled``, the attribute leaves the generated code unchanged.
 
     Computed structurally (:mod:`repro.ir.structhash`) — no text is
     materialized and the function is not mutated.  The print-then-hash

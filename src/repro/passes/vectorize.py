@@ -1,15 +1,15 @@
 """loop-vectorize / slp-vectorizer.
 
-The IR stays scalar (see DESIGN.md): these phases enable the backend's
-SLP fuser, which packs groups of four independent, consecutive,
-same-opcode float operations into one SIMD machine instruction on targets
-that have vector units (the x86-like target; the RISC-V-like target
-ignores the attribute).
+The IR stays scalar and neither backend has vector instructions, so
+neither phase packs anything.  ``slp-vectorizer`` only sets the
+``slp-enabled`` attribute on functions with straight-line float math.
+The attribute is part of the function fingerprint, so the phase counts
+as active (for the PSS and the RL state) and changes cache keys, but the
+generated machine code is the same with or without it.
 
-``loop-vectorize`` additionally performs an interleaving unroll of small
-counted loops (the scalar part of vectorization) so that the straight-line
-body exposes the independent operation groups the fuser needs.
-``slp-vectorizer`` only marks straight-line code as fusable.
+``loop-vectorize`` performs an interleaving unroll of small counted loops
+(the scalar part of vectorization), which does change the code, and sets
+the same attribute.
 """
 
 from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE

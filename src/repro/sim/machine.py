@@ -258,13 +258,6 @@ class Simulator:
             if timing:
                 timing.on_block_op(instr, int(count))
             return
-        elif opcode == "vop":
-            sub = ops[0]
-            fn = _FLOAT_BINOPS[sub]
-            reads = [(state.read(a, frame_base), state.read(b, frame_base))
-                     for _, a, b in instr.lanes]
-            for (dst, _, _), (a, b) in zip(instr.lanes, reads):
-                state.write(dst, fn(a, b))
         else:
             raise SimulationError(f"unknown opcode {opcode!r}")
         if timing:

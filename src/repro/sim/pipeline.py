@@ -85,10 +85,6 @@ class PipelineModel:
         for operand in instr.operands:
             if isinstance(operand, PhysReg):
                 latest = max(latest, self.ready.get(operand.name, 0.0))
-        if instr.lanes:
-            for _, a, b in instr.lanes:
-                latest = max(latest, self.ready.get(a.name, 0.0),
-                             self.ready.get(b.name, 0.0))
         return latest
 
     def _issue_instr(self, instr, latency):
@@ -100,9 +96,6 @@ class PipelineModel:
         dst = instr.operands[0] if instr.operands else None
         if isinstance(dst, PhysReg):
             self.ready[dst.name] = finish
-        if instr.lanes:
-            for lane_dst, _, _ in instr.lanes:
-                self.ready[lane_dst.name] = finish
         return start
 
     # -- event hooks (called by the simulator) -------------------------------

@@ -5,7 +5,6 @@ that the profiling layer (paper Fig. 2 box 1) runs programs on.
 from repro.backend.codegen import compile_module
 from repro.backend.isa import get_isa
 from repro.sim.energy import EnergyModel, RaplCounter
-from repro.sim.machine import DEFAULT_FUEL
 from repro.sim.pipeline import PipelineModel
 from repro.sim.tape import TapeSimulator
 
@@ -70,11 +69,11 @@ class Platform:
     def compile(self, module):
         return compile_module(module, self.isa)
 
-    def execute(self, program, fuel=DEFAULT_FUEL):
+    def execute(self, program):
         """Run a compiled program on the tape simulator, returning a
         Measurement."""
         timing = PipelineModel(self.isa)
-        result = TapeSimulator(program, self.isa, timing, fuel=fuel).run()
+        result = TapeSimulator(program, self.isa, timing).run()
         energy = self.energy_model.total_energy_pj(
             result.dynamic_histogram, timing)
         if self.rapl is not None:
@@ -90,10 +89,10 @@ class Platform:
             return_value=result.return_value,
         )
 
-    def profile(self, module, fuel=DEFAULT_FUEL):
+    def profile(self, module):
         """Compile + execute an IR module."""
         program = self.compile(module)
-        return self.execute(program, fuel=fuel)
+        return self.execute(program)
 
     def __repr__(self):
         return f"<Platform {self.target}>"

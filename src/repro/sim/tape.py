@@ -40,8 +40,8 @@ What is charged where:
   inside a segment, so this is exactly the seed's ``n`` accesses.  The
   other instructions do not fetch.
 - *Per instruction:* the value, the D-cache access of a load or store,
-  and the scoreboard over at most three sources; ``cmov`` and ``vop``,
-  which can have more, first fold the rest into one ready slot.
+  and the scoreboard over at most three sources; ``cmov``, which has
+  four, first folds the sources past the first two into one ready slot.
   Latencies and every cycle charge are floats, so the scoreboard adds
   float to float (CPython specializes that, not int plus float).
 - *Per penalty:* the I-cache miss, mispredict, store-miss, call and
@@ -96,9 +96,9 @@ _MIN64, _MAX64 = -(1 << 63), (1 << 63) - 1
 
 # Op codes of the dispatch loop.  Codes from ``ST`` up need a step
 # after the scoreboard update (a store miss, the predictor, a call).
-_OP_CODES = range(19)
+_OP_CODES = range(18)
 (MOV, FRAME, LEA, INT2, FN2, FN1, CMP, CMOV, PRINT, JMP, RAISE, LD,
- ST, BR, CALL, RET, MEMSET, MEMCPY, VOP) = _OP_CODES
+ ST, BR, CALL, RET, MEMSET, MEMCPY) = _OP_CODES
 
 
 def _intrinsic(name):
@@ -143,7 +143,7 @@ DISPATCH = {
     "fneg": (FN1, operator.neg),
     "setcc": (CMP, None), "fsetcc": (CMP, None), "cmov": (CMOV, None),
     "ld": (LD, None), "st": (ST, None), "print": (PRINT, None),
-    "memset": (MEMSET, None), "memcpy": (MEMCPY, None), "vop": (VOP, None),
+    "memset": (MEMSET, None), "memcpy": (MEMCPY, None),
     "jmp": (JMP, None), "bcc": (BR, None), "fbcc": (BR, None),
     "call": (CALL, None), "ret": (RET, None),
 }
@@ -168,8 +168,7 @@ class _Decoder:
     registers, then three slots of its own: ``sink`` takes the ready
     time of instructions with no register destination, ``pad`` stays
     0.0 and fills unused scoreboard sources, and ``wide`` carries the
-    latest ready time of the sources past the first two of a ``cmov`` or
-    ``vop``.
+    latest ready time of the sources past the first two of a ``cmov``.
     """
 
     def __init__(self, program, isa):
@@ -208,16 +207,13 @@ class _Decoder:
 
     def _timing(self, instr, op):
         """Scoreboard sources ``s0, s1, s2``, the first destination, and
-        the sources past the first two of a ``cmov`` or ``vop``.  A
-        register may repeat: the scoreboard takes a maximum."""
+        the sources past the first two of a ``cmov``.  A register may
+        repeat: the scoreboard takes a maximum."""
         index, pad = self.reg_index, self.pad
         ops = instr.operands
         srcs = [index[o.name] for o in ops if isinstance(o, PhysReg)]
         dst = srcs[0] if ops and isinstance(ops[0], PhysReg) else self.sink
-        if instr.lanes:
-            for _, a, b in instr.lanes:
-                srcs += (index[a.name], index[b.name])
-        if op == CMOV or op == VOP:
+        if op == CMOV:
             srcs += (pad, pad)
             return srcs[0], srcs[1], self.wide, dst, tuple(srcs[2:])
         if len(srcs) > 3:
@@ -248,12 +244,6 @@ class _Decoder:
         elif op in (MEMSET, MEMCPY):
             d, a, b = (self._slot(o) for o in ops)
             c = instr.address
-        elif op == VOP:
-            c = DISPATCH[ops[0]][1]
-            a = tuple((self.reg_index[lane.name], self._slot(x), self._slot(y))
-                      for lane, x, y in instr.lanes)
-            b = wide
-            latency = self.isa.latency(instr)
         elif op == JMP:
             a = self.block_entry[ops[0].name]
         elif op == BR:
@@ -429,7 +419,7 @@ class TapeSimulator:
         fuel = self.fuel
         # Locals, not globals, in the dispatch chain.
         (MOV, FRAME, LEA, INT2, FN2, FN1, CMP, CMOV, PRINT, JMP, RAISE, LD,
-         ST, BR, CALL, RET, MEMSET, MEMCPY, VOP) = _OP_CODES
+         ST, BR, CALL, RET, MEMSET, MEMCPY) = _OP_CODES
         MIN64, MAX64 = _MIN64, _MAX64
         # Cycle costs are host floats, not simulated IR values.  Every
         # one is a float so that the scoreboard adds float to float.
@@ -538,11 +528,6 @@ class TapeSimulator:
                         R[d] = c(R[a])
                     elif op == PRINT:
                         oa(c(R[a]))
-                    elif op == VOP:
-                        values = [c(R[x], R[y]) for _, x, y in a]
-                        for (lane, _, _), value in zip(a, values):
-                            R[lane] = value
-                        RD[WIDE] = max(map(RD.__getitem__, b))
                     elif op == MEMSET:
                         start, value, n = R[d], R[a], int(R[b])
                         if n > 0 and start <= 0:
@@ -619,9 +604,6 @@ class TapeSimulator:
                             pc, R[FB], sp = stack.pop()
                         else:
                             pc = -1
-                    elif op == VOP:
-                        for lane, _, _ in a:
-                            RD[lane] = t + lat
                     else:   # MEMSET, MEMCPY: the real cache, synced
                         cells = n * per_cell
                         issue += cells

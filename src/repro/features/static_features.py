@@ -25,6 +25,8 @@ from repro.ir import (
     SelectInst,
     StoreInst,
 )
+from repro.passes.analysis import AnalysisManager
+
 _OPCODES = ("add", "sub", "mul", "sdiv", "srem", "and", "or", "xor",
             "shl", "ashr", "lshr", "fadd", "fsub", "fmul", "fdiv")
 
@@ -54,20 +56,18 @@ assert len(STATIC_FEATURE_NAMES) == 63, len(STATIC_FEATURE_NAMES)
 def extract_static_features(module, am=None):
     """Return the 63-dimensional static feature vector of a module.
 
-    The vector is composed from per-function partial aggregates.  With
-    an analysis manager each partial is its ``"static_partial"``
-    analysis, which no pass preserves: repeated extraction over a module
-    where only some functions changed (the PSS deployment loop, RL
-    training steps, extraction points after their pass pipeline) only
-    re-analyzes the changed functions, and reads the loop, dominator and
-    IV analyses the pipeline left cached.
+    The vector is composed from per-function partial aggregates.  Each
+    partial is the ``"static_partial"`` analysis of ``am`` (a fresh
+    manager when None), which no pass preserves: repeated extraction
+    over a module where only some functions changed (the PSS deployment
+    loop, RL training steps, extraction points after their pass
+    pipeline) only re-analyzes the changed functions, and reads the
+    loop, dominator and IV analyses the pipeline left cached.
     """
     if am is None:
-        partials = [_function_partial(function)
-                    for function in module.defined_functions()]
-    else:
-        partials = [am.get("static_partial", function)
-                    for function in module.defined_functions()]
+        am = AnalysisManager()
+    partials = [am.get("static_partial", function)
+                for function in module.defined_functions()]
     return _combine_partials(module, partials)
 
 
@@ -87,14 +87,14 @@ _MAXED = ("max_blocks_per_function", "max_phis_per_block",
           "max_rpo_length")
 
 
-def _function_partial(function, am=None):
+def _function_partial(function, am):
     """One function's contribution to the static feature vector (the
     ``"static_partial"`` analysis of
     :class:`~repro.passes.analysis.AnalysisManager`).
 
-    Loop and dominator analyses come from (and seed) the analysis
-    manager when one is given, so a changed function is analyzed once
-    for features and the next pass reuses the same structures.
+    Loop and dominator analyses come from (and seed) ``am``, so a
+    changed function is analyzed once for features and the next pass
+    reuses the same structures.
     """
     sums = dict.fromkeys(_SUMMED, 0.0)
     maxes = dict.fromkeys(_MAXED, 0.0)
@@ -180,17 +180,14 @@ def _function_partial(function, am=None):
     sums["n_cfg_edges"] += sum(len(b.successors())
                                for b in function.blocks)
     # Loops.
-    from repro.passes.analysis import domtree_of
-    from repro.passes.loop_utils import loops_of
-    info = loops_of(function, am)
+    info = am.loops(function)
     sums["n_loops"] += len(info.loops)
     sums["n_innermost_loops"] += len(info.innermost_loops())
     maxes["max_loop_depth"] = float(info.max_depth())
     depths = [loop.depth for loop in info.loops]
     if depths:
         maxes["avg_loop_depth"] = float(np.mean(depths))
-    from repro.passes.analysis import loopivs_of
-    ivs = loopivs_of(function, am)
+    ivs = am.loopivs(function)
     for loop in info.loops:
         sums["n_back_edges"] += len(loop.latches())
         preheader = loop.preheader()
@@ -200,7 +197,7 @@ def _function_partial(function, am=None):
                 sums["n_const_trip_loops"] += 1
     # Dominator tree height, RPO length (the dominator tree already
     # carries the reverse postorder).
-    dom = domtree_of(function, am)
+    dom = am.domtree(function)
     maxes["dom_tree_height"] = float(_tree_height(dom))
     maxes["max_rpo_length"] = float(len(dom.rpo))
 

@@ -11,7 +11,7 @@ def predecessors_map(function):
     reaching the block through both arms of one ``condbr`` appearing
     once per edge — bit-identical to the historical from-scratch
     successor scan (kept as :func:`recompute_predecessors_map` for the
-    verifier's cross-check), at O(V + E) without touching terminators.
+    differential tests), at O(V + E) without touching terminators.
     """
     positions = function.block_positions()
     preds = {}
@@ -31,29 +31,14 @@ def predecessors_map(function):
 
 def recompute_predecessors_map(function):
     """The from-scratch successor scan (one per-edge entry, function
-    block order).  Only the verifier's cross-check and the differential
-    tests should use this — everything else reads the maintained links
-    through :func:`predecessors_map`."""
+    block order).  Only the differential tests use this; the verifier
+    runs its own edge-count recompute, and everything else reads the
+    maintained links through :func:`predecessors_map`."""
     preds = {block: [] for block in function.blocks}
     for block in function.blocks:
         for succ in block.successors():
             if succ in preds:
                 preds[succ].append(block)
-    return preds
-
-
-def unique_predecessors_map(function):
-    """{block: ordered deduped predecessor list} for every block —
-    entry-equal to ``block.predecessors()`` (which reports a ``condbr``
-    with two identical targets once), read from the maintained links.
-    """
-    positions = function.block_positions()
-    preds = {}
-    for block in function.blocks:
-        entry = [p for p in block._preds if id(p) in positions]
-        if len(entry) > 1:
-            entry.sort(key=lambda p: positions[id(p)])
-        preds[block] = entry
     return preds
 
 

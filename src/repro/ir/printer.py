@@ -171,27 +171,25 @@ def module_fingerprint(module, am=None):
     """A stable hash of the module's structure, composed from
     per-function fingerprints plus the globals header.
 
-    With an :class:`repro.passes.analysis.AnalysisManager` the
-    per-function digests are served from its cache — re-fingerprinting
-    a module after a phase only pays for the functions the phase
-    actually changed — and the composed digest itself is memoized until
-    the next invalidation, so activity probing after an inactive phase
-    is a dict hit.
+    The per-function digests are the ``"fingerprint"`` analysis of
+    ``am`` (a fresh :class:`repro.passes.analysis.AnalysisManager` when
+    None): re-fingerprinting a module after a phase only pays for the
+    functions the phase actually changed, and the composed digest itself
+    is memoized until the next invalidation, so activity probing after
+    an inactive phase is a dict hit.
     """
     import hashlib
 
-    if am is not None:
-        cached = am.cached_module_fingerprint(module)
-        if cached is not None:
-            return cached
+    if am is None:
+        from repro.passes.analysis import AnalysisManager
+        am = AnalysisManager()
+    cached = am.cached_module_fingerprint(module)
+    if cached is not None:
+        return cached
     parts = [_globals_text(module)]
     for function in module.functions.values():
-        if am is not None:
-            parts.append(am.fingerprint(function))
-        else:
-            parts.append(function_fingerprint(function))
+        parts.append(am.fingerprint(function))
     digest = hashlib.sha256(
         "\x1f".join(parts).encode("utf-8")).hexdigest()
-    if am is not None:
-        am.store_module_fingerprint(module, digest)
+    am.store_module_fingerprint(module, digest)
     return digest

@@ -101,20 +101,6 @@ class LoopIVAnalysis:
         return hit[2]
 
 
-def domtree_of(function, am=None):
-    """The function's dominator tree — cached when ``am`` is given."""
-    if am is not None:
-        return am.domtree(function)
-    return DominatorTree(function)
-
-
-def loopivs_of(function, am=None):
-    """IV/trip-count query memo — cached when ``am`` is given."""
-    if am is not None:
-        return am.loopivs(function)
-    return LoopIVAnalysis(function)
-
-
 class AnalysisStats:
     """Hit/miss counters for one manager."""
 

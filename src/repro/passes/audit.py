@@ -48,6 +48,7 @@ Comparison semantics per analysis:
 
 from repro.errors import VerificationError
 from repro.ir.cfg import DominatorTree, LoopInfo
+from repro.passes.analysis import AnalysisManager
 
 
 class AnalysisPreservationError(VerificationError):
@@ -182,7 +183,8 @@ def _audit_function(phase, function, cache):
                   "reported as modified")
     if "static_partial" in cache:
         from repro.features.static_features import _function_partial
-        if _function_partial(function) != cache["static_partial"]:
+        fresh = _function_partial(function, AnalysisManager())
+        if fresh != cache["static_partial"]:
             _fail(phase, function, "static_partial",
                   "static features changed without the function being "
                   "reported as modified")

@@ -96,7 +96,7 @@ class FunctionPass(Pass):
                 changed.add(function)
         return changed
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         raise NotImplementedError
 
 

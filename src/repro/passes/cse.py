@@ -14,7 +14,7 @@ from repro.ir import (
     PhiInst,
     StoreInst,
 )
-from repro.passes.analysis import PRESERVE_CFG, domtree_of
+from repro.passes.analysis import PRESERVE_CFG
 from repro.passes.base import FunctionPass, register_pass
 from repro.passes.utils import (
     delete_dead_instructions,
@@ -31,8 +31,8 @@ class _EarlyCSEBase(FunctionPass):
     # Value replacements only; blocks and edges are untouched.
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
-        dom = domtree_of(function, am)
+    def run_on_function(self, function, am):
+        dom = am.domtree(function)
         self._changed = False
 
         def walk(block, expressions, loads):
@@ -119,10 +119,10 @@ class GVN(FunctionPass):
 
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         from repro.ir.cfg import InstructionPositions, reverse_postorder
 
-        dom = domtree_of(function, am)
+        dom = am.domtree(function)
         changed = False
         iterate = True
         rounds = 0

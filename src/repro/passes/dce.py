@@ -36,7 +36,7 @@ from repro.passes.utils import (
 class DCE(FunctionPass):
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         return delete_dead_instructions(function)
 
 
@@ -51,7 +51,7 @@ class ADCE(FunctionPass):
 
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         live = set()
         worklist = []
         for block in function.blocks:
@@ -92,7 +92,7 @@ class BDCE(FunctionPass):
 
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         for block in function.blocks:
             for inst in list(block.instructions):
@@ -153,7 +153,7 @@ class DSE(FunctionPass):
     # Store removal cannot affect the CFG nor IV discovery.
     preserved_analyses = PRESERVE_CFG | frozenset({"loopivs"})
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         changed |= self._intra_block(function)
         changed |= self._dead_at_exit(function)

@@ -169,7 +169,7 @@ class _CombineBase(FunctionPass):
     # Instruction rewrites only; the CFG is never modified.
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         """Rescan the whole function while any rewrite makes progress
         (at most 8 rounds), then sweep the dead instructions."""
         changed = False

@@ -399,7 +399,7 @@ class PruneEH(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         from repro.passes.simplifycfg import SimplifyCFG
         changed = SimplifyCFG._remove_unreachable(function)
         return changed

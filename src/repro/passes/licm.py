@@ -18,17 +18,12 @@ hoists what the previous one unblocked.
 """
 
 from repro.ir import LoadInst
-from repro.passes.analysis import (
-    PRESERVE_CFG,
-    PRESERVE_NONE,
-    domtree_of,
-)
+from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE
 from repro.passes.base import FunctionPass, register_pass
 from repro.passes.loop_utils import (
     ensure_preheader_tracked,
     invariant_operands,
     is_loop_invariant,
-    loops_of,
 )
 from repro.passes.utils import instruction_may_write, is_pure
 
@@ -47,10 +42,10 @@ class LICM(FunctionPass):
     def __init__(self):
         self._created_preheader = False
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         self._created_preheader = False
-        info = loops_of(function, am)
+        info = am.loops(function)
         # Process inner loops first so invariants bubble outward.
         for loop in sorted(info.loops, key=lambda lp: -lp.depth):
             loop_changed, created = self._run_on_loop(function, loop, am)
@@ -71,11 +66,9 @@ class LICM(FunctionPass):
             return False, False
         if created:
             self._created_preheader = True
-            if am is not None:
-                # Stale mid-run analyses would change hoisting
-                # decisions.
-                am.invalidate(function, PRESERVE_NONE)
-        dom = domtree_of(function, am)
+            # Stale mid-run analyses would change hoisting decisions.
+            am.invalidate(function, PRESERVE_NONE)
+        dom = am.domtree(function)
         latches = loop.latches()
         changed = False
         progress = True

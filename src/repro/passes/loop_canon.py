@@ -48,7 +48,6 @@ from repro.ir import (
     UndefValue,
     split_edge,
 )
-from repro.ir.cfg import DominatorTree
 from repro.passes.loop_utils import (
     ensure_preheader_tracked,
     find_induction_variables,
@@ -104,12 +103,6 @@ class LoopCanonInfo:
 
     def mark_lcssa_formation_failed(self, loop):
         self._lcssa_failed[id(loop)] = (loop, True)
-
-def loopcanon_of(function, am=None):
-    """Canonical-form verdict memo — cached when ``am`` is given."""
-    if am is not None:
-        return am.loopcanon(function)
-    return LoopCanonInfo(function)
 
 
 def loop_is_simplified(loop):
@@ -201,12 +194,10 @@ def _merge_latches(function, loop, latches):
 
 # -- LCSSA ----------------------------------------------------------------
 
-def form_lcssa(function, loop, dom=None):
+def form_lcssa(function, loop, dom):
     """Insert exit phis so no loop-defined value is used outside the
     loop directly.  Requires dedicated exits (``simplify_loop`` first).
     Returns True when phis were inserted."""
-    if dom is None:
-        dom = DominatorTree(function)
     reachable = set(dom.rpo)
     exit_blocks = [b for b in loop.exit_blocks() if b in reachable]
     exit_ids = {id(b) for b in exit_blocks}
@@ -379,7 +370,7 @@ def fixup_exit_phis(loop, value_map, block_map):
 
 # -- pass-facing canonicalization entry point -----------------------------
 
-def ensure_canonical_loop(function, loop, am=None, lcssa=False):
+def ensure_canonical_loop(function, loop, am, lcssa=False):
     """Establish simplified (and optionally LCSSA) form for ``loop``.
 
     Returns True when the function was mutated; the caller must then
@@ -388,7 +379,7 @@ def ensure_canonical_loop(function, loop, am=None, lcssa=False):
     analysis of the function is invalidated (mid-run staleness would
     change downstream decisions, as in licm's preheader handling).
     """
-    status = loopcanon_of(function, am)
+    status = am.loopcanon(function)
     changed = False
     if not status.is_simplified(loop):
         changed |= simplify_loop(function, loop)
@@ -400,18 +391,16 @@ def ensure_canonical_loop(function, loop, am=None, lcssa=False):
             else status.is_lcssa(loop)
         if not lcssa_holds and \
                 (changed or not status.lcssa_formation_failed(loop)):
-            if changed and am is not None:
+            if changed:
                 am.invalidate(function)
-            from repro.passes.analysis import domtree_of
-            formed = form_lcssa(function, loop,
-                                domtree_of(function, am))
+            formed = form_lcssa(function, loop, am.domtree(function))
             if not formed and not changed:
                 # Nothing rewritable (uncovered exits): remember the
                 # failure so the next pass skips the scan until the
                 # function changes.
                 status.mark_lcssa_formation_failed(loop)
             changed |= formed
-    if changed and am is not None:
+    if changed:
         # A mutation can flip OTHER loops' verdicts too (a split exit
         # edge un-dedicates an enclosing loop's exit), so the whole
         # memo is dropped rather than patched; the next query recomputes

@@ -15,12 +15,7 @@ from repro.ir import (
     StoreInst,
 )
 from repro.ir.types import I64
-from repro.passes.analysis import (
-    PRESERVE_CFG,
-    PRESERVE_NONE,
-    domtree_of,
-    loopivs_of,
-)
+from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE
 from repro.passes.base import FunctionPass, register_pass
 from repro.passes.cloning import clone_instruction, clone_region
 from repro.passes.loop_canon import (
@@ -35,7 +30,6 @@ from repro.passes.loop_utils import (
     is_loop_invariant,
     loop_body_is_pure,
     loop_values_escape,
-    loops_of,
 )
 from repro.passes.utils import (
     delete_dead_instructions,
@@ -66,8 +60,8 @@ class LoopDeletion(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
-        info = loops_of(function, am)
+    def run_on_function(self, function, am):
+        info = am.loops(function)
         mutated = False
         for loop in info.innermost_loops():
             deleted, created = self._delete(function, loop, am)
@@ -76,14 +70,14 @@ class LoopDeletion(FunctionPass):
                 return True  # structures stale; one deletion per run
         return mutated
 
-    def _delete(self, function, loop, am=None):
+    def _delete(self, function, loop, am):
         preheader, created = ensure_preheader_tracked(function, loop)
         if preheader is None:
             return False, False
         if len(loop.exiting_blocks()) != 1 or \
                 len(loop.exit_blocks()) != 1:
             return self._delete_multi_exit(function, loop, am, created)
-        trip_count, _ = loopivs_of(function, am).trip_count(loop, preheader)
+        trip_count, _ = am.loopivs(function).trip_count(loop, preheader)
         if trip_count is None:
             return False, created
         if not loop_body_is_pure(loop):
@@ -116,9 +110,9 @@ class LoopDeletion(FunctionPass):
         if not loop_is_simplified(loop):
             return False, changed
         preheader = loop.preheader()
-        dom = domtree_of(function, am)
-        if loopivs_of(function, am).counted_bound(loop, preheader,
-                                                  dom) is None:
+        dom = am.domtree(function)
+        if am.loopivs(function).counted_bound(loop, preheader,
+                                              dom) is None:
             return False, changed
         if not loop_body_is_pure(loop):
             return False, changed
@@ -158,8 +152,7 @@ class LoopDeletion(FunctionPass):
             doomed = exit_blocks
         preheader.set_terminator(BranchInst(target))
         _drop_blocks(function, loop.ordered_blocks() + doomed)
-        if am is not None:
-            am.invalidate(function)
+        am.invalidate(function)
         return True, True
 
 
@@ -174,18 +167,18 @@ class IndVarSimplify(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
-        info = loops_of(function, am)
+        info = am.loops(function)
         for loop in sorted(info.loops, key=lambda lp: -lp.depth):
             changed |= self._strength_reduce(function, loop, am)
         return changed
 
-    def _strength_reduce(self, function, loop, am=None):
+    def _strength_reduce(self, function, loop, am):
         preheader, created = ensure_preheader_tracked(function, loop)
         if preheader is None:
             return False
-        iv = loopivs_of(function, am).induction_variable(loop, preheader)
+        iv = am.loopivs(function).induction_variable(loop, preheader)
         if iv is None:
             return created
         latches = loop.latches()
@@ -239,8 +232,8 @@ class LoopIdiom(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
-        info = loops_of(function, am)
+    def run_on_function(self, function, am):
+        info = am.loops(function)
         mutated = False
         for loop in info.innermost_loops():
             matched, created = self._match_memset(function, loop, am)
@@ -249,7 +242,7 @@ class LoopIdiom(FunctionPass):
                 return True
         return mutated
 
-    def _match_memset(self, function, loop, am=None):
+    def _match_memset(self, function, loop, am):
         if len(loop.exiting_blocks()) != 1 or \
                 len(loop.exit_blocks()) != 1:
             return self._match_memset_multi_exit(function, loop, am)
@@ -259,7 +252,7 @@ class LoopIdiom(FunctionPass):
         preheader, created = ensure_preheader_tracked(function, loop)
         if preheader is None:
             return False, False
-        trip_count, iv = loopivs_of(function, am).trip_count(loop, preheader)
+        trip_count, iv = am.loopivs(function).trip_count(loop, preheader)
         if trip_count is None or trip_count <= 0 or iv is None:
             return False, created
         if iv.step != 1:
@@ -339,8 +332,8 @@ class LoopIdiom(FunctionPass):
         if not loop_is_simplified(loop):
             return False, changed
         preheader = loop.preheader()
-        dom = domtree_of(function, am)
-        plan = loopivs_of(function, am).exit_plan(loop, preheader, dom)
+        dom = am.domtree(function)
+        plan = am.loopivs(function).exit_plan(loop, preheader, dom)
         if plan is None:
             return False, changed
         store = None
@@ -410,8 +403,7 @@ class LoopIdiom(FunctionPass):
                                    exit_block.terminator().target)
             doomed.append(exit_block)
         _drop_blocks(function, loop.ordered_blocks() + doomed)
-        if am is not None:
-            am.invalidate(function)
+        am.invalidate(function)
         return True, True
 
 
@@ -443,7 +435,7 @@ class LoopSink(FunctionPass):
             return PRESERVE_NONE
         return self.preserved_analyses
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         # Canonicalization creates blocks, which stales the other Loop
         # objects' membership sets — restart the sweep on fresh loop
         # info after any structural change (idempotent, so this
@@ -451,7 +443,7 @@ class LoopSink(FunctionPass):
         changed = False
         self._canonicalized = False
         for _ in range(64):
-            info = loops_of(function, am)
+            info = am.loops(function)
             restart = False
             for loop in info.loops:
                 exit_blocks = loop.exit_blocks()
@@ -546,9 +538,9 @@ class LoopLoadElim(FunctionPass):
     # survive (a forwarded exit-phi operand stays loop-defined).
     preserved_analyses = PRESERVE_CFG | frozenset({"loopcanon"})
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
-        info = loops_of(function, am)
+        info = am.loops(function)
         for loop in info.loops:
             for block in loop.ordered_blocks():
                 available = None  # (pointer, value)
@@ -580,8 +572,8 @@ class LoopDistribute(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
-        info = loops_of(function, am)
+    def run_on_function(self, function, am):
+        info = am.loops(function)
         mutated = False
         for loop in info.innermost_loops():
             if len(loop.blocks) != 1:
@@ -592,13 +584,13 @@ class LoopDistribute(FunctionPass):
                 return True
         return mutated
 
-    def _distribute(self, function, loop, am=None):
+    def _distribute(self, function, loop, am):
         from repro.passes.utils import underlying_object
 
         preheader, created = ensure_preheader_tracked(function, loop)
         if preheader is None:
             return False, False
-        iv = loopivs_of(function, am).induction_variable(loop, preheader)
+        iv = am.loopivs(function).induction_variable(loop, preheader)
         if iv is None:
             return False, created
         block = loop.header
@@ -668,8 +660,8 @@ class LoopUnswitch(FunctionPass):
     preserved_analyses = PRESERVE_NONE
     MAX_LOOP_SIZE = 60
 
-    def run_on_function(self, function, am=None):
-        info = loops_of(function, am)
+    def run_on_function(self, function, am):
+        info = am.loops(function)
         mutated = False
         for loop in info.innermost_loops():
             unswitched, created = self._unswitch(function, loop, am)
@@ -678,7 +670,7 @@ class LoopUnswitch(FunctionPass):
                 return True
         return mutated
 
-    def _unswitch(self, function, loop, am=None):
+    def _unswitch(self, function, loop, am):
         if sum(len(b.instructions) for b in loop.blocks) > \
                 self.MAX_LOOP_SIZE:
             return False, False

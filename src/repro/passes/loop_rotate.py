@@ -34,7 +34,7 @@ from repro.passes.loop_canon import (
     loop_is_lcssa,
     loop_is_simplified,
 )
-from repro.passes.loop_utils import ensure_preheader_tracked, loops_of
+from repro.passes.loop_utils import ensure_preheader_tracked
 from repro.passes.utils import is_pure
 
 
@@ -46,7 +46,7 @@ class LoopRotate(FunctionPass):
     def __init__(self):
         self._structure_dirty = False
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         # Single-exit rotation only rewrites existing blocks, so one
         # sweep over a loop forest stays self-consistent.  The
         # multi-exit path *creates* blocks (split exits, merged
@@ -56,7 +56,7 @@ class LoopRotate(FunctionPass):
         # bottom-tested and are skipped, so this terminates).
         changed = False
         for _ in range(64):
-            info = loops_of(function, am)
+            info = am.loops(function)
             self._structure_dirty = False
             restart = False
             for loop in sorted(info.loops, key=lambda lp: -lp.depth):
@@ -68,7 +68,7 @@ class LoopRotate(FunctionPass):
                 break
         return changed
 
-    def _rotate(self, function, loop, am=None):
+    def _rotate(self, function, loop, am):
         header = loop.header
         term = header.terminator()
         if not isinstance(term, CondBranchInst):
@@ -124,10 +124,9 @@ class LoopRotate(FunctionPass):
         self._do_rotate(function, loop, term, in_true, phis, tail,
                         body_entry, exit_block, latch, preheader,
                         multi_exit=False)
-        if am is not None:
-            # Mid-run consumers (the restart's loops_of, the multi-exit
-            # path's domtree_of) must not read pre-rotation analyses.
-            am.invalidate(function)
+        # Mid-run consumers (the restart's loop nest, the multi-exit
+        # path's dominator tree) must not read pre-rotation analyses.
+        am.invalidate(function)
         return True
 
     def _rotate_multi_exit(self, function, loop, am):
@@ -182,8 +181,7 @@ class LoopRotate(FunctionPass):
                                     name=function.next_name("rotexit"))
             changed = True
             self._structure_dirty = True
-            if am is not None:
-                am.invalidate(function)
+            am.invalidate(function)
         changed |= ensure_canonical_loop(function, loop, am, lcssa=True)
         if changed:
             self._structure_dirty = True
@@ -196,8 +194,7 @@ class LoopRotate(FunctionPass):
                         body_entry, exit_block, latch, preheader,
                         multi_exit=True)
         self._structure_dirty = True
-        if am is not None:
-            am.invalidate(function)
+        am.invalidate(function)
         return True
 
     def _do_rotate(self, function, loop, term, in_true, phis, tail,

@@ -25,7 +25,7 @@ from repro.ir import (
     Instruction,
     PhiInst,
 )
-from repro.passes.analysis import PRESERVE_NONE, domtree_of, loopivs_of
+from repro.passes.analysis import PRESERVE_NONE
 from repro.passes.base import FunctionPass, register_pass
 from repro.passes.cloning import clone_region
 from repro.passes.loop_canon import (
@@ -33,7 +33,7 @@ from repro.passes.loop_canon import (
     loop_is_lcssa,
     loop_is_simplified,
 )
-from repro.passes.loop_utils import ensure_preheader_tracked, loops_of
+from repro.passes.loop_utils import ensure_preheader_tracked
 from repro.passes.utils import remove_block_from_phis
 
 
@@ -43,11 +43,11 @@ class LoopUnroll(FunctionPass):
     MAX_TRIP_COUNT = 16
     MAX_BODY_INSTRUCTIONS = 40
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         # One unroll per run: loop structures go stale after a transform.
         # Innermost loops first; rerunning the phase peels outward.
-        info = loops_of(function, am)
+        info = am.loops(function)
         for loop in info.innermost_loops():
             unrolled, created = self._unroll(function, loop, am)
             changed |= created
@@ -56,14 +56,14 @@ class LoopUnroll(FunctionPass):
                 break
         return changed
 
-    def _unroll(self, function, loop, am=None):
+    def _unroll(self, function, loop, am):
         preheader, created = ensure_preheader_tracked(function, loop)
         if preheader is None:
             return False, False
         if len(loop.exiting_blocks()) != 1 or \
                 len(loop.exit_blocks()) != 1:
             return self._unroll_multi_exit(function, loop, am, created)
-        trip_count, iv = loopivs_of(function, am).trip_count(
+        trip_count, iv = am.loopivs(function).trip_count(
             loop, preheader, self.MAX_TRIP_COUNT)
         if trip_count is None or trip_count == 0:
             return False, created
@@ -201,8 +201,8 @@ class LoopUnroll(FunctionPass):
         preheader = loop.preheader()
         if preheader is None:
             return False, changed
-        ivs = loopivs_of(function, am)
-        dom = domtree_of(function, am)
+        ivs = am.loopivs(function)
+        dom = am.domtree(function)
         plan = ivs.exit_plan(loop, preheader, dom,
                              max_iterations=self.MAX_TRIP_COUNT)
         counted_block = None

@@ -9,7 +9,6 @@ from repro.ir import (
     ConstantInt,
     ICmpInst,
     Instruction,
-    LoopInfo,
     PhiInst,
 )
 from repro.passes.utils import is_pure
@@ -214,14 +213,6 @@ def constant_trip_count(loop, preheader, max_count=4096):
         if count > max_count:
             return None, None
     return count, iv
-
-
-def loops_of(function, am=None):
-    """The function's loop nest — from the analysis manager's cache when
-    one is supplied, freshly computed otherwise."""
-    if am is not None:
-        return am.loops(function)
-    return LoopInfo(function)
 
 
 def loop_values_escape(loop):

@@ -14,7 +14,7 @@ from repro.ir import (
     UndefValue,
 )
 from repro.ir.cfg import reachable_blocks
-from repro.passes.analysis import PRESERVE_CFG, domtree_of
+from repro.passes.analysis import PRESERVE_CFG
 from repro.passes.base import FunctionPass, register_pass
 
 
@@ -45,11 +45,11 @@ class Mem2Reg(FunctionPass):
     # loads/stores/allocas erased within existing blocks.
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         allocas = promotable_allocas(function)
         if not allocas:
             return False
-        dom = domtree_of(function, am)
+        dom = am.domtree(function)
         frontiers = dom.dominance_frontiers()
         reachable = reachable_blocks(function)
 

@@ -21,7 +21,7 @@ from repro.ir import (
     StoreInst,
 )
 from repro.ir.types import I64
-from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE, domtree_of
+from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE
 from repro.passes.base import FunctionPass, Pass, register_pass
 from repro.passes.utils import (
     delete_dead_instructions,
@@ -40,7 +40,7 @@ class Reassociate(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         for block in function.blocks:
             for inst in list(block.instructions):
@@ -118,7 +118,7 @@ class TailCallElim(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         tail_sites = []
         for block in function.blocks:
             instructions = block.instructions
@@ -174,7 +174,7 @@ class JumpThreading(FunctionPass):
 
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         for block in list(function.blocks):
             if block not in function.blocks:
@@ -251,8 +251,8 @@ class CorrelatedPropagation(FunctionPass):
     # Operand rewrites only; no CFG edits.
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
-        dom = domtree_of(function, am)
+    def run_on_function(self, function, am):
+        dom = am.domtree(function)
         changed = False
         for block in function.blocks:
             term = block.terminator()
@@ -294,7 +294,7 @@ class MemCpyOpt(FunctionPass):
     preserved_analyses = PRESERVE_CFG
     MIN_RUN = 4
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         from repro.passes.utils import _constant_offset, underlying_object
 
         changed = False
@@ -360,7 +360,7 @@ class MergedLoadStoreMotion(FunctionPass):
 
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         for block in function.blocks:
             term = block.terminator()
@@ -422,7 +422,7 @@ class Float2Int(FunctionPass):
     preserved_analyses = PRESERVE_CFG
     _SAFE = {"fadd": "add", "fsub": "sub", "fmul": "mul"}
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         for block in function.blocks:
             for inst in list(block.instructions):
@@ -459,7 +459,7 @@ class DivRemPairs(FunctionPass):
 
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         for block in function.blocks:
             divs = {}
@@ -519,7 +519,7 @@ class SpeculativeExecution(FunctionPass):
     preserved_analyses = PRESERVE_CFG
     MAX_HOIST = 4
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         for block in function.blocks:
             term = block.terminator()
@@ -560,7 +560,7 @@ class CallSiteSplitting(FunctionPass):
 
     preserved_analyses = PRESERVE_CFG
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         for block in list(function.blocks):
             phis = block.phis()
             if len(phis) != 1:
@@ -612,7 +612,7 @@ class SROA(FunctionPass):
     preserved_analyses = PRESERVE_CFG
     MAX_ELEMENTS = 16
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = self._split_arrays(function)
         from repro.passes.mem2reg import Mem2Reg
         changed |= Mem2Reg().run_on_function(function, am)

@@ -7,6 +7,8 @@ argument lattices meet over all call sites and constant return values
 propagate back to callers.
 """
 
+import struct
+
 from repro.ir import (
     BinaryInst,
     BranchInst,
@@ -86,7 +88,10 @@ def _const_equal(a, b):
     if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
         return a.value == b.value and a.type == b.type
     if isinstance(a, ConstantFloat) and isinstance(b, ConstantFloat):
-        return a.value == b.value
+        # Bitwise: 0.0 and -0.0 are different constants (1.0 / x tells
+        # them apart), and a NaN equals itself, so ipsccp's fixpoint
+        # test sees a recomputed NaN cell as unmoved.
+        return struct.pack("<d", a.value) == struct.pack("<d", b.value)
     return a is b
 
 
@@ -263,7 +268,7 @@ class SCCP(FunctionPass):
     def __init__(self):
         self._cfg_changed = False
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         solver = _SCCPSolver(function)
         lattice = solver.solve()
         changed, self._cfg_changed = _apply_lattice(
@@ -279,15 +284,26 @@ class IPSCCP(Pass):
     """Interprocedural SCCP.
 
     Iterates function-local SCCP with argument lattices seeded from all
-    call sites and return lattices fed back to callers, until a fixed
-    point (bounded by a small round count).
+    call sites and return lattices fed back to callers, until a round
+    moves no argument cell and no return cell.  Every cell only falls
+    (top, then a constant, then bottom), so the number of rounds is
+    bounded by the lattice height (Wegman & Zadeck, TOPLAS 1991).
     """
 
-    # Unlike function-local SCCP there is no per-function "did a branch
-    # fold" tracking at module granularity; claim nothing.
+    # Edits are attributed per function: only the functions whose code
+    # changed are reported, and they keep no analysis (a branch may
+    # have folded).
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_module(self, module, am):
+    def run_with_changes(self, module, am):
+        changed = self._solve_and_apply(module)
+        for function in changed:
+            am.invalidate(function, self.preserved_for(function))
+        return set(changed)
+
+    def _solve_and_apply(self, module):
+        """Solve the module's lattices and rewrite each function; the
+        list of functions whose code changed."""
         functions = module.defined_functions()
         # Fast path: with no call edges between defined functions the
         # argument/return lattices cannot change across rounds (the
@@ -303,7 +319,7 @@ class IPSCCP(Pass):
             for block in function.blocks
             for inst in block.instructions)
         if not has_interprocedural_calls:
-            changed = False
+            changed = []
             for function in functions:
                 default = _BOTTOM if function.name == "main" else _TOP
                 seeds = {arg.index: default for arg in function.args}
@@ -313,7 +329,8 @@ class IPSCCP(Pass):
                 lattice = solver.solve()
                 function_changed, _ = _apply_lattice(
                     function, lattice, solver.executable_blocks)
-                changed |= function_changed
+                if function_changed:
+                    changed.append(function)
             return changed
         arg_states = {f.name: {} for f in functions}
         return_states = {}
@@ -323,23 +340,24 @@ class IPSCCP(Pass):
                 default = _BOTTOM if function.name == "main" else _TOP
                 arg_states[function.name][arg.index] = default
 
-        for _ in range(4):
-            progressed = False
+        def oracle(call, lattice):
+            # Feed argument states into callee and read back its
+            # return state from the previous round.
+            callee = call.callee
+            if callee.name not in arg_states:
+                return _BOTTOM
+            for index, arg in enumerate(call.args):
+                state = lattice.get(arg)
+                cell = arg_states[callee.name]
+                old = cell.get(index, _TOP)
+                cell[index] = _Lattice._meet(old, state)
+            return return_states.get(callee.name, _TOP)
+
+        moved = True
+        while moved:
+            arg_snapshot = {name: dict(cells)
+                            for name, cells in arg_states.items()}
             return_states_new = {}
-
-            def oracle(call, lattice):
-                # Feed argument states into callee and read back its
-                # return state from the previous round.
-                callee = call.callee
-                if callee.name not in arg_states:
-                    return _BOTTOM
-                for index, arg in enumerate(call.args):
-                    state = lattice.get(arg)
-                    cell = arg_states[callee.name]
-                    old = cell.get(index, _TOP)
-                    cell[index] = _Lattice._meet(old, state)
-                return return_states.get(callee.name, _TOP)
-
             for function in functions:
                 solver = _SCCPSolver(function,
                                      arg_states[function.name],
@@ -355,20 +373,15 @@ class IPSCCP(Pass):
                         ret_state = _Lattice._meet(
                             ret_state, lattice.get(term.value))
                 return_states_new[function.name] = ret_state
-            if return_states_new != return_states:
-                unequal = False
-                for name, state in return_states_new.items():
-                    old = return_states.get(name, _TOP)
-                    if not _const_equal(state, old):
-                        unequal = True
-                if not unequal:
-                    break
-                progressed = True
+            moved = any(
+                not _const_equal(state, return_states.get(name, _TOP))
+                for name, state in return_states_new.items()) or any(
+                not _const_equal(state, arg_snapshot[name].get(index, _TOP))
+                for name, cells in arg_states.items()
+                for index, state in cells.items())
             return_states = return_states_new
-            if not progressed:
-                break
 
-        changed = False
+        changed = []
         for function in functions:
             def final_oracle(call, lattice, _rs=return_states):
                 return _rs.get(call.callee.name, _BOTTOM)
@@ -378,5 +391,6 @@ class IPSCCP(Pass):
             lattice = solver.solve()
             function_changed, _ = _apply_lattice(
                 function, lattice, solver.executable_blocks)
-            changed |= function_changed
+            if function_changed:
+                changed.append(function)
         return changed

@@ -32,7 +32,7 @@ class SimplifyCFG(FunctionPass):
     # CFG restructuring: preserves nothing.
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         changed = False
         progress = True
         while progress:

@@ -25,7 +25,7 @@ class SLPVectorizer(FunctionPass):
     # attribute IS part of the fingerprint, which is never preserved).
     preserved_analyses = PRESERVE_CFG | frozenset({"loopivs"})
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         if SLP_ATTRIBUTE in function.attributes:
             return False
         # Only meaningful when there is straight-line float math to pack.
@@ -46,7 +46,7 @@ class LoopVectorize(FunctionPass):
     # Delegates to LoopUnroll, which restructures the CFG.
     preserved_analyses = PRESERVE_NONE
 
-    def run_on_function(self, function, am=None):
+    def run_on_function(self, function, am):
         unroller = LoopUnroll()
         unroller.MAX_TRIP_COUNT = 32
         unroller.MAX_BODY_INSTRUCTIONS = 24

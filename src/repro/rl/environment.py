@@ -90,12 +90,11 @@ class PhaseSequenceEnv:
         self._am = None
 
     # -- core ----------------------------------------------------------------
-    def _measure_objectives(self, fingerprint=None):
+    def _measure_objectives(self, fingerprint):
         """PE-predicted time and energy + measured code size (the paper's
         PSS trains against estimated dynamic features)."""
         return self.engine.predicted_objectives(
-            self.module, self.estimator, fingerprint=fingerprint,
-            am=self._am)
+            self.module, self.estimator, fingerprint, self._am)
 
     def reset(self):
         self.module = self.workload.compile()

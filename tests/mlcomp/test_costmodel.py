@@ -18,7 +18,7 @@ from repro.features.costmodel import (
 )
 from repro.ir import cfg, module_fingerprint, run_module, verify_module
 from repro.lang import compile_source
-from repro.passes import PassManager, cloning
+from repro.passes import AnalysisManager, PassManager, cloning
 from repro.passes.cloning import clone_module
 from repro.workloads import load_suite, suite_names
 
@@ -73,7 +73,7 @@ def test_block_frequencies_scale_with_trip_counts():
     module = compile_source(src)
     PassManager().run(module, ["mem2reg", "instcombine"])
     main = module.get_function("main")
-    freqs = block_frequencies(main)
+    freqs = block_frequencies(main, AnalysisManager())
     assert max(freqs.values()) == 50.0
     entry_freq = freqs[id(main.entry)]
     assert entry_freq == 1.0
@@ -92,7 +92,8 @@ def test_nested_loop_frequencies_multiply():
     """
     module = compile_source(src)
     PassManager().run(module, ["mem2reg", "instcombine"])
-    freqs = block_frequencies(module.get_function("main"))
+    freqs = block_frequencies(module.get_function("main"),
+                              AnalysisManager())
     assert max(freqs.values()) == 200.0
 
 
@@ -108,7 +109,10 @@ def test_function_frequencies_follow_call_graph():
     """
     module = compile_source(src)
     PassManager().run(module, ["mem2reg", "instcombine"])
-    invocations = function_frequencies(module)
+    am = AnalysisManager()
+    invocations = function_frequencies(
+        module, {f.name: block_frequencies(f, am)
+                 for f in module.defined_functions()})
     assert invocations["main"] == 1.0
     assert invocations["mid"] == pytest.approx(2.0)
     assert invocations["leaf"] == pytest.approx(10.0)

@@ -7,7 +7,7 @@ import pytest
 from repro.baselines import STANDARD_LEVELS
 from repro.ir import run_module
 from repro.passes import PassManager
-from repro.workloads import load_suite
+from repro.workloads import load_suite, suite_names
 
 # Golden (return_value, n_outputs) pairs: catches accidental edits to the
 # workload sources as well as frontend/interpreter regressions.
@@ -23,6 +23,21 @@ def test_all_workloads_interpret(suite):
         result = run_module(workload.compile())
         assert result.output, workload.name  # every workload prints
         assert 0 <= result.return_value < 251, workload.name
+
+
+@pytest.mark.parametrize("suite", suite_names())
+def test_every_standard_level_matches_o0_interpreter(suite):
+    """Every bundled program at -O1/-O2/-O3/-Os/-Oz interprets exactly
+    like its unoptimized module (``repr`` keeps -0.0 and NaN exact)."""
+    mismatches = []
+    for workload in load_suite(suite):
+        reference = repr(run_module(workload.compile()).observable())
+        for level in ("-O1", "-O2", "-O3", "-Os", "-Oz"):
+            module = workload.compile()
+            PassManager().run(module, STANDARD_LEVELS[level])
+            if repr(run_module(module).observable()) != reference:
+                mismatches.append((workload.name, level))
+    assert mismatches == []
 
 
 @pytest.mark.slow

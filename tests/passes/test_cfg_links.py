@@ -38,7 +38,6 @@ from repro.ir import (
 from repro.ir.cfg import (
     predecessors_map,
     recompute_predecessors_map,
-    unique_predecessors_map,
 )
 from repro.ir.printer import module_fingerprint
 from repro.ir.types import I1, I64, FunctionType
@@ -70,10 +69,6 @@ def assert_cfg_state_consistent(module):
                     legacy.append(other)
             assert [id(b) for b in block.predecessors()] == \
                 [id(b) for b in legacy], block.name
-        unique = unique_predecessors_map(function)
-        for block in function.blocks:
-            assert [id(b) for b in unique[block]] == \
-                [id(b) for b in block.predecessors()]
         # Block-position index matches the actual order.
         positions = function.block_positions()
         assert positions == {id(b): i

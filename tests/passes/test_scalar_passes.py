@@ -5,7 +5,7 @@ from repro.ir import (
     run_module,
 )
 from repro.lang import compile_source
-from repro.passes import PassManager
+from repro.passes import AnalysisManager, PassManager, create_pass
 
 
 def apply(source, phases):
@@ -180,6 +180,74 @@ def test_ipsccp_propagates_constant_arguments():
     # main should return the constant 15 directly (call may remain but
     # its result is folded).
     assert isinstance(ret, RetInst)
+
+
+def test_ipsccp_iterates_a_deep_call_chain_to_its_fixpoint():
+    """``sink`` is called with 5 and with ``g5(i)``.  The argument and
+    return cells of the chain fall one link per round (13 rounds here),
+    so a solve stopped after 4 rounds folded ``sink``'s argument to 5
+    and printed 40 instead of 46."""
+    src = """
+    int sink(int x) { return x * 2; }
+    int g1(int x) { return x + 1; }
+    int g2(int x) { return g1(x) + 1; }
+    int g3(int x) { return g2(x) + 1; }
+    int g4(int x) { return g3(x) + 1; }
+    int g5(int x) { return g4(x) + 1; }
+    int main() {
+      int t = 0;
+      for (int i = 0; i < 3; i++) { t += sink(g5(i)); }
+      t += sink(5);
+      print_int(t);
+      return 0;
+    }
+    """
+    module = apply(src, ["mem2reg", "ipsccp"])
+    assert run_module(module).output == (("i", 46),)
+
+
+def test_sccp_keeps_zero_and_negative_zero_apart():
+    """The loop phi meets 0.0 and -0.0; folding it to 0.0 printed inf
+    twice instead of inf, -inf."""
+    src = """
+    int main() {
+      float x = 0.0;
+      for (int i = 0; i < 2; i++) { print_float(1.0 / x); x = x * -1.0; }
+      return 0;
+    }
+    """
+    module = apply(src, ["mem2reg", "sccp"])
+    assert run_module(module).output == (("f", float("inf")),
+                                         ("f", float("-inf")))
+
+
+def test_ipsccp_reports_and_invalidates_only_changed_functions():
+    src = """
+    int helper(int x) { print_int(x); return 7; }
+    int main() {
+      int t = 0;
+      for (int i = 0; i < 3; i++) { t += helper(i); }
+      return t;
+    }
+    """
+    module = compile_source(src)
+    am = AnalysisManager()
+    PassManager().run(module, ["mem2reg"], am)
+    helper = module.get_function("helper")
+    main = module.get_function("main")
+    for function in (helper, main):
+        am.fingerprint(function)
+        am.get("static_partial", function)
+    fingerprint = am.cached("fingerprint", helper)
+    partial = am.cached("static_partial", helper)
+
+    changed = create_pass("ipsccp").run_with_changes(module, am)
+
+    assert changed == {main}
+    assert am.cached("fingerprint", helper) is fingerprint
+    assert am.cached("static_partial", helper) is partial
+    assert am.cached("fingerprint", main) is None
+    assert am.cached("static_partial", main) is None
 
 
 def test_reassociate_groups_constants():

@@ -23,13 +23,9 @@ COMMUTATIVE_OPS = frozenset({"add", "mul", "and", "or", "xor", "fadd", "fmul"})
 ICMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge")
 FCMP_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge")
 
-# Predicate negation / swap tables used by instcombine and friends.
-ICMP_NEGATE = {"eq": "ne", "ne": "eq", "slt": "sge", "sge": "slt",
-               "sgt": "sle", "sle": "sgt"}
+# Predicate of the swapped-operand compare (``a < b`` is ``b > a``).
 ICMP_SWAP = {"eq": "eq", "ne": "ne", "slt": "sgt", "sgt": "slt",
              "sle": "sge", "sge": "sle"}
-FCMP_NEGATE = {"oeq": "one", "one": "oeq", "olt": "oge", "oge": "olt",
-               "ogt": "ole", "ole": "ogt"}
 
 CAST_OPS = ("sext", "zext", "trunc", "sitofp", "fptosi")
 

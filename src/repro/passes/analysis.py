@@ -44,61 +44,57 @@ class LoopIVAnalysis:
     """Memoized induction-variable and trip-count queries for one
     function.
 
-    Keys pin the queried ``Loop``/preheader objects so Python id reuse
-    after garbage collection cannot alias two distinct loops.
+    One memo serves the four queries, keyed ``(query, id(loop),
+    id(preheader), max_iterations)``.  Entries pin the queried
+    ``Loop``/preheader objects so Python id reuse after garbage
+    collection cannot alias two distinct loops.
     """
 
     def __init__(self, function):
         self.function = function
-        self._ivs = {}
-        self._trips = {}
+        self._memo = {}  # key -> (loop, preheader, result)
+
+    @staticmethod
+    def compute(query, loop, preheader, dom, max_iterations):
+        """Answer ``query`` from scratch (the auditor re-asks cached
+        entries through here)."""
+        from repro.passes import loop_canon, loop_utils
+        if query == "iv":
+            return loop_utils.find_induction_variable(loop, preheader)
+        if query == "trip":
+            return loop_utils.constant_trip_count(loop, preheader,
+                                                  max_iterations)
+        if query == "plan":
+            return loop_canon.simulate_exits(loop, preheader, dom,
+                                             max_iterations)
+        return loop_canon.counted_exit_bound(loop, preheader, dom,
+                                             max_iterations)
+
+    def _ask(self, query, loop, preheader, dom, max_iterations):
+        key = (query, id(loop), id(preheader), max_iterations)
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = (loop, preheader, self.compute(query, loop, preheader,
+                                                 dom, max_iterations))
+            self._memo[key] = hit
+        return hit[2]
 
     def induction_variable(self, loop, preheader):
-        from repro.passes.loop_utils import find_induction_variable
-        key = (id(loop), id(preheader))
-        hit = self._ivs.get(key)
-        if hit is None:
-            iv = find_induction_variable(loop, preheader)
-            hit = (loop, preheader, iv)
-            self._ivs[key] = hit
-        return hit[2]
+        return self._ask("iv", loop, preheader, None, None)
 
     def trip_count(self, loop, preheader, max_count=4096):
-        from repro.passes.loop_utils import constant_trip_count
-        key = (id(loop), id(preheader), max_count)
-        hit = self._trips.get(key)
-        if hit is None:
-            result = constant_trip_count(loop, preheader,
-                                         max_count=max_count)
-            hit = (loop, preheader, result)
-            self._trips[key] = hit
-        return hit[2]
+        """Memoized :func:`repro.passes.loop_utils.constant_trip_count`."""
+        return self._ask("trip", loop, preheader, None, max_count)
 
     def exit_plan(self, loop, preheader, dom, max_iterations=4096):
         """Memoized multi-exit trip simulation (see
         :func:`repro.passes.loop_canon.simulate_exits`)."""
-        from repro.passes.loop_canon import simulate_exits
-        key = ("plan", id(loop), id(preheader), max_iterations)
-        hit = self._trips.get(key)
-        if hit is None:
-            result = simulate_exits(loop, preheader, dom,
-                                    max_iterations=max_iterations)
-            hit = (loop, preheader, result)
-            self._trips[key] = hit
-        return hit[2]
+        return self._ask("plan", loop, preheader, dom, max_iterations)
 
     def counted_bound(self, loop, preheader, dom, max_iterations=4096):
         """Memoized counted-exit trip bound (see
         :func:`repro.passes.loop_canon.counted_exit_bound`)."""
-        from repro.passes.loop_canon import counted_exit_bound
-        key = ("bound", id(loop), id(preheader), max_iterations)
-        hit = self._trips.get(key)
-        if hit is None:
-            result = counted_exit_bound(loop, preheader, dom,
-                                        max_iterations=max_iterations)
-            hit = (loop, preheader, result)
-            self._trips[key] = hit
-        return hit[2]
+        return self._ask("bound", loop, preheader, dom, max_iterations)
 
 
 class AnalysisStats:

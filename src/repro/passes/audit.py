@@ -110,35 +110,16 @@ def _check_loops(phase, function, cached, fresh):
 
 
 def _check_loopivs(phase, function, memo, pinned, fresh_dom):
-    from repro.passes.loop_canon import counted_exit_bound, simulate_exits
-    from repro.passes.loop_utils import (
-        constant_trip_count,
-        find_induction_variable,
-    )
-
-    for loop, preheader, cached in memo._ivs.values():
+    for (query, _, _, max_iterations), (loop, preheader, cached) in \
+            memo._memo.items():
         if id(loop) not in pinned or preheader.parent is not function:
             continue
-        if not _same(cached, find_induction_variable(loop, preheader)):
-            _fail(phase, function, "loopivs",
-                  f"stale induction variable for the loop at "
-                  f"{loop.header.name!r}")
-    for key, (loop, preheader, cached) in memo._trips.items():
-        if id(loop) not in pinned or preheader.parent is not function:
-            continue
-        if isinstance(key[0], str):
-            if key[0] == "plan":
-                fresh = simulate_exits(loop, preheader, fresh_dom,
-                                       max_iterations=key[3])
-            else:
-                fresh = counted_exit_bound(loop, preheader, fresh_dom,
-                                           max_iterations=key[3])
-        else:
-            fresh = constant_trip_count(loop, preheader, max_count=key[2])
+        fresh = memo.compute(query, loop, preheader, fresh_dom,
+                             max_iterations)
         if not _same(cached, fresh):
             _fail(phase, function, "loopivs",
-                  f"stale {key[0] if isinstance(key[0], str) else 'trip'}"
-                  f"-count memo for the loop at {loop.header.name!r}")
+                  f"stale {query!r} memo for the loop at "
+                  f"{loop.header.name!r}")
 
 
 def _check_loopcanon(phase, function, memo, pinned):

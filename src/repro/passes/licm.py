@@ -21,7 +21,7 @@ from repro.ir import LoadInst
 from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE
 from repro.passes.base import FunctionPass, register_pass
 from repro.passes.loop_utils import (
-    ensure_preheader_tracked,
+    ensure_preheader,
     invariant_operands,
     is_loop_invariant,
 )
@@ -61,7 +61,7 @@ class LICM(FunctionPass):
         return PRESERVE_CFG | frozenset({"loopcanon"})
 
     def _run_on_loop(self, function, loop, am):
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False, False
         if created:

@@ -32,32 +32,30 @@ analysis: loop passes consult the cached verdict and skip the
 the inactive-trial regime the deployment loop spends most of its phase
 budget on.  Passes that maintain the form declare it preserved.
 
-The exit *simulation* utilities at the bottom generalize
-``constant_trip_count`` to multi-exit loops: when every exit condition
-is an IV-vs-constant compare, the exact per-iteration branch decisions
-(and therefore the early-exit trip count) are computable, which lets
-full unrolling and loop-idiom fire on early-exit counted loops.
+The exit *simulation* queries at the bottom (``simulate_exits``,
+``counted_exit_bound``) generalize ``constant_trip_count`` to
+multi-exit loops: when every exit condition is an IV-vs-constant
+compare, the exact per-iteration branch decisions (and therefore the
+early-exit trip count) are computable, which lets full unrolling and
+loop-idiom fire on early-exit counted loops.  All three queries parse
+each exit with ``loop_utils.exit_test`` and count with
+``loop_utils.fires_at``; the multi-exit ones take the exit that fires
+first.
 """
 
 from repro.ir import (
     BranchInst,
-    CondBranchInst,
     ConstantInt,
-    ICmpInst,
     PhiInst,
     UndefValue,
     split_edge,
 )
 from repro.passes.loop_utils import (
-    ensure_preheader_tracked,
+    ensure_preheader,
+    exit_test,
     find_induction_variables,
+    fires_at,
 )
-
-_COMPARE = {
-    "slt": lambda a, b: a < b, "sle": lambda a, b: a <= b,
-    "sgt": lambda a, b: a > b, "sge": lambda a, b: a >= b,
-    "ne": lambda a, b: a != b, "eq": lambda a, b: a == b,
-}
 
 
 # -- canonical-form verdicts (the ``loopcanon`` analysis) -----------------
@@ -151,7 +149,7 @@ def simplify_loop(function, loop):
     loop object; split exit blocks live outside every loop.
     """
     changed = False
-    preheader, created = ensure_preheader_tracked(function, loop)
+    preheader, created = ensure_preheader(function, loop)
     if preheader is None:
         return changed
     changed |= created
@@ -451,49 +449,23 @@ class ExitPlan:
         return count
 
 
-def _exit_condition_spec(loop, ivs, exiting):
-    """(iv, offset, predicate, bound, exit_on_true, target) for an
-    exiting block whose test compares one of ``ivs`` against a
-    constant, else None.
-
-    Two-counter loops (``for (i...; j...)`` shapes) carry several
-    canonical IVs; each exit test may be governed by any of them, so
-    the candidate set spans every IV's phi (iteration-start value) and
-    update (post-increment; SSA dominance guarantees the update ran).
-    """
-    term = exiting.terminator()
-    if not isinstance(term, CondBranchInst):
-        return None
-    in_true = term.true_target in loop.blocks
-    in_false = term.false_target in loop.blocks
-    if in_true == in_false:
-        return None
-    target = term.false_target if in_true else term.true_target
-    condition = term.condition
-    if not isinstance(condition, ICmpInst):
-        return None
-    lhs, rhs = condition.operands
-    candidates = {}
-    for iv in ivs:
-        candidates[id(iv.phi)] = (iv, 0)
-        candidates[id(iv.update)] = (iv, iv.step)
-    if id(lhs) in candidates and isinstance(rhs, ConstantInt):
-        iv, offset = candidates[id(lhs)]
-        predicate = condition.predicate
-        bound = rhs.value
-    elif id(rhs) in candidates and isinstance(lhs, ConstantInt):
-        from repro.ir.instructions import ICMP_SWAP
-        iv, offset = candidates[id(rhs)]
-        predicate = ICMP_SWAP[condition.predicate]
-        bound = lhs.value
-    else:
-        return None
-    return iv, offset, predicate, bound, not in_true, target
-
-
 def _constant_start_ivs(loop, preheader):
     return [iv for iv in find_induction_variables(loop, preheader)
             if isinstance(iv.start, ConstantInt)]
+
+
+def _first_to_fire(tests, max_iterations):
+    """``(iteration, index)`` of the earliest-firing exit test, the
+    first in ``tests`` order winning ties, or None when none fires by
+    iteration ``max_iterations + 1``.  Each later test only needs to be
+    counted up to the iteration before the best so far."""
+    best = None
+    for index, test in enumerate(tests):
+        limit = max_iterations if best is None else best[0] - 2
+        fired = fires_at(test, limit)
+        if fired is not None:
+            best = (fired, index)
+    return best
 
 
 def simulate_exits(loop, preheader, dom, max_iterations=4096):
@@ -505,10 +477,10 @@ def simulate_exits(loop, preheader, dom, max_iterations=4096):
     IV-vs-constant compare, so each test's outcome is a pure function
     of the iteration number.  Loops governed by *several* independent
     IVs simulate too: all counters step in lockstep once per completed
-    iteration, and each exit test reads its own counter.
+    iteration, and each exit test reads its own counter.  The loop
+    leaves through the test that fires in the earliest iteration (the
+    first in dominance order among those firing together).
     """
-    from repro.ir.types import I64
-
     ivs = _constant_start_ivs(loop, preheader)
     if not ivs:
         return None
@@ -522,38 +494,25 @@ def simulate_exits(loop, preheader, dom, max_iterations=4096):
     # Blocks dominating a common node form a chain: dominance order is
     # total, and rpo position respects it.
     exiting.sort(key=lambda b: dom._index[b])
-    specs = []
+    tests = []
     used_ivs = []
     for block in exiting:
-        spec = _exit_condition_spec(loop, ivs, block)
-        if spec is None:
+        test = exit_test(loop, ivs, block)
+        if test is None:
             return None
-        specs.append((block, spec))
-        if spec[0] not in used_ivs:
-            used_ivs.append(spec[0])
-    values = {id(iv.phi): iv.start.value for iv in used_ivs}
-    iterations = []
-    while True:
-        record = []
-        fired = None
-        for block, (iv, offset, predicate, bound, exit_on_true,
-                    target) in specs:
-            outcome = _COMPARE[predicate](
-                I64.wrap(values[id(iv.phi)] + offset), bound)
-            takes_exit = outcome == exit_on_true
-            record.append((block, takes_exit))
-            if takes_exit:
-                fired = (block, target)
-                break
-        iterations.append(record)
-        if fired is not None:
-            # ``fired`` implies at least one spec, so ``used_ivs`` is
-            # never empty here.
-            return ExitPlan(iterations, fired[0], fired[1], used_ivs)
-        for iv in used_ivs:
-            values[id(iv.phi)] = I64.wrap(values[id(iv.phi)] + iv.step)
-        if len(iterations) > max_iterations:
-            return None
+        tests.append(test)
+        if test[0] not in used_ivs:
+            used_ivs.append(test[0])
+    first = _first_to_fire(tests, max_iterations)
+    if first is None:
+        return None
+    entered, winner = first
+    iterations = [[(block, False) for block in exiting]
+                  for _ in range(entered - 1)]
+    iterations.append([(block, False) for block in exiting[:winner]]
+                      + [(exiting[winner], True)])
+    return ExitPlan(iterations, exiting[winner], tests[winner][5],
+                    used_ivs)
 
 
 def counted_exit_bound(loop, preheader, dom, max_iterations=4096):
@@ -565,36 +524,25 @@ def counted_exit_bound(loop, preheader, dom, max_iterations=4096):
     IV-vs-constant condition over *any* of the loop's canonical IVs;
     the iteration count at which it fires — computed by ignoring every
     other exit — bounds the loop, since the ignored exits only leave
-    *sooner*.  The tightest bound over all counted exits wins.
+    *sooner*.  The tightest bound over all counted exits wins (the
+    first in ``exiting_blocks()`` order on a tie).
     Returns ``(n_entered, iv, exiting_block)`` or None, with ``iv``
     the counter governing the winning exit.
     """
-    from repro.ir.types import I64
-
     ivs = _constant_start_ivs(loop, preheader)
     if not ivs:
         return None
     latch = loop.latches()[0]
-    best = None
+    counted = []
     for block in loop.exiting_blocks():
         if not dom.dominates(block, latch):
             continue
-        spec = _exit_condition_spec(loop, ivs, block)
-        if spec is None:
-            continue
-        iv, offset, predicate, bound, exit_on_true, _target = spec
-        value = iv.start.value
-        entered = 0
-        fired = None
-        while entered <= max_iterations:
-            entered += 1
-            if _COMPARE[predicate](I64.wrap(value + offset), bound) \
-                    == exit_on_true:
-                fired = entered
-                break
-            value = I64.wrap(value + iv.step)
-        if fired is None:
-            continue
-        if best is None or fired < best[0]:
-            best = (fired, iv, block)
-    return best
+        test = exit_test(loop, ivs, block)
+        if test is not None:
+            counted.append((block, test))
+    first = _first_to_fire([test for _, test in counted], max_iterations)
+    if first is None:
+        return None
+    entered, winner = first
+    block, test = counted[winner]
+    return entered, test[0], block

@@ -25,7 +25,7 @@ from repro.passes.loop_canon import (
     loop_is_simplified,
 )
 from repro.passes.loop_utils import (
-    ensure_preheader_tracked,
+    ensure_preheader,
     exit_phis_reference_loop,
     is_loop_invariant,
     loop_body_is_pure,
@@ -71,7 +71,7 @@ class LoopDeletion(FunctionPass):
         return mutated
 
     def _delete(self, function, loop, am):
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False, False
         if len(loop.exiting_blocks()) != 1 or \
@@ -175,7 +175,7 @@ class IndVarSimplify(FunctionPass):
         return changed
 
     def _strength_reduce(self, function, loop, am):
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False
         iv = am.loopivs(function).induction_variable(loop, preheader)
@@ -249,7 +249,7 @@ class LoopIdiom(FunctionPass):
         # cond/body/step frontend shape or rotated 1–2 block shapes.
         if len(loop.blocks) > 3:
             return False, False
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False, False
         trip_count, iv = am.loopivs(function).trip_count(loop, preheader)
@@ -587,7 +587,7 @@ class LoopDistribute(FunctionPass):
     def _distribute(self, function, loop, am):
         from repro.passes.utils import underlying_object
 
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False, False
         iv = am.loopivs(function).induction_variable(loop, preheader)
@@ -674,7 +674,7 @@ class LoopUnswitch(FunctionPass):
         if sum(len(b.instructions) for b in loop.blocks) > \
                 self.MAX_LOOP_SIZE:
             return False, False
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False, False
         # Find an invariant conditional branch that is not the exit test.

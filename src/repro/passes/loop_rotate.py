@@ -34,7 +34,7 @@ from repro.passes.loop_canon import (
     loop_is_lcssa,
     loop_is_simplified,
 )
-from repro.passes.loop_utils import ensure_preheader_tracked
+from repro.passes.loop_utils import ensure_preheader
 from repro.passes.utils import is_pure
 
 
@@ -111,7 +111,7 @@ class LoopRotate(FunctionPass):
             return False
         if body_entry.phis() or len(body_entry.predecessors()) != 1:
             return False
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False
         if created:

@@ -33,7 +33,7 @@ from repro.passes.loop_canon import (
     loop_is_lcssa,
     loop_is_simplified,
 )
-from repro.passes.loop_utils import ensure_preheader_tracked
+from repro.passes.loop_utils import ensure_preheader
 from repro.passes.utils import remove_block_from_phis
 
 
@@ -57,7 +57,7 @@ class LoopUnroll(FunctionPass):
         return changed
 
     def _unroll(self, function, loop, am):
-        preheader, created = ensure_preheader_tracked(function, loop)
+        preheader, created = ensure_preheader(function, loop)
         if preheader is None:
             return False, False
         if len(loop.exiting_blocks()) != 1 or \

@@ -1,5 +1,13 @@
 """Shared machinery for loop passes: loop-simplify (preheader insertion),
 invariance tests, canonical induction-variable and trip-count analysis.
+
+Every trip-count question ("after how many iterations does this
+counted exit fire?") is answered by one parser and one counter:
+:func:`exit_test` reads an exiting block's IV-vs-constant compare and
+:func:`fires_at` steps the counter in exact i64 arithmetic.  Three
+queries are built on them: :func:`constant_trip_count` here (single
+exit), and ``simulate_exits`` and ``counted_exit_bound`` in
+:mod:`repro.passes.loop_canon` (multi-exit).
 """
 
 from repro.ir import (
@@ -11,21 +19,9 @@ from repro.ir import (
     Instruction,
     PhiInst,
 )
+from repro.ir.arith import icmp, wrap64
+from repro.ir.instructions import ICMP_SWAP
 from repro.passes.utils import is_pure
-
-
-def ensure_preheader_tracked(function, loop):
-    """Like :func:`ensure_preheader` but also reports creation.
-
-    Returns ``(preheader, created)`` — ``created`` is True only when a
-    new block was inserted (a CFG change the calling pass must report
-    and invalidate for, even if it then transforms nothing else).
-    """
-    existing = loop.preheader()
-    if existing is not None:
-        return existing, False
-    preheader = ensure_preheader(function, loop)
-    return preheader, preheader is not None
 
 
 def ensure_preheader(function, loop):
@@ -33,14 +29,18 @@ def ensure_preheader(function, loop):
 
     All out-of-loop predecessors of the header are redirected through a
     fresh block ending in an unconditional branch to the header.
+    Returns ``(preheader, created)``: ``preheader`` is None when the
+    header has no out-of-loop predecessor, and ``created`` is True only
+    when a new block was inserted (a CFG change the calling pass must
+    report and invalidate for, even if it then transforms nothing else).
     """
     existing = loop.preheader()
     if existing is not None:
-        return existing
+        return existing, False
     header = loop.header
     outside = [p for p in header.predecessors() if p not in loop.blocks]
     if not outside:
-        return None
+        return None, False
     preheader = function.append_block(function.next_name("preheader"))
     # Keep block order roughly topological: place before the header.
     preheader.insert_before(header)
@@ -67,7 +67,7 @@ def ensure_preheader(function, loop):
         for value, block in inside_pairs:
             phi.add_incoming(value, block)
     preheader.append(BranchInst(header))
-    return preheader
+    return preheader, True
 
 
 def is_loop_invariant(value, loop):
@@ -142,12 +142,75 @@ def find_induction_variable(loop, preheader):
     return ivs[0] if ivs else None
 
 
+def exit_test(loop, ivs, exiting):
+    """Parse ``exiting``'s exit test: ``(iv, offset, predicate, bound,
+    exit_on_true, target)`` when its branch compares one of ``ivs``
+    against a constant, else None.
+
+    The candidate set spans every IV's phi (iteration-start value,
+    ``offset`` 0) and update (post-increment, ``offset`` = step; SSA
+    dominance guarantees the update ran), so two-counter loops
+    (``for (i...; j...)`` shapes) may govern each exit with either
+    counter.  A constant on the left is swapped to the right;
+    ``exit_on_true`` says which compare outcome leaves the loop, and
+    ``target`` is the exit block it leaves to.
+    """
+    term = exiting.terminator()
+    if not isinstance(term, CondBranchInst):
+        return None
+    in_true = term.true_target in loop.blocks
+    in_false = term.false_target in loop.blocks
+    if in_true == in_false:
+        return None
+    target = term.false_target if in_true else term.true_target
+    condition = term.condition
+    if not isinstance(condition, ICmpInst):
+        return None
+    lhs, rhs = condition.operands
+    candidates = {}
+    for iv in ivs:
+        candidates[id(iv.phi)] = (iv, 0)
+        candidates[id(iv.update)] = (iv, iv.step)
+    if id(lhs) in candidates and isinstance(rhs, ConstantInt):
+        iv, offset = candidates[id(lhs)]
+        predicate = condition.predicate
+        bound = rhs.value
+    elif id(rhs) in candidates and isinstance(lhs, ConstantInt):
+        iv, offset = candidates[id(rhs)]
+        predicate = ICMP_SWAP[condition.predicate]
+        bound = lhs.value
+    else:
+        return None
+    return iv, offset, predicate, bound, not in_true, target
+
+
+def fires_at(test, max_iterations):
+    """The 1-based iteration in which the parsed exit ``test`` (see
+    :func:`exit_test`) fires, or None when it has not fired by
+    iteration ``max_iterations + 1``.
+
+    The counter starts at the IV's constant start and steps once per
+    completed iteration, both in exact i64 arithmetic, so a counter
+    that wraps past INT64_MAX is followed as the program runs it.
+    """
+    iv, offset, predicate, bound, exit_on_true, _target = test
+    value = iv.start.value
+    for iteration in range(1, max_iterations + 2):
+        if icmp(predicate, wrap64(value + offset), bound) == exit_on_true:
+            return iteration
+        value = wrap64(value + iv.step)
+    return None
+
+
 def constant_trip_count(loop, preheader, max_count=4096):
     """Compute the exact trip count when the loop is a canonical counted
     loop ``for (i = C0; i < C1; i += C2)`` with a single exit through the
     header (rotated forms with the compare in the latch are also handled).
 
-    Returns (trip_count, iv) or (None, None).
+    The trip count is the number of completed bodies: the iteration in
+    which the exit fires, less one when the test runs at the top of the
+    iteration, before the IV update.  Returns (trip_count, iv) with
+    ``trip_count <= max_count``, or (None, None).
     """
     iv = find_induction_variable(loop, preheader)
     if iv is None or not isinstance(iv.start, ConstantInt):
@@ -156,63 +219,25 @@ def constant_trip_count(loop, preheader, max_count=4096):
     if len(exiting) != 1:
         return None, None
     exit_block = exiting[0]
-    term = exit_block.terminator()
-    if not isinstance(term, CondBranchInst):
-        return None, None
-    condition = term.condition
-    if not isinstance(condition, ICmpInst):
-        return None, None
-    lhs, rhs = condition.operands
-    # Identify "iv-expression" vs bound.  Accept the phi itself or its
-    # update instruction (rotated loops compare i+step).
-    candidates = {id(iv.phi): 0, id(iv.update): iv.step}
-    if id(lhs) in candidates and isinstance(rhs, ConstantInt):
-        offset = candidates[id(lhs)]
-        predicate = condition.predicate
-        bound = rhs.value
-    elif id(rhs) in candidates and isinstance(lhs, ConstantInt):
-        offset = candidates[id(rhs)]
-        from repro.ir.instructions import ICMP_SWAP
-        predicate = ICMP_SWAP[condition.predicate]
-        bound = lhs.value
-    else:
-        return None, None
-    stays_in_loop = term.true_target in loop.blocks
-    if not stays_in_loop and term.false_target in loop.blocks:
-        from repro.ir.instructions import ICMP_NEGATE
-        predicate = ICMP_NEGATE[predicate]
-    elif not stays_in_loop:
-        return None, None
     latches = loop.latches()
-    single_latch = latches[0] if len(latches) == 1 else None
     # Bottom-tested iff the iteration's body (specifically the IV update)
     # has executed when the exit test runs: exit at the latch, or exit at
     # a header that itself contains the update (rotated single-block
     # shapes).  A genuine top-tested loop exits at the header before the
     # update runs.
-    if single_latch is not None and exit_block is single_latch:
-        bottom_tested = True
+    if len(latches) == 1 and exit_block is latches[0]:
+        top_tested = False
     elif exit_block is loop.header:
-        bottom_tested = iv.update.parent is exit_block
+        top_tested = iv.update.parent is not exit_block
     else:
         return None, None
-    # Simulate the counter (bounded): robust against off-by-one pitfalls
-    # and non-divisible ranges, and exact by construction.  ``value``
-    # tracks the phi at the top of each iteration; the compare sees
-    # ``value + offset`` (offset == step when the test compares the
-    # already-updated IV).
-    value = iv.start.value
-    compare = {"slt": lambda a, b: a < b, "sle": lambda a, b: a <= b,
-               "sgt": lambda a, b: a > b, "sge": lambda a, b: a >= b,
-               "ne": lambda a, b: a != b, "eq": lambda a, b: a == b}
-    test = compare[predicate]
-    count = 1 if bottom_tested else 0
-    while test(value + offset, bound):
-        count += 1
-        value += iv.step
-        if count > max_count:
-            return None, None
-    return count, iv
+    test = exit_test(loop, [iv], exit_block)
+    if test is None:
+        return None, None
+    entered = fires_at(test, max_count)
+    if entered is None or entered - top_tested > max_count:
+        return None, None
+    return entered - top_tested, iv
 
 
 def loop_values_escape(loop):

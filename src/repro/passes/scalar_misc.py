@@ -20,6 +20,7 @@ from repro.ir import (
     RetInst,
     StoreInst,
 )
+from repro.ir.arith import icmp
 from repro.ir.types import I64
 from repro.passes.analysis import PRESERVE_CFG, PRESERVE_NONE
 from repro.passes.base import FunctionPass, Pass, register_pass
@@ -211,19 +212,8 @@ class JumpThreading(FunctionPass):
                 if pred not in function.blocks:
                     continue
                 if isinstance(condition, ICmpInst):
-                    folded = {"eq": value.value ==
-                              condition.operands[1].value,
-                              "ne": value.value !=
-                              condition.operands[1].value,
-                              "slt": value.value <
-                              condition.operands[1].value,
-                              "sle": value.value <=
-                              condition.operands[1].value,
-                              "sgt": value.value >
-                              condition.operands[1].value,
-                              "sge": value.value >=
-                              condition.operands[1].value}[
-                                  condition.predicate]
+                    folded = icmp(condition.predicate, value.value,
+                                  condition.operands[1].value)
                     target = term.true_target if folded \
                         else term.false_target
                 else:

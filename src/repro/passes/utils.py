@@ -4,6 +4,8 @@ Includes: constant folding, trivial dead-code collection, a lightweight
 alias analysis (identified-object based), and CFG edit helpers.
 """
 
+import struct
+
 from repro.errors import SimulationError
 from repro.ir import (
     arith,
@@ -312,7 +314,9 @@ def value_number_key(inst):
         if isinstance(value, ConstantInt):
             return ("ci", value.type.bits, value.value)
         if isinstance(value, ConstantFloat):
-            return ("cf", value.value)
+            # By bit pattern: 0.0 and -0.0 compare equal but divide to
+            # opposite infinities, and a NaN must match itself.
+            return ("cf", struct.pack("<d", value.value))
         if isinstance(value, UndefValue):
             return ("undef", str(value.type))
         return ("v", id(value))

@@ -25,12 +25,12 @@ exercised by tests instead of trusted.  Nothing here is known to
 """
 
 import errno
+import hashlib
 import multiprocessing
 import os
 import signal
 import threading
 import time
-import zlib
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine import evaluator, store
@@ -44,8 +44,11 @@ _STATE = {"plan": {}, "seconds": 0.3}
 
 def chance(seed, site, key):
     """Deterministic uniform [0, 1) draw for one (seed, site, key)."""
-    digest = zlib.crc32(f"{seed}\x1f{site}\x1f{key}".encode("utf-8"))
-    return (digest & 0xFFFFFFFF) / 2.0 ** 32
+    # A keyed hash, not a CRC: a CRC is linear, so the draws of two
+    # seeds would differ by one fixed XOR for every equal-length key.
+    digest = hashlib.blake2b(f"{seed}\x1f{site}\x1f{key}".encode("utf-8"),
+                             digest_size=4).digest()
+    return int.from_bytes(digest, "big") / 2.0 ** 32
 
 
 def fault_for(plan, spec):

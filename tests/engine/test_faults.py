@@ -74,6 +74,11 @@ def test_rate_draws_are_stable_and_order_independent():
     assert first != [chance(8, "store.get", key) for key in keys]
     assert first != [chance(7, "store.put", key) for key in keys]
     assert all(0.0 <= draw < 1.0 for draw in first)
+    # Not merely different: two seeds' draws over equal-length keys
+    # must not differ by one fixed bit pattern (as a linear CRC's do).
+    xors = {int(chance(0, "store.get", key) * 2 ** 32)
+            ^ int(chance(1, "store.get", key) * 2 ** 32) for key in keys}
+    assert len(xors) > 1
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -1,6 +1,13 @@
+import random
+
+import pytest
+
+from repro.baselines import STANDARD_LEVELS
 from repro.ir import CallInst, LoopInfo, run_module
+from repro.ir.arith import icmp, wrap64
 from repro.lang import compile_source
-from repro.passes import PassManager
+from repro.passes import AnalysisManager, PassManager
+from repro.passes.loop_utils import ensure_preheader
 
 
 def apply(source, phases):
@@ -230,3 +237,78 @@ def test_nested_loop_pipeline():
     apply(src, ["mem2reg", "instcombine", "loop-rotate", "licm",
                 "loop-unroll", "simplifycfg", "sccp", "instcombine",
                 "loop-unroll", "simplifycfg", "adce"])
+
+
+# -- trip counts of counters that wrap past INT64_MAX -------------------------
+
+ROTATE_UNROLL = ["mem2reg", "instcombine", "simplifycfg", "loop-rotate",
+                 "loop-unroll"]
+
+WRAPPING = """
+int main() {
+  int s = 0;
+  for (int i = 0; i < 4611686018427387906; i = i + 4611686018427387905) s = s + 1;
+  print_int(s);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("phases", [STANDARD_LEVELS["-O2"],
+                                    STANDARD_LEVELS["-O3"], ROTATE_UNROLL],
+                         ids=["O2", "O3", "rotate-unroll"])
+def test_trip_count_follows_a_wrapping_counter(phases):
+    """``i`` wraps to a negative value twice before it reaches the
+    bound: five iterations, which an unbounded count cut to two."""
+    module = apply(WRAPPING, phases)
+    assert run_module(module).output == (("i", 5),)
+
+
+def _draw_wrapping_loop(rng):
+    """``(source, trips)`` of a counted loop whose i64 counter wraps
+    and whose exit fires within 40 iterations."""
+    while True:
+        step = rng.choice((-1, 1)) * rng.randrange(1 << 59, 1 << 63)
+        start = rng.randrange(-(1 << 62), 1 << 62)
+        predicate = rng.choice(("slt", "sle", "sgt", "sge", "ne"))
+        bound = wrap64(start + rng.randrange(1, 40) * step)
+        if predicate != "ne":
+            bound = max(-(1 << 63) + 1, min((1 << 63) - 1,
+                                            bound + rng.randrange(-2, 3)))
+        value, trips, wrapped = start, 0, False
+        while trips <= 40 and icmp(predicate, value, bound):
+            wrapped |= value + step != wrap64(value + step)
+            value = wrap64(value + step)
+            trips += 1
+        if trips <= 40 and wrapped:
+            break
+    op, swapped = {"slt": ("<", ">"), "sle": ("<=", ">="),
+                   "sgt": (">", "<"), "sge": (">=", "<="),
+                   "ne": ("!=", "!=")}[predicate]
+    test = f"i {op} {bound}" if rng.random() < 0.5 else f"{bound} {swapped} i"
+    source = f"""
+    int main() {{
+      int s = 0;
+      for (int i = {start}; {test}; i = i + {step}) s = s + 1;
+      print_int(s);
+      return 0;
+    }}
+    """
+    return source, trips
+
+
+def test_trip_counts_of_wrapping_counters_match_the_interpreter():
+    rng = random.Random(2021)
+    for _ in range(300):
+        source, trips = _draw_wrapping_loop(rng)
+        assert run_module(compile_source(source)).output == \
+            (("i", trips),), source
+        apply(source, ROTATE_UNROLL)
+        module = compile_source(source)
+        PassManager().run(module, ROTATE_UNROLL[:-1])
+        main = module.get_function("main")
+        loop, = LoopInfo(main).loops
+        preheader, _ = ensure_preheader(main, loop)
+        count, _ = AnalysisManager().loopivs(main).trip_count(loop,
+                                                              preheader)
+        assert count == trips, source

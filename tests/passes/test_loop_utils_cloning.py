@@ -46,7 +46,7 @@ def test_trip_counts(init, cond, step, expected):
     module, main, info = _prepared(_loop_src(init, cond, step))
     assert len(info.loops) == 1
     loop = info.loops[0]
-    preheader = ensure_preheader(main, loop)
+    preheader, _ = ensure_preheader(main, loop)
     trips, iv = constant_trip_count(loop, preheader)
     assert trips == expected
     if expected > 0:
@@ -65,7 +65,7 @@ def test_trip_count_unknown_bound():
     """
     module, main, info = _prepared(source, ("mem2reg",))
     loop = info.loops[0]
-    preheader = ensure_preheader(main, loop)
+    preheader, _ = ensure_preheader(main, loop)
     trips, _ = constant_trip_count(loop, preheader)
     # The bound is an expression, not a literal: analysis declines (until
     # sccp folds it).
@@ -79,7 +79,7 @@ def test_trip_count_after_rotation():
                                    ("mem2reg", "instcombine",
                                     "loop-rotate", "simplifycfg"))
     loop = info.loops[0]
-    preheader = ensure_preheader(main, loop)
+    preheader, _ = ensure_preheader(main, loop)
     trips, _ = constant_trip_count(loop, preheader)
     assert trips == 6
 
@@ -87,7 +87,7 @@ def test_trip_count_after_rotation():
 def test_induction_variable_detection():
     module, main, info = _prepared(_loop_src(2, "i < 20", "+= 4"))
     loop = info.loops[0]
-    preheader = ensure_preheader(main, loop)
+    preheader, _ = ensure_preheader(main, loop)
     iv = find_induction_variable(loop, preheader)
     assert iv is not None
     assert iv.step == 4
@@ -108,12 +108,12 @@ def test_ensure_preheader_creates_dedicated_block():
     module, main, info = _prepared(source, ("mem2reg",))
     loop = info.loops[0]
     before = loop.preheader()
-    preheader = ensure_preheader(main, loop)
+    preheader, _ = ensure_preheader(main, loop)
     assert preheader is not None
     assert preheader.successors() == [loop.header]
     verify_function(main)
     # Idempotent.
-    assert ensure_preheader(main, loop) is preheader
+    assert ensure_preheader(main, loop)[0] is preheader
 
 
 def test_is_loop_invariant():
@@ -121,7 +121,7 @@ def test_is_loop_invariant():
     loop = info.loops[0]
     from repro.ir import ConstantInt, I64
     assert is_loop_invariant(ConstantInt(I64, 3), loop)
-    iv = find_induction_variable(loop, ensure_preheader(main, loop))
+    iv = find_induction_variable(loop, ensure_preheader(main, loop)[0])
     assert not is_loop_invariant(iv.phi, loop)
 
 
@@ -143,7 +143,7 @@ def test_clone_region_preserves_behaviour_when_substituted():
     main = module.get_function("main")
     info = LoopInfo(main)
     loop = info.loops[0]
-    preheader = ensure_preheader(main, loop)
+    preheader, _ = ensure_preheader(main, loop)
     blocks = [b for b in main.blocks if b in loop.blocks]
     value_map, block_map = clone_region(blocks, main, "copy")
     # Send the entry edge through the clone instead of the original.

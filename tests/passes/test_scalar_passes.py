@@ -1,3 +1,5 @@
+import pytest
+
 from repro.ir import (
     CallInst,
     LoadInst,
@@ -219,6 +221,24 @@ def test_sccp_keeps_zero_and_negative_zero_apart():
     module = apply(src, ["mem2reg", "sccp"])
     assert run_module(module).output == (("f", float("inf")),
                                          ("f", float("-inf")))
+
+
+@pytest.mark.parametrize("phase", ["gvn", "early-cse"])
+def test_value_numbering_keeps_zero_and_negative_zero_apart(phase):
+    """``1.0 / z`` (z = -0.0) and ``1.0 / 0.0`` divide equal-comparing
+    zeros; keying constants by value merged them into -inf twice."""
+    src = """
+    int main() {
+      float z = 0.0 * -1.0;
+      float y = 0.0;
+      print_float(1.0 / z);
+      print_float(1.0 / y);
+      return 0;
+    }
+    """
+    module = apply(src, ["mem2reg", "instcombine", phase])
+    assert run_module(module).output == (("f", float("-inf")),
+                                         ("f", float("inf")))
 
 
 def test_ipsccp_reports_and_invalidates_only_changed_functions():

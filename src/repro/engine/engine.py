@@ -16,7 +16,6 @@ Data extraction, RL rollouts, baseline searches and deployment checks
 all route through here, so repeated points are paid for once.
 """
 
-import hashlib
 import threading
 import weakref
 
@@ -34,6 +33,7 @@ from repro.engine.evaluator import (
 from repro.features import extract_features
 from repro.ir.printer import module_fingerprint
 from repro.passes.analysis import AnalysisManager
+from repro.workloads.registry import template
 
 
 class EvalResult:
@@ -103,7 +103,6 @@ class EvaluationEngine:
         self.evaluator = PointEvaluator(
             mode=mode, workers=workers, timeout=eval_timeout)
         self.fault_stats = self.evaluator.faults
-        self._workload_fingerprints = {}
         self._estimator_tokens = weakref.WeakKeyDictionary()
         self._token_counter = 0
 
@@ -113,17 +112,11 @@ class EvaluationEngine:
         return getattr(self.platform, "measurement_seed", 0)
 
     def workload_fingerprint(self, workload):
-        """Canonical fingerprint of the workload's unoptimized module,
-        memoized by source content (compiling is pure).  The structural
-        hash reads the registry template, so no clone is made."""
-        source = workload.source
-        memo_key = (workload.name,
-                    hashlib.sha256(source.encode("utf-8")).hexdigest())
-        fingerprint = self._workload_fingerprints.get(memo_key)
-        if fingerprint is None:
-            fingerprint = module_fingerprint(workload.template())
-            self._workload_fingerprints[memo_key] = fingerprint
-        return fingerprint
+        """Canonical fingerprint of the workload's unoptimized module:
+        the digest of the registry's per-process template
+        (:class:`repro.workloads.registry.Template`), so no clone is
+        made and no source is re-hashed."""
+        return template(workload.name, workload.source).digest
 
     def key_for(self, workload, sequence):
         return cache_key(self.workload_fingerprint(workload),

@@ -3,9 +3,11 @@ under one supervisor.
 
 A *point* is one ``(program source, pass sequence)`` pair on one
 platform.  :func:`evaluate_point` is a pure function of its spec dict —
-it clones the program's parsed template, runs the sequence, lowers the
-result once, and extracts features from and profiles that one machine
-program — so the same spec yields the same payload whether
+it clones the program's parsed template once, runs the sequence, lowers
+the result once, profiles that one machine program and extracts
+features from it and from the module, whose cost-model normalization
+runs in place on that one clone — so the same spec yields the same
+payload whether
 it runs inline or in a worker process, and *whether or not it had to be
 re-run*: fault recovery can never change a result, only whether one
 exists.
@@ -121,9 +123,10 @@ def optimize_point(spec):
 
     The module is a clone of the program's per-process template
     (:func:`repro.workloads.module_from_source`), so a worker runs the
-    frontend once per program, not once per point.  The two fingerprint
-    values are composed from per-function digests through the shared
-    analysis manager, so the optimized module's content address only
+    frontend once per program, not once per point.  The clone's manager
+    starts with the template's fingerprints, module digest and static
+    partials, so the input fingerprint is a memo hit and the optimized
+    module's content address (composed from per-function digests) only
     pays for the functions the sequence changed; the manager is
     returned so feature extraction reads the pipeline's analyses too.
     """
@@ -131,11 +134,11 @@ def optimize_point(spec):
     from repro.passes import AnalysisManager, PassManager
     from repro.workloads import module_from_source
 
-    module = module_from_source(spec["name"], spec["source"])
     # One analysis manager spans the whole sequence: passes share
     # dominator trees / loop nests, and the final fingerprint only
     # re-hashes functions the sequence actually changed.
     am = AnalysisManager()
+    module = module_from_source(spec["name"], spec["source"], am=am)
     fingerprint = module_fingerprint(module, am)
     PassManager().run(module, list(spec["sequence"]), am=am)
     result_fingerprint = module_fingerprint(module, am)
@@ -146,7 +149,7 @@ def optimize_point(spec):
 
 
 def profile_optimized(spec, module, am, fingerprint, result_fingerprint,
-                      function_fingerprints):
+                      function_fingerprints, in_place=False):
     """Feature-extract and profile an already-optimized module; returns
     the JSON-serializable cache payload.
 
@@ -155,9 +158,12 @@ def profile_optimized(spec, module, am, fingerprint, result_fingerprint,
     analysis manager that optimized the module: feature extraction
     reads its per-function static partials and the loop, dominator and
     IV analyses behind them (see
-    :func:`repro.features.extract_features`).  The payload holds content
-    only — no wall-clock timing — so a stored row is the same whichever
-    process measured it.
+    :func:`repro.features.extract_features`).  ``in_place=True`` is
+    for a caller that built ``module`` and never reads it again (a
+    fresh point): the cost model then normalizes the module itself
+    under ``am`` instead of a clone, which leaves the module mutated.  The
+    payload holds content only — no wall-clock timing — so a stored row
+    is the same whichever process measured it.
     """
     from repro.features import extract_features
     from repro.sim import Platform
@@ -166,7 +172,7 @@ def profile_optimized(spec, module, am, fingerprint, result_fingerprint,
                                   result_fingerprint)
     platform = Platform(spec["target"], measurement_seed=seed)
     program = platform.compile(module)
-    features = extract_features(module, program, am=am)
+    features = extract_features(module, program, am=am, in_place=in_place)
     measurement = platform.execute(program)
     return {
         "fingerprint": fingerprint,
@@ -194,8 +200,10 @@ def evaluate_point(spec):
     Top-level so it is picklable for process pools.
 
     A fresh point passes through each stage once: the frontend at most
-    once per program per process (:func:`optimize_point` clones a
-    template), codegen exactly once (:func:`profile_optimized`).
+    once per program per process, one clone of the program's template
+    (:func:`optimize_point`; the cost model normalizes that clone in
+    place rather than cloning again), codegen exactly once
+    (:func:`profile_optimized`).
 
     With ``farm_dir`` set, the point composes through the shared farm:
     after running the (cheap) pass pipeline, the optimized module's
@@ -208,7 +216,7 @@ def evaluate_point(spec):
     if farm_dir:
         payload, _ = compose_point(spec, process_store(farm_dir))
         return payload
-    return profile_optimized(spec, *optimize_point(spec))
+    return profile_optimized(spec, *optimize_point(spec), in_place=True)
 
 
 def farm_result_key(spec, result_fingerprint):
@@ -255,7 +263,8 @@ def compose_point(spec, store):
         })
         return payload, True
     payload = profile_optimized(spec, module, am, fingerprint,
-                                result_fingerprint, function_fingerprints)
+                                result_fingerprint, function_fingerprints,
+                                in_place=True)
     index_entry = dict(payload)
     index_entry.update({
         "fingerprint": result_fingerprint,

@@ -95,23 +95,32 @@ def function_frequencies(module, block_freq):
     return invocations
 
 
-def extract_cost_features(module):
+def extract_cost_features(module, am=None, in_place=False):
     """The COST_FEATURE_NAMES vector (log1p-compressed magnitudes).
 
-    The analysis runs on a normalized clone (mem2reg + instcombine) so
+    The analysis runs on a normalized module (mem2reg + instcombine) so
     induction variables — and therefore constant trip counts — are
     visible regardless of which phases the measured module has seen.
-    The clone shares no value with the measured module, which is never
-    mutated: not even its use-lists.
+
+    By default it normalizes a clone under a fresh manager (``am`` is
+    then unused): the clone shares no value with the measured module,
+    which is never mutated, not even its use-lists.  ``in_place=True``
+    is only for a caller that owns ``module`` and never reads it again
+    (the engine's fresh points): normalization then rewrites ``module``
+    itself under ``am``, its own manager, reusing the dominator and
+    loop analyses cached there.  Such a caller must read the module's
+    static features first.  The features are the same either way.
     """
     from repro.passes import PassManager
     from repro.passes.cloning import clone_module
 
+    if not in_place:
+        module, am = clone_module(module), None
+    if am is None:
+        am = AnalysisManager()
     # mem2reg+instcombine only: enough to expose induction variables
     # without erasing the cost differences between measured variants
     # (stronger normalization, or none, was measurably worse).
-    module = clone_module(module)
-    am = AnalysisManager()
     PassManager().run(module, ["mem2reg", "instcombine"], am)
     block_freq = {f.name: block_frequencies(f, am)
                   for f in module.defined_functions()}

@@ -49,7 +49,7 @@ def extract_platform_features(program):
     return np.array(values, dtype=float)
 
 
-def extract_features(module, program, am=None):
+def extract_features(module, program, am=None, in_place=False):
     """Full PE input vector: 63 static features, platform features of
     ``program`` — the module's compiled
     :class:`~repro.backend.mir.MachineProgram` for the target platform
@@ -62,7 +62,15 @@ def extract_features(module, program, am=None):
     ``am`` makes the static third function-granular: each function's
     partial is read from (and cached on) the analysis manager (see
     :func:`repro.features.static_features.extract_static_features`).
+
+    ``module`` is left as it is unless ``in_place=True``, which only a
+    caller that owns the module and never reads it again may pass (the
+    engine's fresh points): the cost model then normalizes ``module``
+    itself under ``am`` instead of a clone (see
+    :func:`~repro.features.costmodel.extract_cost_features`).  The
+    static features are read before that rewrite.
     """
-    return np.concatenate([extract_static_features(module, am=am),
-                           extract_platform_features(program),
-                           extract_cost_features(module)])
+    static = extract_static_features(module, am=am)
+    return np.concatenate([static, extract_platform_features(program),
+                           extract_cost_features(module, am=am,
+                                                 in_place=in_place)])

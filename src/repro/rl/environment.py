@@ -97,10 +97,12 @@ class PhaseSequenceEnv:
             self.module, self.estimator, fingerprint, self._am)
 
     def reset(self):
-        self.module = self.workload.compile()
+        # The clone's manager starts with the template's fingerprints
+        # and static partials.
+        self._am = AnalysisManager()
+        self.module = self.workload.compile(am=self._am)
         self.steps = 0
         self.applied = []
-        self._am = AnalysisManager()
         self._fingerprint = module_fingerprint(self.module, self._am)
         self._objectives = self._measure_objectives(self._fingerprint)
         self.initial_objectives = dict(self._objectives)

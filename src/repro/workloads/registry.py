@@ -1,34 +1,90 @@
-"""Workload registry: named suites of mini-C programs."""
+"""Workload registry: named suites of mini-C programs.
 
-import hashlib
+Each program is parsed once per process into a *template*, and every
+module handed out is a clone of it.  Alongside the template the registry
+keeps the template's analyses as plain data (no CFG objects): the module
+digest, the per-function fingerprints and the per-function static-feature
+partials.  A clone prints and fingerprints identically to its template,
+so these are the clone's analyses too; :func:`module_from_source` seeds
+them into the clone's :class:`~repro.passes.analysis.AnalysisManager`,
+and the first consumer of each (the point's input fingerprint, the
+static features of a function no phase changed) reads them instead of
+recomputing.  They are computed on first use, not at import, and live
+only as long as the process.
+"""
+
+from functools import cached_property
 
 from repro.lang import compile_source
+from repro.passes.analysis import AnalysisManager
 from repro.workloads.beebs import BEEBS_SOURCES
 from repro.workloads.earlyexit import EARLYEXIT_SOURCES
 from repro.workloads.multifn import MULTIFN_SOURCES
 from repro.workloads.parsec import PARSEC_SOURCES
 
-#: Compiled-module templates keyed by (name, source digest).  The
-#: frontend is deterministic and programs are compiled thousands of
-#: times per search, so :func:`module_from_source` parses once and hands
-#: out faithful clones (identical names and fingerprints) afterwards.
+#: :class:`Template` objects keyed by ``(name, source)``.  The frontend
+#: is deterministic and programs are compiled thousands of times per
+#: search, so :func:`module_from_source` parses once and hands out
+#: faithful clones (identical names and fingerprints) afterwards.
 _TEMPLATES = {}
 
 
-def module_template(name, source):
-    """The parsed template behind :func:`module_from_source` (the
-    frontend runs on the first call per ``(name, source)``).  Never
-    mutate it; a read-only consumer such as the structural fingerprint
-    reads it instead of a clone."""
-    key = (name, hashlib.sha256(source.encode("utf-8")).hexdigest())
-    template = _TEMPLATES.get(key)
-    if template is None:
-        template = compile_source(source, module_name=name)
-        _TEMPLATES[key] = template
-    return template
+class Template:
+    """One program's parsed module and its content analyses.
+
+    ``module`` is the template every clone copies; never mutate it.
+    The analyses are plain data: ``digest`` is the template's
+    :func:`~repro.ir.printer.module_fingerprint`, ``fingerprints`` maps
+    each function name to its
+    :func:`~repro.ir.printer.function_fingerprint`, and ``partials``
+    maps each defined function's name to its static-feature partial,
+    computed on first use so that a process that only builds cache keys
+    never pays for them.  Seeded values are shared by every clone and
+    must never be mutated; passes drop them from a clone's manager like
+    any other content analysis when they change a function.
+    """
+
+    def __init__(self, name, source):
+        from repro.ir.printer import module_fingerprint
+
+        self.module = compile_source(source, module_name=name)
+        am = AnalysisManager()
+        self.digest = module_fingerprint(self.module, am)
+        self.fingerprints = {function.name: am.fingerprint(function)
+                             for function in self.module.functions.values()}
+
+    @cached_property
+    def partials(self):
+        # A throwaway manager: the loop and dominator analyses the
+        # partials read are not kept.
+        am = AnalysisManager()
+        return {function.name: am.get("static_partial", function)
+                for function in self.module.defined_functions()}
+
+    def seed(self, module, am):
+        """Seed a clone's manager with the template's fingerprints,
+        static partials and module digest."""
+        for name, function in module.functions.items():
+            am.put("fingerprint", function, self.fingerprints[name])
+            partial = self.partials.get(name)
+            if partial is not None:
+                am.put("static_partial", function, partial)
+        # After the per-function puts, which clear the module memo.
+        am.store_module_fingerprint(module, self.digest)
 
 
-def module_from_source(name, source):
+def template(name, source):
+    """The program's :class:`Template` (the frontend and the template's
+    fingerprints run on the first call per ``(name, source)`` in a
+    process)."""
+    key = (name, source)
+    entry = _TEMPLATES.get(key)
+    if entry is None:
+        entry = _TEMPLATES[key] = Template(name, source)
+    return entry
+
+
+def module_from_source(name, source, am=None):
     """Fresh IR module of a mini-C program.
 
     Clones the cached template (``repro.passes.cloning.clone_module``),
@@ -36,10 +92,19 @@ def module_from_source(name, source):
     re-parsing (the 41 corpus programs: 0.03 s against 0.10-0.14 s on
     a 2-vCPU host).  Each clone owns its values (constants included),
     so a dropped module is collected and the template never grows.
+
+    With ``am`` (a manager that holds nothing of the clone yet), the
+    clone's fingerprints, module digest and static partials are seeded
+    into it from the program's :class:`Template`, so they are never
+    recomputed for a function no phase changes.
     """
     from repro.passes.cloning import clone_module
 
-    return clone_module(module_template(name, source))
+    entry = template(name, source)
+    module = clone_module(entry.module)
+    if am is not None:
+        entry.seed(module, am)
+    return module
 
 
 class Workload:
@@ -50,15 +115,16 @@ class Workload:
         self.suite = suite
         self.source = source
 
-    def compile(self):
+    def compile(self, am=None):
         """Fresh IR module (workloads are reusable; modules are not);
-        see :func:`module_from_source`."""
-        return module_from_source(self.name, self.source)
+        see :func:`module_from_source`, which also says what ``am``
+        receives."""
+        return module_from_source(self.name, self.source, am=am)
 
     def template(self):
         """The shared template behind :meth:`compile`; never mutate
         it."""
-        return module_template(self.name, self.source)
+        return template(self.name, self.source).module
 
     def __repr__(self):
         return f"<Workload {self.suite}/{self.name}>"

@@ -1,11 +1,15 @@
 """A fresh point passes through each compile stage once.
 
 The frontend runs at most once per program per process (points clone a
-parsed template) and codegen exactly once per fresh point (one machine
-program feeds both feature extraction and simulation).  Pinned by call
-counts, not wall clock, plus a field-by-field payload check against the
-straightforward reference: parse, optimize, extract features from one
-compiled program, profile with a second compile.
+parsed template), a fresh point clones that template once (the cost
+model normalizes the point's own module, not a second clone), the
+template's fingerprints and static partials are computed once per
+process and seeded into every clone, and codegen runs exactly once per
+fresh point (one machine program feeds both feature extraction and
+simulation).  Pinned by call counts, not wall clock, plus a
+field-by-field payload check against the straightforward reference:
+parse, optimize, extract features from one compiled program, profile
+with a second compile.
 """
 
 import importlib
@@ -23,7 +27,7 @@ from repro.ir.printer import module_fingerprint
 from repro.lang import compile_source
 from repro.passes import AnalysisManager, PassManager
 from repro.sim import Platform
-from repro.workloads import load_workload
+from repro.workloads import load_workload, registry
 
 O2 = tuple(STANDARD_LEVELS["-O2"])
 SEQUENCE = ("mem2reg", "instcombine", "dce")
@@ -160,3 +164,54 @@ def test_payload_matches_stage_by_stage_reference(suite, name, target):
     assert sorted(payload) == sorted(reference)
     for field, expected in reference.items():
         assert payload[field] == expected, field
+
+
+def _spec(workload, sequence):
+    return {"source": workload.source, "name": workload.name,
+            "sequence": list(sequence), "target": "riscv",
+            "measurement_seed": 0}
+
+
+@pytest.mark.parametrize("sequence", [(), O2], ids=["O0", "O2"])
+def test_fresh_point_clones_its_template_once(monkeypatch, sequence):
+    workload = load_workload("beebs", "crc32")
+    workload.compile()
+    clones = count_calls(monkeypatch, "repro.passes.cloning",
+                         "clone_module")
+    evaluate_point(_spec(workload, sequence))
+    assert len(clones) == 1
+    # The composed in-process path clones once too.
+    engine = EvaluationEngine(Platform("riscv"))
+    engine.evaluate(workload, sequence)
+    assert len(clones) == 2
+
+
+def test_template_functions_are_analyzed_once_per_process(monkeypatch):
+    # A process that has seen no point of this program yet.
+    monkeypatch.setattr(registry, "_TEMPLATES", {})
+    workload = load_workload("multi", "modmath")
+    fingerprints = count_calls(monkeypatch, "repro.ir.printer",
+                               "function_fingerprint")
+    partials = count_calls(monkeypatch,
+                           "repro.features.static_features",
+                           "_function_partial")
+    engine = EvaluationEngine(Platform("riscv"))
+    sequences = [(), O2, SEQUENCE, ("simplifycfg",), ("mem2reg", "dce")]
+    for sequence in sequences:
+        evaluate_point(_spec(workload, sequence))
+        engine.evaluate(workload, sequence)
+    template = workload.template()
+    assert len(template.defined_functions()) > 1
+    for function in template.functions.values():
+        assert sum(call[0] is function for call in fingerprints) == 1, \
+            function.name
+    for function in template.defined_functions():
+        assert sum(call[0] is function for call in partials) == 1, \
+            function.name
+    # Neither call on an -O0 point after the first: the clone's input
+    # fingerprint, result fingerprint and static features are seeded.
+    fingerprints.clear()
+    partials.clear()
+    evaluate_point(_spec(workload, ()))
+    assert fingerprints == []
+    assert partials == []

@@ -7,18 +7,15 @@ keep every module ever handed out alive for the life of the process.
 """
 
 import gc
-import hashlib
 import weakref
 
 from repro.ir.printer import module_fingerprint
 from repro.ir.values import Constant
 from repro.workloads import load_workload
-from repro.workloads.registry import _TEMPLATES
 
 
 def _template(workload):
-    return _TEMPLATES[(workload.name, hashlib.sha256(
-        workload.source.encode("utf-8")).hexdigest())]
+    return workload.template()
 
 
 def _constants(module):

@@ -219,6 +219,9 @@ class EvaluationEngine:
                 # duplicate of it in the same batch is a cache hit.
                 results[index] = EvalResult(payload, key,
                                             cached=position > 0)
+        # Publish the farm counters once per batch, not once per put.
+        if self.cache is not None and self.cache.store is not None:
+            self.cache.store.publish_stats()
         return results
 
     def profile_module(self, module, am=None):

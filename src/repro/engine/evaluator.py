@@ -214,8 +214,13 @@ def evaluate_point(spec):
     """
     farm_dir = spec.get("farm_dir")
     if farm_dir:
-        payload, _ = compose_point(spec, process_store(farm_dir))
-        return payload
+        store = process_store(farm_dir)
+        try:
+            return compose_point(spec, store)[0]
+        finally:
+            # Pool workers are killed, not closed, after a batch: each
+            # point publishes its store counters for aggregate_stats().
+            store.publish_stats()
     return profile_optimized(spec, *optimize_point(spec), in_place=True)
 
 

@@ -14,7 +14,8 @@ Layout (``root`` is the ``--farm-dir``)::
       seg-<pid>-<token>-<n>.jsonl the same writer's segment after its
                                   ``n``-th failed write
       _stats/<pid>-<token>.json   per-writer counters (aggregated for
-                                  the cross-process hit-rate report)
+                                  the cross-process hit-rate report),
+                                  published per batch, not per put
 
 Each line is one ``{"k": key, "p": payload, "c": crc32}`` record.
 Nothing ever renames, rewrites or deletes a segment, and there are no
@@ -36,6 +37,19 @@ lock files.  These invariants make that safe:
   ``key -> (segment, offset, length)`` index and, on a miss, parses
   only the bytes each segment gained since it last looked.
 
+A writer opens its segment once, unbuffered, and keeps it open: a put
+is one ``write`` of one line, at an offset the writer tracks itself.
+It drops the handle after a failed or short write (the next put opens
+the fresh segment), after a fork, on :meth:`ShardedStore.close` and
+when the store is garbage-collected.
+
+Counters are published to ``_stats/`` by
+:meth:`~ShardedStore.publish_stats` only: the engine calls it at the
+end of every ``evaluate_batch``, pool workers at the end of every
+farm-composed point, and :meth:`~ShardedStore.aggregate_stats` and
+:meth:`~ShardedStore.close` call it too.  A process that dies loses the
+counts it gathered since its last publish; the entries it wrote stay.
+
 Files from older layouts (``shard-XX/`` directories, one file per
 entry) are not read: their keys are misses.
 """
@@ -43,6 +57,7 @@ entry) are not read: their keys are misses.
 import json
 import os
 import threading
+import weakref
 import zlib
 
 _COUNTERS = ("hits", "misses", "stores", "cross_hits", "corrupt_lines",
@@ -90,14 +105,17 @@ class ShardedStore:
         self._lock = threading.RLock()
         self._index = {}  # key -> (segment path, offset, length)
         self._tails = {}  # segment path -> bytes parsed so far
+        self._writer = None  # (handle, path) of the open segment
         self._rekey()
 
     # -- identity ---------------------------------------------------------
     def _rekey(self):
+        self._drop_segment()
         self._pid = os.getpid()
         self._token = os.urandom(4).hex()
         self._tears = 0
         self.stats = dict.fromkeys(_COUNTERS, 0)
+        self._published = None  # the counters last written to _stats/
 
     def _ensure_process(self):
         """Re-key after a fork: the child must never append to the
@@ -111,28 +129,49 @@ class ShardedStore:
             self.root, f"seg-{self._pid}-{self._token}{suffix}.jsonl")
 
     # -- write path -------------------------------------------------------
+    def _open_segment(self):
+        os.makedirs(self.root, exist_ok=True)
+        path = self._segment_path()
+        handle = open(path, "ab", buffering=0)
+        self._writer = (handle, path)
+        self._offset = handle.tell()
+        self._close_handle = weakref.finalize(self, handle.close)
+
+    def _drop_segment(self):
+        if self._writer is not None:
+            self._writer = None
+            self._close_handle()
+
     def put(self, key, payload):
         """Append one entry; visible to every process once written."""
         with self._lock:
             self._ensure_process()
             data = _encode_line(key, payload)
-            path = self._segment_path()
-            os.makedirs(self.root, exist_ok=True)
+            if self._writer is None:
+                self._open_segment()
+            handle, path = self._writer
+            offset = self._offset
             try:
-                with open(path, "ab") as handle:
-                    offset = handle.tell()
-                    handle.write(data)
+                if handle.write(data) != len(data):
+                    raise OSError(f"short write to {path}")
             except OSError:
                 # A write that failed partway leaves a torn line at this
                 # segment's end (the crashed-writer shape readers skip);
                 # the next line must not merge with it, so write on in
                 # a fresh segment.
                 self._tears += 1
+                self._drop_segment()
                 raise
-            self._tails[path] = offset + len(data)
+            self._offset = self._tails[path] = offset + len(data)
             self._index[key] = (path, offset, len(data))
             self.stats["stores"] += 1
-            self._flush_stats()
+
+    def close(self):
+        """Publish this instance's counters and close its segment (a
+        later put reopens it)."""
+        with self._lock:
+            self.publish_stats()
+            self._drop_segment()
 
     # -- read path --------------------------------------------------------
     def get(self, key):
@@ -150,7 +189,6 @@ class ShardedStore:
             self.stats["hits"] += 1
             if f"-{self._token}" not in os.path.basename(entry[0]):
                 self.stats["cross_hits"] += 1
-                self._flush_stats()
             return payload
 
     def _read_entry(self, entry):
@@ -202,23 +240,29 @@ class ShardedStore:
         """This instance's counters, with its hit rate."""
         return _with_hit_rate(self.stats)
 
-    def _flush_stats(self):
+    def publish_stats(self):
         """Publish this instance's counters (atomically) so any process
-        can aggregate the farm-wide view."""
-        path = os.path.join(self.root, "_stats",
-                            f"{self._pid}-{self._token}.json")
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(path + ".tmp", "w") as handle:
-                json.dump(self.stats, handle)
-            os.replace(path + ".tmp", path)
-        except OSError:  # pragma: no cover - best effort
-            pass
+        can aggregate the farm-wide view; a no-op when they have not
+        changed since the last publish."""
+        with self._lock:
+            self._ensure_process()
+            if self.stats == self._published:
+                return
+            path = os.path.join(self.root, "_stats",
+                                f"{self._pid}-{self._token}.json")
+            try:
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path + ".tmp", "w") as handle:
+                    json.dump(self.stats, handle)
+                os.replace(path + ".tmp", path)
+            except OSError:  # best effort: the next publish retries
+                return
+            self._published = dict(self.stats)
 
     def aggregate_stats(self):
         """Farm-wide counters summed over every process that ever
         touched this store (the cross-process hit-rate report)."""
-        self._flush_stats()
+        self.publish_stats()
         stats_dir = os.path.join(self.root, "_stats")
         total = dict.fromkeys(_COUNTERS, 0)
         processes = 0

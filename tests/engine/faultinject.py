@@ -113,38 +113,45 @@ class _TornLine(bytes):
     """An encoded segment line whose write will fail halfway."""
 
 
+class _ShortLine(bytes):
+    """An encoded segment line whose write will stop halfway and return
+    the short count, as an unbuffered write may."""
+
+
 class _TearingWriter:
     """A segment handle whose write of a :class:`_TornLine` stops
-    halfway and fails, as a full disk would."""
+    halfway and fails, as a full disk would, and whose write of a
+    :class:`_ShortLine` stops halfway without an error."""
 
     def __init__(self, handle):
         self._handle = handle
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._handle.close()
-
     def tell(self):
         return self._handle.tell()
 
+    def close(self):
+        self._handle.close()
+
     def write(self, data):
-        if isinstance(data, _TornLine):
-            self._handle.write(data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, "injected torn write")
+        if isinstance(data, (_TornLine, _ShortLine)):
+            written = self._handle.write(data[:len(data) // 2])
+            if isinstance(data, _TornLine):
+                raise OSError(errno.ENOSPC, "injected torn write")
+            return written
         return self._handle.write(data)
 
 
 def inject_store_faults(monkeypatch, seed=0, io_error_rate=0.0,
-                        corrupt_rate=0.0, truncate_rate=0.0, torn=()):
+                        corrupt_rate=0.0, truncate_rate=0.0, torn=(),
+                        short=()):
     """Make every :class:`~repro.engine.store.ShardedStore` misbehave.
 
     Per key: a ``get``/``put`` raises ``OSError`` with probability
     ``io_error_rate``; a written line has a byte flipped with
-    probability ``corrupt_rate``; and a write fails halfway (a torn
-    line) with probability ``truncate_rate``, or always for a key in
-    ``torn``.
+    probability ``corrupt_rate``; a write fails halfway (a torn line)
+    with probability ``truncate_rate``, or always for a key in
+    ``torn``; and a write of a key in ``short`` stops halfway and
+    reports the short count.
     """
     def failing(method, op):
         def wrapper(self, key, *args):
@@ -162,6 +169,8 @@ def inject_store_faults(monkeypatch, seed=0, io_error_rate=0.0,
         if key in torn or \
                 chance(seed, "store.truncate", key) < truncate_rate:
             return _TornLine(data)
+        if key in short:
+            return _ShortLine(data)
         return data
 
     def tearing_open(path, mode="r", *args, **kwargs):

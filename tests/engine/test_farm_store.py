@@ -22,6 +22,7 @@ from repro.engine import (
     cache_key,
     evaluate_point,
 )
+from repro.engine import store as store_module
 from repro.engine.store import _encode_line
 from repro.sim import Platform
 from repro.workloads import load_suite
@@ -62,7 +63,86 @@ def test_entries_visible_to_other_instances(tmp_path):
     segments = _segments(tmp_path)
     assert len(segments) == 1
     assert segments[0].startswith(f"seg-{os.getpid()}-")
+    # Counters reach _stats/ on a publish (batch end, close or
+    # aggregate_stats), never on a put.
+    assert sorted(os.listdir(tmp_path)) == segments
+    writer.close()
     assert sorted(os.listdir(tmp_path)) == ["_stats"] + segments
+    assert writer.aggregate_stats()["stores"] == len(KEYS)
+
+
+def _count_store_opens(monkeypatch):
+    """Count the store module's segment opens and ``_stats/`` snapshot
+    writes."""
+    counts = {"segment": 0, "stats": 0}
+
+    def counting_open(path, mode="r", *args, **kwargs):
+        if mode == "ab":
+            counts["segment"] += 1
+        elif mode == "w" and "_stats" in str(path):
+            counts["stats"] += 1
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(store_module, "open", counting_open,
+                        raising=False)
+    return counts
+
+
+def test_puts_open_the_segment_once_and_publish_nothing(tmp_path,
+                                                        monkeypatch):
+    counts = _count_store_opens(monkeypatch)
+    writer = ShardedStore(tmp_path)
+    for i, key in enumerate(KEYS):
+        writer.put(key, {"v": i})
+    assert counts == {"segment": 1, "stats": 0}
+    writer.close()
+    assert counts == {"segment": 1, "stats": 1}
+    # A put after close reopens the same segment.
+    writer.put(KEYS[0], {"v": 0})
+    assert counts["segment"] == 2
+    assert len(_segments(tmp_path)) == 1
+    writer.close()
+
+
+def test_serial_batch_publishes_the_counters_once(tmp_path, monkeypatch):
+    counts = _count_store_opens(monkeypatch)
+    engine = EvaluationEngine(Platform("riscv", measurement_seed=9),
+                              farm_dir=str(tmp_path))
+    points = [(load_suite("beebs")[0], seq) for seq in SEQUENCES]
+    engine.evaluate_batch(points)
+    assert counts == {"segment": 1, "stats": 1}
+    # A batch the LRU serves whole leaves the farm's counters as they
+    # were, so nothing is rewritten.
+    engine.evaluate_batch(points)
+    assert counts == {"segment": 1, "stats": 1}
+    assert engine.stats()["farm"]["aggregate"]["stores"] == \
+        engine.cache.stats.disk_stores
+
+
+def test_forked_child_appends_to_its_own_segment(tmp_path):
+    writer = ShardedStore(tmp_path)
+    writer.put(KEYS[0], {"v": 0})  # the segment is open at the fork
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        status = 1
+        try:
+            writer.put(KEYS[1], {"v": 1})
+            writer.close()
+            status = 0
+        finally:
+            os._exit(status)
+    assert os.waitpid(pid, 0)[1] == 0
+    writer.put(KEYS[2], {"v": 2})
+    segments = _segments(tmp_path)
+    assert len(segments) == 2
+    assert sum(name.startswith(f"seg-{pid}-") for name in segments) == 1
+    fresh = ShardedStore(tmp_path)
+    for i in range(3):
+        assert fresh.get(KEYS[i]) == {"v": i}
+    # The parent's tracked offsets still address its own lines.
+    assert writer.get(KEYS[2]) == {"v": 2}
+    assert fresh.local_stats()["corrupt_lines"] == 0
+    assert fresh.local_stats()["checksum_skips"] == 0
 
 
 def test_torn_put_moves_the_writer_to_a_fresh_segment(tmp_path,
@@ -102,6 +182,27 @@ def test_failed_write_does_not_lose_the_next_entry(tmp_path, monkeypatch):
     fresh = ShardedStore(tmp_path)
     assert fresh.get(KEYS[1]) == {"v": 1}
     assert fresh.local_stats()["corrupt_lines"] == 0
+
+
+def test_short_write_drops_the_segment_handle(tmp_path, monkeypatch):
+    # A write that stops halfway without an error: the store counts it
+    # as a failed write, drops its handle and opens a fresh segment for
+    # the next entry.
+    inject_store_faults(monkeypatch, short={KEYS[1]})
+    writer = ShardedStore(tmp_path)
+    writer.put(KEYS[0], {"v": 0})
+    with pytest.raises(OSError):
+        writer.put(KEYS[1], {"v": 1})
+    writer.put(KEYS[2], {"v": 2})
+    segments = _segments(tmp_path)
+    assert len(segments) == 2
+    assert any(name.endswith("-1.jsonl") for name in segments)
+    fresh = ShardedStore(tmp_path)
+    assert fresh.get(KEYS[0]) == {"v": 0}
+    assert fresh.get(KEYS[1]) is None
+    assert fresh.get(KEYS[2]) == {"v": 2}
+    assert fresh.local_stats()["corrupt_lines"] == 0
+    writer.close()
 
 
 def test_torn_final_line_and_corrupt_lines_are_skipped(tmp_path):
@@ -182,6 +283,7 @@ def _stress_worker(task):
                     return ("CORRUPT", key, value)
                 del missing[key]
         time.sleep(0.01)
+    store.close()  # publishes this worker's counters
     if missing:
         return ("LOST", sorted(missing)[:3], None)
     return ("OK", store.local_stats()["cross_hits"], None)

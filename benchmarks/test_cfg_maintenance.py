@@ -20,17 +20,29 @@ Two tests: the identical-answer check is marked ``fast`` and runs in
 tier-1; the >= 1.2x speed ratios are a wall-clock measurement, so they
 run in the slow tier (CI perf-smoke, ``-m slow``) as the median of three
 timed attempts.
+
+A third, slow, records the pass-layer analyses themselves: it runs the
+-O2 pipeline over the bundled corpus and appends a
+``pass_layer_analyses`` entry with the count and inclusive seconds of
+``DominatorTree`` and ``LoopInfo`` builds, RPO walks, reachability walks
+and ipsccp function solves.  It bounds only the ipsccp solve count.
 """
 
+import contextlib
+import functools
 import os
 import statistics
+import sys
 import time
 
 import pytest
 
+from repro.baselines import STANDARD_LEVELS
+from repro.ir import cfg
 from repro.ir.cfg import LoopInfo
-from repro.passes import PassManager
+from repro.passes import AnalysisManager, PassManager, sccp
 from repro.workloads import load_suite
+from repro.workloads.registry import suite_names
 
 from bench_record import record
 
@@ -184,3 +196,106 @@ def test_cfg_queries_median_speedup_at_least_1_2x():
     })
     assert pred_speedup >= 1.2, times
     assert loop_speedup >= 1.2, times
+
+
+# -- pass-layer analysis counts -------------------------------------------
+
+#: ipsccp function solves over the -O2 corpus when every round re-solved
+#: every function (the tier-1 guard in tests/passes bounds the same).
+ROUND_ROBIN_IPSCCP_SOLVES = 328
+
+#: Corpus passes per measurement; the record holds one pass's mean.
+CORPUS_PASSES = 5
+
+
+@contextlib.contextmanager
+def _counting(stats):
+    """Count calls to, and inclusive seconds in, the CFG analyses and
+    the solves ipsccp makes, wherever a ``repro`` module bound them."""
+    patched = []
+    in_ipsccp = [False]
+
+    def counted(label, original, only_in_ipsccp=False):
+        entry = stats.setdefault(label, {"count": 0, "seconds": 0.0})
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            if only_in_ipsccp and not in_ipsccp[0]:
+                return original(*args, **kwargs)
+            started = time.perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                entry["count"] += 1
+                entry["seconds"] += time.perf_counter() - started
+        return wrapper
+
+    def patch(owner, name, replacement):
+        patched.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, replacement)
+
+    for label, name in (("rpo_walks", "reverse_postorder"),
+                        ("reachability_walks", "reachable_blocks")):
+        original = getattr(cfg, name)
+        wrapper = counted(label, original)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro") and \
+                    getattr(module, name, None) is original:
+                patch(module, name, wrapper)
+    patch(cfg.DominatorTree, "__init__", counted(
+        "domtree_builds", cfg.DominatorTree.__init__))
+    patch(cfg.LoopInfo, "__init__", counted(
+        "loopinfo_builds", cfg.LoopInfo.__init__))
+    patch(sccp._SCCPSolver, "solve", counted(
+        "ipsccp_solves", sccp._SCCPSolver.solve, only_in_ipsccp=True))
+    run_with_changes = sccp.IPSCCP.run_with_changes
+
+    def ipsccp_run(self, module, am):
+        in_ipsccp[0] = True
+        try:
+            return run_with_changes(self, module, am)
+        finally:
+            in_ipsccp[0] = False
+
+    patch(sccp.IPSCCP, "run_with_changes",
+          counted("ipsccp_runs", ipsccp_run))
+    try:
+        yield stats
+    finally:
+        for owner, name, original in reversed(patched):
+            setattr(owner, name, original)
+
+
+def test_pass_layer_analysis_counts_and_seconds():
+    """The -O2 pipeline over the corpus, each program on its own
+    analysis manager: per-analysis counts and inclusive seconds (the
+    mean of ``CORPUS_PASSES`` passes) go to ``BENCH_passmanager.json``;
+    only the ipsccp solve count is bounded (at most half the round-robin
+    solve's)."""
+    workloads = [w for suite in suite_names() for w in load_suite(suite)]
+    stats = {}
+    pipeline_seconds = 0.0
+    with _counting(stats):
+        for _ in range(CORPUS_PASSES):
+            modules = [w.compile() for w in workloads]
+            started = time.perf_counter()
+            for module in modules:
+                PassManager().run(module, list(STANDARD_LEVELS["-O2"]),
+                                  AnalysisManager())
+            pipeline_seconds += time.perf_counter() - started
+    entry = {"benchmark": "pass_layer_analyses",
+             "programs": len(workloads),
+             "pipeline_seconds": round(pipeline_seconds / CORPUS_PASSES, 4)}
+    for label, counts in sorted(stats.items()):
+        assert counts["count"] % CORPUS_PASSES == 0, label
+        entry[label] = counts["count"] // CORPUS_PASSES
+        entry[f"{label}_seconds"] = round(
+            counts["seconds"] / CORPUS_PASSES, 4)
+    print(f"\n[pass-layer] -O2 over {len(workloads)} programs: "
+          f"{entry['pipeline_seconds']:.3f}s per corpus pass")
+    for label in sorted(stats):
+        print(f"  {label}: {entry[label]} in "
+              f"{entry[label + '_seconds']:.4f}s")
+    record(BENCH_PATH, entry)
+    assert entry["ipsccp_runs"] == len(workloads)
+    assert entry["ipsccp_solves"] <= ROUND_ROBIN_IPSCCP_SOLVES // 2

@@ -12,6 +12,11 @@ def predecessors_map(function):
     once per edge — bit-identical to the historical from-scratch
     successor scan (kept as :func:`recompute_predecessors_map` for the
     differential tests), at O(V + E) without touching terminators.
+
+    Only the verifier (which reports predecessors by name, in block
+    order) and the differential tests call this: the dominator, frontier
+    and loop builds below read each block's maintained links directly,
+    in any order, since none of their results depends on it.
     """
     positions = function.block_positions()
     preds = {}
@@ -94,7 +99,19 @@ def reverse_postorder(function):
 
 
 def reachable_blocks(function):
-    return set(reverse_postorder(function))
+    """The set of blocks reachable from the entry (a plain DFS; callers
+    holding a :class:`DominatorTree` use ``set(dom.rpo)`` instead)."""
+    entry = function.entry
+    if entry is None:
+        return set()
+    seen = {entry}
+    stack = [entry]
+    while stack:
+        for succ in stack.pop().successors():
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return seen
 
 
 class DominatorTree:
@@ -104,44 +121,49 @@ class DominatorTree:
         self.function = function
         self.rpo = reverse_postorder(function)
         self._index = {b: i for i, b in enumerate(self.rpo)}
-        self.idom = {}
-        self._compute()
+        self.idom = self._compute()
         self.children = {b: [] for b in self.rpo}
         for block, dom in self.idom.items():
-            if dom is not None and dom is not block:
+            if dom is not None:
                 self.children[dom].append(block)
 
     def _compute(self):
-        if not self.rpo:
-            return
-        entry = self.rpo[0]
-        preds = predecessors_map(self.function)
-        idom = {entry: entry}
+        """Cooper–Harvey–Kennedy on RPO indices: ``doms[i]`` is the RPO
+        index of block ``i``'s immediate dominator.  Predecessors come
+        straight from the maintained links, in whatever order they were
+        linked: the immediate-dominator tree is unique, so the order
+        cannot change it."""
+        rpo = self.rpo
+        if not rpo:
+            return {}
+        index = self._index
+        preds = [[index[p] for p in block._preds if p in index]
+                 for block in rpo]
+        doms = [-1] * len(rpo)
+        doms[0] = 0
         changed = True
         while changed:
             changed = False
-            for block in self.rpo[1:]:
-                candidates = [p for p in preds[block]
-                              if p in idom and p in self._index]
-                if not candidates:
-                    continue
-                new_idom = candidates[0]
-                for pred in candidates[1:]:
-                    new_idom = self._intersect(idom, pred, new_idom)
-                if idom.get(block) is not new_idom:
-                    idom[block] = new_idom
+            for i in range(1, len(rpo)):
+                new = -1
+                for a in preds[i]:
+                    if doms[a] < 0:
+                        continue
+                    if new < 0:
+                        new = a
+                        continue
+                    while a != new:
+                        while a > new:
+                            a = doms[a]
+                        while new > a:
+                            new = doms[new]
+                if new != doms[i]:
+                    doms[i] = new
                     changed = True
-        self.idom = {b: (None if b is entry else idom.get(b))
-                     for b in self.rpo}
-        self.idom[entry] = None
-
-    def _intersect(self, idom, a, b):
-        while a is not b:
-            while self._index[a] > self._index[b]:
-                a = idom[a]
-            while self._index[b] > self._index[a]:
-                b = idom[b]
-        return a
+        idom = {rpo[0]: None}
+        for i in range(1, len(rpo)):
+            idom[rpo[i]] = rpo[doms[i]]
+        return idom
 
     def dominates(self, a, b):
         """True if block ``a`` dominates block ``b`` (reflexive)."""
@@ -177,17 +199,22 @@ class DominatorTree:
         return self.strictly_dominates(inst.parent, other.parent)
 
     def dominance_frontiers(self):
-        preds = predecessors_map(self.function)
+        """{block: set of frontier blocks} — the CHK runner walk from
+        each predecessor of a join up to the join's immediate dominator."""
+        index = self._index
+        idom = self.idom
         frontiers = {b: set() for b in self.rpo}
         for block in self.rpo:
-            block_preds = [p for p in preds[block] if p in self._index]
-            if len(block_preds) < 2:
+            maintained = block._preds
+            block_preds = [p for p in maintained if p in index]
+            # A join has two in-edges; both arms of one condbr count.
+            if sum(maintained[p] for p in block_preds) < 2:
                 continue
-            for pred in block_preds:
-                runner = pred
-                while runner is not None and runner is not self.idom[block]:
+            stop = idom[block]
+            for runner in block_preds:
+                while runner is not None and runner is not stop:
                     frontiers[runner].add(block)
-                    runner = self.idom.get(runner)
+                    runner = idom[runner]
         return frontiers
 
 
@@ -341,12 +368,15 @@ class LoopInfo:
         if dom is None:
             dom = DominatorTree(self.function)
         headers = {}
-        preds = predecessors_map(self.function)
-        for block in dom.rpo:
+        index = dom._index
+        for position, block in enumerate(dom.rpo):
             for succ in block.successors():
-                if succ in dom._index and dom.dominates(succ, block):
+                # A back edge's target dominates its source, so it
+                # cannot come later in RPO: skip the dominance walk for
+                # every forward edge.
+                if index[succ] <= position and dom.dominates(succ, block):
                     loop = headers.setdefault(succ, Loop(succ))
-                    self._collect(loop, block, preds)
+                    self._collect(loop, block)
         loops = list(headers.values())
         # Establish nesting: a loop is a child of the smallest loop strictly
         # containing its header (other than itself).
@@ -363,14 +393,18 @@ class LoopInfo:
             for block in loop.blocks:
                 self._block_loop[block] = loop
 
-    def _collect(self, loop, latch, preds):
+    @staticmethod
+    def _collect(loop, latch):
+        """Add to ``loop`` every block reaching ``latch`` backwards
+        without passing the header (a set: link order is irrelevant)."""
+        blocks = loop.blocks
         worklist = [latch]
         while worklist:
             block = worklist.pop()
-            if block in loop.blocks:
+            if block in blocks:
                 continue
-            loop.blocks.add(block)
-            worklist.extend(preds.get(block, []))
+            blocks.add(block)
+            worklist.extend(block._preds)
 
     def loop_of(self, block):
         """Innermost loop containing ``block``, or None."""

@@ -32,12 +32,9 @@ class Value:
 
     @property
     def users(self):
-        """Distinct instructions using this value."""
-        seen = []
-        for user, _ in self.uses:
-            if user not in seen:
-                seen.append(user)
-        return seen
+        """Distinct instructions using this value, in first-use order
+        (users are instructions, which hash by identity)."""
+        return list(dict.fromkeys(user for user, _ in self.uses))
 
     def is_used(self):
         return bool(self.uses)

@@ -13,7 +13,6 @@ from repro.ir import (
     StoreInst,
     UndefValue,
 )
-from repro.ir.cfg import reachable_blocks
 from repro.passes.analysis import PRESERVE_CFG
 from repro.passes.base import FunctionPass, register_pass
 
@@ -51,7 +50,7 @@ class Mem2Reg(FunctionPass):
             return False
         dom = am.domtree(function)
         frontiers = dom.dominance_frontiers()
-        reachable = reachable_blocks(function)
+        reachable = set(dom.rpo)
 
         # 1. Place phis at the iterated dominance frontier of each alloca's
         #    defining (store) blocks.  Def blocks follow use-list order and

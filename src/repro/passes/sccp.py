@@ -7,6 +7,7 @@ argument lattices meet over all call sites and constant return values
 propagate back to callers.
 """
 
+import heapq
 import struct
 
 from repro.ir import (
@@ -15,6 +16,7 @@ from repro.ir import (
     CallInst,
     CastInst,
     CondBranchInst,
+    ConstantFloat,
     ConstantInt,
     FCmpInst,
     ICmpInst,
@@ -67,7 +69,6 @@ class _Lattice:
     def _same(a, b):
         if isinstance(a, str) or isinstance(b, str):
             return a == b
-        from repro.passes.sccp import _const_equal
         return _const_equal(a, b)
 
     @staticmethod
@@ -82,7 +83,6 @@ class _Lattice:
 
 
 def _const_equal(a, b):
-    from repro.ir import ConstantFloat
     if isinstance(a, str) or isinstance(b, str):
         return a == b
     if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
@@ -230,8 +230,6 @@ def _apply_lattice(function, lattice, executable_blocks):
     branch folded (an edge disappeared), which is the only rewrite here
     that invalidates dominator/loop analyses.
     """
-    from repro.ir.values import Constant
-
     changed = False
     cfg_changed = False
     for block in function.blocks:
@@ -283,11 +281,14 @@ class SCCP(FunctionPass):
 class IPSCCP(Pass):
     """Interprocedural SCCP.
 
-    Iterates function-local SCCP with argument lattices seeded from all
-    call sites and return lattices fed back to callers, until a round
-    moves no argument cell and no return cell.  Every cell only falls
-    (top, then a constant, then bottom), so the number of rounds is
-    bounded by the lattice height (Wegman & Zadeck, TOPLAS 1991).
+    Solves function-local SCCP on a call-graph worklist (Wegman &
+    Zadeck, TOPLAS 1991; LLVM's IPSCCP shape): argument cells meet over
+    all call sites, return cells feed back to callers, and a function
+    is re-solved only when one of its argument cells, or one of its
+    callees' return cells, moved since its last solve.  Every cell only
+    falls (top, then a constant, then bottom), so the worklist drains
+    within the lattice height, and each function's last solve already
+    saw the final cells: that lattice is the one applied.
     """
 
     # Edits are attributed per function: only the functions whose code
@@ -304,93 +305,129 @@ class IPSCCP(Pass):
     def _solve_and_apply(self, module):
         """Solve the module's lattices and rewrite each function; the
         list of functions whose code changed."""
-        functions = module.defined_functions()
-        # Fast path: with no call edges between defined functions the
-        # argument/return lattices cannot change across rounds (the
-        # oracle answers bottom for declarations either way), so the
-        # fixpoint iteration collapses to one solve+apply per function —
-        # identical results, half the solver work.  Most single-kernel
-        # workloads take this path.
-        defined = {id(f) for f in functions}
-        has_interprocedural_calls = any(
-            isinstance(inst, CallInst) and not inst.is_intrinsic()
-            and id(inst.callee) in defined
-            for function in functions
-            for block in function.blocks
-            for inst in block.instructions)
-        if not has_interprocedural_calls:
-            changed = []
-            for function in functions:
-                default = _BOTTOM if function.name == "main" else _TOP
-                seeds = {arg.index: default for arg in function.args}
-                solver = _SCCPSolver(
-                    function, seeds,
-                    call_oracle=lambda call, lattice: _BOTTOM)
-                lattice = solver.solve()
-                function_changed, _ = _apply_lattice(
-                    function, lattice, solver.executable_blocks)
-                if function_changed:
-                    changed.append(function)
-            return changed
-        arg_states = {f.name: {} for f in functions}
-        return_states = {}
-        # Seed: externally callable functions (main) get bottom arguments.
-        for function in functions:
-            for arg in function.args:
-                default = _BOTTOM if function.name == "main" else _TOP
-                arg_states[function.name][arg.index] = default
-
-        def oracle(call, lattice):
-            # Feed argument states into callee and read back its
-            # return state from the previous round.
-            callee = call.callee
-            if callee.name not in arg_states:
-                return _BOTTOM
-            for index, arg in enumerate(call.args):
-                state = lattice.get(arg)
-                cell = arg_states[callee.name]
-                old = cell.get(index, _TOP)
-                cell[index] = _Lattice._meet(old, state)
-            return return_states.get(callee.name, _TOP)
-
-        moved = True
-        while moved:
-            arg_snapshot = {name: dict(cells)
-                            for name, cells in arg_states.items()}
-            return_states_new = {}
-            for function in functions:
-                solver = _SCCPSolver(function,
-                                     arg_states[function.name],
-                                     call_oracle=oracle)
-                lattice = solver.solve()
-                # Compute the function's return state.
-                ret_state = _TOP
-                for block in function.blocks:
-                    if block not in solver.executable_blocks:
-                        continue
-                    term = block.terminator()
-                    if isinstance(term, RetInst) and term.value is not None:
-                        ret_state = _Lattice._meet(
-                            ret_state, lattice.get(term.value))
-                return_states_new[function.name] = ret_state
-            moved = any(
-                not _const_equal(state, return_states.get(name, _TOP))
-                for name, state in return_states_new.items()) or any(
-                not _const_equal(state, arg_snapshot[name].get(index, _TOP))
-                for name, cells in arg_states.items()
-                for index, state in cells.items())
-            return_states = return_states_new
-
+        solvers, _, _ = solve_module(module)
         changed = []
-        for function in functions:
-            def final_oracle(call, lattice, _rs=return_states):
-                return _rs.get(call.callee.name, _BOTTOM)
-
-            solver = _SCCPSolver(function, arg_states[function.name],
-                                 call_oracle=final_oracle)
-            lattice = solver.solve()
+        for function, solver in solvers.items():
             function_changed, _ = _apply_lattice(
-                function, lattice, solver.executable_blocks)
+                function, solver.lattice, solver.executable_blocks)
             if function_changed:
                 changed.append(function)
         return changed
+
+
+def solve_module(module):
+    """Run the ipsccp worklist over ``module``'s defined functions.
+
+    Returns ``(solvers, arg_states, return_states)``: each function's
+    last :class:`_SCCPSolver` (in module order), its argument cells
+    ``{name: {index: state}}`` and its return cells ``{name: state}``.
+    Externally callable functions (``main``) start with bottom
+    arguments, every other cell at top.
+    """
+    functions = module.defined_functions()
+    by_name = {f.name: f for f in functions}
+    callees = {}
+    for function in functions:
+        callees[function.name] = list(dict.fromkeys(
+            inst.callee.name
+            for block in function.blocks
+            for inst in block.instructions
+            if isinstance(inst, CallInst) and not inst.is_intrinsic()
+            and inst.callee.name in by_name))
+    callers = {name: [] for name in by_name}
+    for name, targets in callees.items():
+        for target in targets:
+            callers[target].append(name)
+    # Callers first: reverse postorder of the call graph, rooted at the
+    # functions in module order.
+    postorder, visited = [], set()
+    for root in by_name:
+        if root in visited:
+            continue
+        visited.add(root)
+        stack = [(root, iter(callees[root]))]
+        while stack:
+            name, pending = stack[-1]
+            for target in pending:
+                if target not in visited:
+                    visited.add(target)
+                    stack.append((target, iter(callees[target])))
+                    break
+            else:
+                postorder.append(name)
+                stack.pop()
+    order = postorder[::-1]
+    rank = {name: i for i, name in enumerate(order)}
+
+    arg_states = {
+        f.name: {arg.index: _BOTTOM if f.name == "main" else _TOP
+                 for arg in f.args}
+        for f in functions}
+    return_states = {}
+    # A cell hands another function a constant as it is when the IR
+    # holds it (it has uses) or an argument cell does; a value folded
+    # during a solve crosses as a copy (one per folded value into
+    # argument cells, one per move of a return cell), so a function's
+    # rewrite shares a constant object with another function's exactly
+    # when a solve of every function after the fixpoint would.
+    held = set()
+    arg_copies = {}
+
+    def handed_on(state, memo=None):
+        if not isinstance(state, Constant) or state.uses \
+                or id(state) in held:
+            return state
+        if memo is None:
+            return state.copy()
+        if id(state) not in memo:
+            memo[id(state)] = (state, state.copy())
+        return memo[id(state)][1]
+
+    queued = set(by_name)
+    worklist = sorted(rank[name] for name in by_name)
+
+    def enqueue(name):
+        if name not in queued:
+            queued.add(name)
+            heapq.heappush(worklist, rank[name])
+
+    def oracle(call, lattice):
+        callee = call.callee.name
+        cells = arg_states.get(callee)
+        if cells is None:
+            return _BOTTOM
+        moved = False
+        for index, arg in enumerate(call.args):
+            old = cells.get(index, _TOP)
+            new = _Lattice._meet(old, lattice.get(arg))
+            if not _const_equal(new, old):
+                new = handed_on(new, arg_copies)
+                if isinstance(new, Constant):
+                    held.add(id(new))
+                cells[index] = new
+                moved = True
+        if moved:
+            enqueue(callee)
+        return return_states.get(callee, _TOP)
+
+    solvers = {}
+    while worklist:
+        name = order[heapq.heappop(worklist)]
+        queued.discard(name)
+        function = by_name[name]
+        solver = _SCCPSolver(function, arg_states[name], call_oracle=oracle)
+        lattice = solver.solve()
+        solvers[function] = solver
+        ret_state = _TOP
+        for block in function.blocks:
+            if block not in solver.executable_blocks:
+                continue
+            term = block.terminator()
+            if isinstance(term, RetInst) and term.value is not None:
+                ret_state = _Lattice._meet(ret_state,
+                                           lattice.get(term.value))
+        if not _const_equal(ret_state, return_states.get(name, _TOP)):
+            return_states[name] = handed_on(ret_state)
+            for caller in callers[name]:
+                enqueue(caller)
+    return ({f: solvers[f] for f in functions}, arg_states, return_states)
